@@ -6,13 +6,19 @@ automaton supplies the legal next symbols.  Mapping decisions onto arcs
 and position-0 arcs free) makes every path score equal the model's
 log-likelihood of the decoded labeling, so greedy, beam, and exact search
 all optimize the same objective.
+
+The static part of each conditional is linear in hashed n-gram features,
+so a token table caches it per (token, context offset): a segmenter
+hashes each distinct token once, and every later window costs one table
+probe per token instead of re-hashing the n-grams of every position.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+import numpy as np
 
 from ..automaton import (
     GREEDY,
@@ -24,43 +30,110 @@ from ..automaton import (
 )
 from ..core import DEFAULT_DELIMITER, SPLIT, SegmentationLabels
 from .base import NBestList, WindowInfo
-from .features import FeatureModel, history_bits, history_feature, static_features
+from .features import (
+    PAD_LEFT,
+    PAD_RIGHT,
+    FeatureModel,
+    _softplus,
+    bias_feature,
+    history_bits,
+    history_feature,
+    offset_ngram_ids,
+    # Not called here: TokenTable reproduces it.  bench/spans.py wraps
+    # this module's binding.
+    static_features,  # noqa: F401
+)
 
 
-def _softplus(x: float) -> float:
-    if x > 0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
+class TokenTable:
+    """Partial static logits of one model, cached per token type.
+
+    ``row(token)[j]`` is the summed weight of the n-gram ids
+    ``offset_ngram_ids`` gives ``token`` at context offset
+    ``j - context_radius``.  The static logit is linear in those features,
+    so the static logit of a position is the bias weight plus, for each
+    offset, one entry of the row of the token found there.  The pads are
+    rows like any other token, so a real token spelled ``<s>`` or ``</s>``
+    shares the pad's row, as it shares its features in ``static_features``.
+
+    ``static_logits`` adds the entries in ascending offset order, so each
+    position's value depends on its ``2 * context_radius + 1`` context
+    tokens alone, not on which rows were filled before or by whom.
+
+    Rows and history weights are filled on first use and never change or
+    get evicted: about 230 bytes per token type at the default radius.
+    Threads may share a table; under the interpreter lock two threads
+    racing on one token only compute the same row twice.  The weights are
+    read when a row is filled, so a table must not outlive an in-place
+    change to ``model.weights``.
+    """
+
+    def __init__(self, model: FeatureModel):
+        self.model = model
+        self._bias = float(model.weights[bias_feature(model.config)])
+        self._rows: dict[str, np.ndarray] = {}
+        self._history: dict[str, float] = {}
+
+    def row(self, token: str) -> np.ndarray:
+        got = self._rows.get(token)
+        if got is None:
+            cfg = self.model.config
+            w = self.model.weights
+            r = cfg.context_radius
+            got = np.array(
+                [w[offset_ngram_ids(cfg, token, d)].sum() for d in range(-r, r + 1)]
+            )
+            self._rows[token] = got
+        return got
+
+    def static_logits(self, tokens: Sequence[str]) -> list[float]:
+        """The static logit of every position of the window ``tokens``."""
+        n = len(tokens)
+        if n == 0:
+            return []
+        r = self.model.config.context_radius
+        context = [PAD_LEFT] * r + list(tokens) + [PAD_RIGHT] * r
+        rows = np.stack([self.row(tok) for tok in context])
+        total = np.full(n, self._bias)
+        for j in range(2 * r + 1):
+            total += rows[j:j + n, j]
+        return total.tolist()
+
+    def history_weight(self, bits: str) -> float:
+        got = self._history.get(bits)
+        if got is None:
+            got = float(self.model.weights[history_feature(self.model.config, bits)])
+            self._history[bits] = got
+        return got
+
+
+def _table_for(model: FeatureModel, table: Optional[TokenTable]) -> TokenTable:
+    """``table`` if it was built for ``model``, else a new empty one."""
+    if table is not None and table.model is model:
+        return table
+    return TokenTable(model)
 
 
 class CachedConditionals:
     """Per-window cache of the model's conditionals.
 
-    Static feature sums depend only on the position; the decision history
-    contributes one weight looked up by its bit pattern.  Both are cached
-    so each (position, history) pair costs one dict probe after the first
-    evaluation, which keeps search over many hypotheses cheap.
+    Static logits come from the token table, one row probe per token of
+    the window and its pads; the decision history contributes one weight
+    looked up by its bit pattern.  Each (position, history) pair's
+    log-probabilities are cached, so it costs one dict probe after the
+    first evaluation, which keeps search over many hypotheses cheap.
+    Without a ``table`` (which must belong to ``model``) the window gets a
+    fresh one of its own.
     """
 
-    def __init__(self, model: FeatureModel, tokens: Sequence[str]):
+    def __init__(
+        self, model: FeatureModel, tokens: Sequence[str], table: Optional[TokenTable] = None
+    ):
         self.model = model
         self.tokens = tuple(tokens)
-        cfg = model.config
-        w = model.weights
-        statics = []
-        for t in range(len(self.tokens)):
-            feats = static_features(cfg, self.tokens, t)
-            statics.append(sum(w[fid] * v for fid, v in feats.items()))
-        self._static = statics
-        self._hist: dict[str, float] = {}
+        self._table = table if table is not None else TokenTable(model)
+        self._static = self._table.static_logits(self.tokens)
         self._probs: dict[tuple[int, str], tuple[float, float]] = {}
-
-    def _hist_weight(self, bits: str) -> float:
-        got = self._hist.get(bits)
-        if got is None:
-            got = float(self.model.weights[history_feature(self.model.config, bits)])
-            self._hist[bits] = got
-        return got
 
     def logprobs(self, t: int, prefix: Sequence[object]) -> tuple[float, float]:
         """(log p(CONTINUE), log p(SPLIT)) at position ``t`` given ``prefix``."""
@@ -68,7 +141,7 @@ class CachedConditionals:
         key = (t, bits)
         got = self._probs.get(key)
         if got is None:
-            z = self._static[t] + self._hist_weight(bits)
+            z = self._static[t] + self._table.history_weight(bits)
             got = (-_softplus(z), -_softplus(-z))
             self._probs[key] = got
         return got
@@ -102,10 +175,14 @@ class FeatureStepScorer:
     locally_normalized = True
 
     def __init__(
-        self, model: FeatureModel, tokens: Sequence[str], delimiter: str = DEFAULT_DELIMITER
+        self,
+        model: FeatureModel,
+        tokens: Sequence[str],
+        delimiter: str = DEFAULT_DELIMITER,
+        table: Optional[TokenTable] = None,
     ):
         self.delimiter = delimiter
-        self.conditionals = CachedConditionals(model, tokens)
+        self.conditionals = CachedConditionals(model, tokens, table)
 
     def score_symbol(self, hypothesis: Hypothesis, symbol: str) -> float:
         t = hypothesis.position
@@ -118,12 +195,17 @@ class FeatureStepScorer:
 
 @dataclass
 class AutoregressiveSegmenter:
-    """Feature-model segmenter decoding through the acceptor."""
+    """Feature-model segmenter decoding through the acceptor.
+
+    Keeps one token table for its model, shared by every window and
+    worker thread, and starts a new one when ``model`` is replaced.
+    """
 
     model: Optional[FeatureModel]
     strategy: SearchStrategy = GREEDY
     delimiter: str = DEFAULT_DELIMITER
     name: str = "autoregressive"
+    _table: Optional[TokenTable] = field(default=None, init=False, repr=False, compare=False)
 
     def _model(self) -> FeatureModel:
         if self.model is None:
@@ -131,7 +213,9 @@ class AutoregressiveSegmenter:
         return self.model
 
     def scorer(self, window: Sequence[str]) -> FeatureStepScorer:
-        return FeatureStepScorer(self._model(), window, self.delimiter)
+        model = self._model()
+        self._table = table = _table_for(model, self._table)
+        return FeatureStepScorer(model, window, self.delimiter, table)
 
     def segment(
         self, window: Sequence[str], info: WindowInfo = WindowInfo()
@@ -160,23 +244,13 @@ class FeatureModelReranker:
     """Scores complete labelings by their log-likelihood under a feature model.
 
     Used as the second-stage scorer over another generator's n-best list;
-    caches per-window conditionals so rescoring many candidates of the
-    same window stays cheap.
+    keeps a token table for its model, so rebuilding a window's
+    conditionals for each candidate costs one table probe per token.
     """
 
     model: FeatureModel
-    _cache: dict[tuple[str, ...], CachedConditionals] = field(
-        default_factory=dict, repr=False
-    )
-
-    def _conditionals(self, window: tuple[str, ...]) -> CachedConditionals:
-        got = self._cache.get(window)
-        if got is None:
-            if len(self._cache) >= 8:
-                self._cache.pop(next(iter(self._cache)))
-            got = CachedConditionals(self.model, window)
-            self._cache[window] = got
-        return got
+    _table: Optional[TokenTable] = field(default=None, init=False, repr=False, compare=False)
 
     def score_sequence(self, window: Sequence[str], labels: SegmentationLabels) -> float:
-        return self._conditionals(tuple(window)).sequence_logprob(labels.decisions)
+        self._table = table = _table_for(self.model, self._table)
+        return CachedConditionals(self.model, window, table).sequence_logprob(labels.decisions)

@@ -22,8 +22,8 @@ import numpy as np
 
 from ..core import CONTINUE, SPLIT, Decision, SegmentationLabels, Transcript
 
-_PAD_LEFT = "<s>"
-_PAD_RIGHT = "</s>"
+PAD_LEFT = "<s>"
+PAD_RIGHT = "</s>"
 
 
 @dataclass(frozen=True)
@@ -68,23 +68,38 @@ def history_bits(prefix: Sequence[object], t: int, history: int) -> str:
     return "".join(bits)
 
 
+def bias_feature(cfg: FeatureConfig) -> int:
+    return _hash(cfg, "B")
+
+
+def offset_ngram_ids(cfg: FeatureConfig, token: str, delta: int) -> list[int]:
+    """Hashed ids of ``token``'s character n-grams seen at context offset ``delta``.
+
+    One id per n-gram occurrence, so a repeated n-gram is listed as often
+    as it occurs.
+    """
+    padded = "\x02" + token + "\x03"
+    return [
+        _hash(cfg, f"G{delta}:{order}:{padded[s:s + order]}")
+        for order in cfg.ngram_orders
+        for s in range(len(padded) - order + 1)
+    ]
+
+
 def static_features(cfg: FeatureConfig, tokens: Sequence[str], t: int) -> dict[int, float]:
     """Position features independent of decision history: bias + char n-grams."""
-    feats: dict[int, float] = {_hash(cfg, "B"): 1.0}
+    feats: dict[int, float] = {bias_feature(cfg): 1.0}
     n = len(tokens)
     for delta in range(-cfg.context_radius, cfg.context_radius + 1):
         idx = t + delta
         if idx < 0:
-            tok = _PAD_LEFT
+            tok = PAD_LEFT
         elif idx >= n:
-            tok = _PAD_RIGHT
+            tok = PAD_RIGHT
         else:
             tok = tokens[idx]
-        padded = "\x02" + tok + "\x03"
-        for order in cfg.ngram_orders:
-            for s in range(len(padded) - order + 1):
-                fid = _hash(cfg, f"G{delta}:{order}:{padded[s:s + order]}")
-                feats[fid] = feats.get(fid, 0.0) + 1.0
+        for fid in offset_ngram_ids(cfg, tok, delta):
+            feats[fid] = feats.get(fid, 0.0) + 1.0
     return feats
 
 

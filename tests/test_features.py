@@ -14,6 +14,7 @@ from windowseg.segmenters.features import (
     TrainConfig,
     evaluate_loss,
     history_bits,
+    history_feature,
     load_model,
     loss_gradient,
     save_model,
@@ -88,6 +89,19 @@ class TestFeatures:
             salt=99,
         )
         assert static_features(SMALL, toks, 1) != static_features(salted, toks, 1)
+
+    def test_feature_ids_golden(self):
+        # Ids (and their order) as computed when the v1 model format was
+        # introduced; saved models mean nothing if these move.
+        cfg = FeatureConfig(hash_dims=2 ** 12, ngram_orders=(2, 3), context_radius=1,
+                            history=2, salt=5)
+        assert list(static_features(cfg, ("aaa", "né"), 0).items()) == [
+            (3006, 1.0), (2275, 1.0), (3999, 1.0), (376, 1.0), (3105, 1.0), (1281, 1.0),
+            (892, 1.0), (1240, 1.0), (3972, 1.0), (2016, 2.0), (1940, 1.0), (3765, 1.0),
+            (3020, 1.0), (3000, 1.0), (432, 1.0), (2588, 1.0), (3572, 1.0), (660, 1.0),
+            (3527, 1.0),
+        ]
+        assert history_feature(cfg, "_1") == 1568
 
     def test_step_features_add_history(self):
         toks = ("aa", "bb", "cc")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from synth import make_document
 from windowseg.automaton import EXACT, GREEDY, beam, build_automaton, constrained_search
 from windowseg.core import CONTINUE, SPLIT, SegmentationLabels
+from windowseg.pipeline import segment_tokens
 from windowseg.segmenters import (
     AutoregressiveSegmenter,
     CachedConditionals,
@@ -25,7 +27,8 @@ from windowseg.segmenters import (
     rerank,
     train_feature_model,
 )
-from windowseg.segmenters.features import TrainConfig
+from windowseg.segmenters.autoregressive import TokenTable
+from windowseg.segmenters.features import TrainConfig, static_features
 from windowseg.windowing import WindowConfig, plan_windows, stitch
 
 CFG = FeatureConfig(hash_dims=2 ** 14, ngram_orders=(2, 3), context_radius=3, history=2)
@@ -268,3 +271,91 @@ class TestCachedConditionals:
         cc = CachedConditionals(model, ("aa", "bb"))
         with pytest.raises(ValueError):
             cc.sequence_logprob((SPLIT,))
+
+
+# Tokens that exercise the pads' spelling, non-ASCII text, the empty
+# token and repeated n-grams.
+TABLE_VOCAB = ("aa", "b", "", "<s>", "</s>", "é", "naïve", "日本語", "aaaa", "x<s>", "the")
+
+
+def canonical_static_logit(model, tokens, t):
+    feats = static_features(model.config, tokens, t)
+    ids = np.fromiter(feats.keys(), dtype=np.int64, count=len(feats))
+    counts = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
+    return float(model.weights[ids] @ counts)
+
+
+class TestTokenTable:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            CFG,
+            FeatureConfig(hash_dims=2 ** 10, ngram_orders=(1, 4), context_radius=2, history=1,
+                          salt=0xDEADBEEF),
+            FeatureConfig(hash_dims=97, ngram_orders=(2,), context_radius=0, history=0, salt=3),
+        ],
+    )
+    def test_static_logits_match_static_features(self, cfg):
+        model = random_model(30, cfg)
+        table = TokenTable(model)
+        rng = random.Random(31)
+        r = cfg.context_radius
+        lengths = [0, 1, 2 * r, 2 * r + 1] + [rng.randint(2, 30) for _ in range(20)]
+        for n in lengths:
+            window = tuple(rng.choice(TABLE_VOCAB) for _ in range(n))
+            got = table.static_logits(window)
+            assert len(got) == n
+            for t, value in enumerate(got):
+                want = canonical_static_logit(model, window, t)
+                assert abs(value - want) <= 1e-9, (window, t)
+
+    def test_real_pad_tokens_share_pad_rows(self, model):
+        table = TokenTable(model)
+        alone = table.static_logits(("aa",))[0]
+        assert table.static_logits(("<s>", "aa"))[1] == alone
+        assert table.static_logits(("aa", "</s>"))[0] == alone
+
+    def test_value_depends_only_on_context(self, model):
+        # A warm table, filled by other documents first, gives the same
+        # bits as a cold one.
+        rng = random.Random(32)
+        doc_a = make_document(rng, "a", n_sentences=(3, 4))[0].tokens
+        doc_b = make_document(rng, "b", n_sentences=(3, 4))[0].tokens
+        warm = TokenTable(model)
+        warm.static_logits(doc_b[::-1])
+        assert warm.static_logits(doc_a) == TokenTable(model).static_logits(doc_a)
+
+    def test_table_state_does_not_change_output(self, model):
+        rng = random.Random(33)
+        doc_a = make_document(rng, "a", n_sentences=(6, 8))[0].tokens
+        doc_b = make_document(rng, "b", n_sentences=(6, 8))[0].tokens
+        cfg = WindowConfig(size=12, left=3, right=3)
+        seg = AutoregressiveSegmenter(model, strategy=beam(4))
+        first = segment_tokens(doc_a, seg, cfg, workers=1)
+        segment_tokens(doc_b, seg, cfg, workers=1)
+        again = segment_tokens(doc_a, seg, cfg, workers=1)
+        fresh = segment_tokens(doc_a, AutoregressiveSegmenter(model, strategy=beam(4)), cfg,
+                               workers=1)
+        assert first == again == fresh
+
+    def test_cold_table_worker_count_invariant(self, model):
+        rng = random.Random(34)
+        doc = make_document(rng, "a", n_sentences=(10, 12))[0].tokens
+        cfg = WindowConfig(size=10, left=2, right=2)
+        serial = segment_tokens(doc, AutoregressiveSegmenter(model), cfg, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = segment_tokens(doc, AutoregressiveSegmenter(model), cfg, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_replaced_model_gets_new_table(self, model):
+        tokens = ("aa", "bb", "cc", "dd", "ee")
+        other = random_model(35)
+        seg = AutoregressiveSegmenter(model, strategy=EXACT)
+        seg.segment(tokens)
+        seg.model = other
+        got = seg.nbest(tokens, 4)
+        assert got == AutoregressiveSegmenter(other, strategy=EXACT).nbest(tokens, 4)
