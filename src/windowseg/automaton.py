@@ -12,15 +12,25 @@ Searches are generic over an autoregressive symbol scorer, so the same
 machinery serves greedy decoding, beam search with ranked n-best output,
 and exact search by depth-first branch and bound (which requires a locally
 normalized scorer so that prefix scores upper-bound completions).
+
+A hypothesis links to the one it extends instead of copying its emitted
+symbols, so ``Hypothesis.emitted`` is rebuilt on demand (O(w) per read)
+and costs nothing for scorers that never read it.  Beam search ranks
+hypotheses by ``(-score, decisions + (1,) if pending else decisions)``:
+higher score first, ties toward fewer and later delimiters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Protocol, Sequence, runtime_checkable
+from operator import attrgetter
+from typing import Callable, Iterator, Optional, Protocol, Sequence, runtime_checkable
 
-from .core import DEFAULT_DELIMITER, Malformed, SegmentationLabels, decode_delimited
+from .core import CONTINUE, DEFAULT_DELIMITER, SPLIT, SegmentationLabels
+
+# One leaving arc: (symbol, next state, whether symbol is the delimiter).
+Arc = tuple[str, int, bool]
 
 
 @dataclass(frozen=True)
@@ -33,6 +43,21 @@ class SegAutomaton:
     final: int
     arcs: tuple[dict[str, int], ...]  # arcs[state][symbol] -> next state
     positions: tuple[int, ...]        # tokens consumed on entry to each state
+    # Per-state arcs in search order: token arc before delimiter arc, a
+    # stable expansion order matching the tie-break preference for no
+    # delimiter.
+    _ordered: tuple[tuple[Arc, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        delimiter = self.delimiter
+        ordered = tuple(
+            tuple(
+                (sym, arcs[sym], sym == delimiter)
+                for sym in sorted(arcs, key=lambda s: s == delimiter)
+            )
+            for arcs in self.arcs
+        )
+        object.__setattr__(self, "_ordered", ordered)
 
     @property
     def num_states(self) -> int:
@@ -147,31 +172,62 @@ def parse_strategy(name: str) -> SearchStrategy:
     raise ValueError(f"unknown search strategy {name!r}")
 
 
-@dataclass(frozen=True)
 class Hypothesis:
     """A scored path prefix through the automaton.
 
     ``decisions`` records the segmentation decision per consumed token
     (position 0 is always 1: its delimiter is implied even when
     suppressed); ``pending`` is set between a delimiter and the token
-    that completes it.
+    that completes it.  ``parent`` is the hypothesis this one extends by
+    the arc labeled ``symbol`` (both None at the start state), and
+    ``emitted`` follows those links back, so it costs O(w) per read.
+
+    ``key`` is the beam ranking, computed once:
+    ``(-score, decisions + (1,) if pending else decisions)``.  Higher score
+    comes first; ties prefer fewer/later delimiters (lex order with
+    no-delimiter = 0), which favors longer segments.  Hypotheses are
+    treated as immutable: searches and scorers never assign to them.
     """
 
-    state: int
-    emitted: tuple[str, ...]
-    score: float
-    decisions: tuple[int, ...] = ()
-    pending: bool = False
+    __slots__ = ("state", "score", "decisions", "pending", "parent", "symbol", "key")
+
+    def __init__(
+        self,
+        state: int,
+        score: float,
+        decisions: tuple[int, ...] = (),
+        pending: bool = False,
+        parent: Optional["Hypothesis"] = None,
+        symbol: Optional[str] = None,
+    ):
+        self.state = state
+        self.score = score
+        self.decisions = decisions
+        self.pending = pending
+        self.parent = parent
+        self.symbol = symbol
+        self.key = (-score, decisions + (1,) if pending else decisions)
 
     @property
     def position(self) -> int:
         """Number of tokens consumed so far."""
         return len(self.decisions)
 
-    def sort_key(self) -> tuple[float, tuple[int, ...]]:
-        # Higher score first; ties prefer fewer/later delimiters (lex order
-        # with no-delimiter = 0), which favors longer segments.
-        return (-self.score, self.decisions + ((1,) if self.pending else ()))
+    @property
+    def emitted(self) -> tuple[str, ...]:
+        """The symbols along the path from the start state."""
+        symbols = []
+        hyp = self
+        while hyp.parent is not None:
+            symbols.append(hyp.symbol)
+            hyp = hyp.parent
+        return tuple(reversed(symbols))
+
+    def __repr__(self) -> str:
+        return (
+            f"Hypothesis(state={self.state}, score={self.score!r}, "
+            f"decisions={self.decisions}, pending={self.pending})"
+        )
 
 
 @runtime_checkable
@@ -212,81 +268,96 @@ class FunctionScorer:
         return self.fn(hypothesis.emitted, symbol)
 
 
-def _extend(a: SegAutomaton, hyp: Hypothesis, symbol: str, step_score: float) -> Hypothesis:
-    nxt = a.arcs[hyp.state][symbol]
-    if symbol == a.delimiter:
-        return Hypothesis(nxt, hyp.emitted + (symbol,), hyp.score + step_score, hyp.decisions, True)
+def _extend(hyp: Hypothesis, arc: Arc, step_score: float) -> Hypothesis:
+    symbol, nxt, is_delimiter = arc
+    if is_delimiter:
+        return Hypothesis(nxt, hyp.score + step_score, hyp.decisions, True, hyp, symbol)
     # Position 0 always opens a segment even though its delimiter is
     # suppressed; recording it as 1 keeps scorer decision histories
-    # consistent with document-level labelings.
-    dec = 1 if (hyp.pending or not hyp.decisions) else 0
-    return Hypothesis(
-        nxt, hyp.emitted + (symbol,), hyp.score + step_score, hyp.decisions + (dec,), False
-    )
+    # consistent with document-level labelings.  A pending hypothesis's
+    # key already holds the decisions its token arc leads to.
+    if hyp.pending:
+        decisions = hyp.key[1]
+    else:
+        decisions = hyp.decisions + (0,) if hyp.decisions else (1,)
+    return Hypothesis(nxt, hyp.score + step_score, decisions, False, hyp, symbol)
 
 
-def _arc_order(a: SegAutomaton, state: int) -> list[str]:
-    # Token arc before delimiter arc: stable expansion order matching the
-    # tie-break preference for no delimiter.
-    syms = list(a.arcs[state])
-    syms.sort(key=lambda s: s == a.delimiter)
-    return syms
+def _nan_error(symbol: str, state: int) -> ValueError:
+    return ValueError(f"scorer returned NaN for {symbol!r} at state {state}")
 
 
-def _decode(a: SegAutomaton, hyp: Hypothesis) -> SegmentationLabels:
-    result = decode_delimited(hyp.emitted, a.tokens, a.delimiter)
-    if isinstance(result, Malformed):  # pragma: no cover - structurally impossible
-        raise RuntimeError(f"search emitted a malformed string: {result}")
-    return result
+_DECISIONS = (CONTINUE, SPLIT)
+_KEY = attrgetter("key")
+
+
+def _labels(hyp: Hypothesis) -> SegmentationLabels:
+    # Decisions map one-to-one onto labels: what decode_delimited gives
+    # for the emitted string, position 0 coerced to SPLIT.
+    return SegmentationLabels(tuple(_DECISIONS[d] for d in hyp.decisions))
 
 
 def _greedy_hypothesis(a: SegAutomaton, scorer: SymbolScorer) -> Hypothesis:
-    hyp = Hypothesis(a.start, (), 0.0)
+    score_symbol = scorer.score_symbol
+    ordered = a._ordered
+    hyp = Hypothesis(a.start, 0.0)
     while hyp.state != a.final:
-        best_sym = None
+        best_arc = None
         best_score = -math.inf
-        for sym in _arc_order(a, hyp.state):
-            s = scorer.score_symbol(hyp, sym)
-            if s > best_score:
-                best_sym, best_score = sym, s
-        assert best_sym is not None
-        hyp = _extend(a, hyp, best_sym, best_score)
+        for arc in ordered[hyp.state]:
+            s = score_symbol(hyp, arc[0])
+            if s != s:
+                raise _nan_error(arc[0], hyp.state)
+            # The first arc wins ties, even at -inf.
+            if best_arc is None or s > best_score:
+                best_arc, best_score = arc, s
+        if best_arc is None:
+            raise ValueError(f"state {hyp.state} has no arcs and is not final")
+        hyp = _extend(hyp, best_arc, best_score)
     return hyp
 
 
 def _search_greedy(a: SegAutomaton, scorer: SymbolScorer) -> list[tuple[SegmentationLabels, float]]:
     hyp = _greedy_hypothesis(a, scorer)
-    return [(_decode(a, hyp), hyp.score)]
+    return [(_labels(hyp), hyp.score)]
 
 
 def _search_beam(
     a: SegAutomaton, scorer: SymbolScorer, width: int
 ) -> list[tuple[SegmentationLabels, float]]:
-    active = [Hypothesis(a.start, (), 0.0)]
+    active = [Hypothesis(a.start, 0.0)]
     finished: list[Hypothesis] = []
     if a.start == a.final:
-        return [(_decode(a, active[0]), 0.0)]
+        return [(_labels(active[0]), 0.0)]
+    score_symbol = scorer.score_symbol
+    ordered = a._ordered
+    final = a.final
     while active:
         candidates: list[Hypothesis] = []
+        completed = len(finished)
         for hyp in active:
-            for sym in _arc_order(a, hyp.state):
-                candidates.append(_extend(a, hyp, sym, scorer.score_symbol(hyp, sym)))
-        finished.extend(c for c in candidates if c.state == a.final)
-        finished.sort(key=Hypothesis.sort_key)
-        del finished[width:]
-        active = sorted((c for c in candidates if c.state != a.final), key=Hypothesis.sort_key)
-        del active[width:]
+            for arc in ordered[hyp.state]:
+                s = score_symbol(hyp, arc[0])
+                if s != s:
+                    raise _nan_error(arc[0], hyp.state)
+                (finished if arc[1] == final else candidates).append(_extend(hyp, arc, s))
+        if len(finished) > completed:
+            finished.sort(key=_KEY)
+            del finished[width:]
+        candidates.sort(key=_KEY)
+        del candidates[width:]
+        active = candidates
     # Pool the greedy path so a wider beam is never worse than greedy even
-    # under adversarial scorers, then dedup label-equivalent paths.
-    pooled = sorted(finished + [_greedy_hypothesis(a, scorer)], key=Hypothesis.sort_key)
+    # under adversarial scorers, then dedup label-equivalent paths: equal
+    # decisions are equal labels.
+    pooled = sorted(finished + [_greedy_hypothesis(a, scorer)], key=_KEY)
     out: list[tuple[SegmentationLabels, float]] = []
-    seen: set[SegmentationLabels] = set()
+    seen: set[tuple[int, ...]] = set()
     for h in pooled:
-        labels = _decode(a, h)
-        if labels in seen:
+        if h.decisions in seen:
             continue
-        seen.add(labels)
-        out.append((labels, h.score))
+        seen.add(h.decisions)
+        out.append((_labels(h), h.score))
         if len(out) == width:
             break
     return out
@@ -295,11 +366,13 @@ def _search_beam(
 def _search_exact(a: SegAutomaton, scorer: SymbolScorer) -> list[tuple[SegmentationLabels, float]]:
     if not getattr(scorer, "locally_normalized", False):
         raise ValueError("exact search requires a locally normalized scorer")
+    score_symbol = scorer.score_symbol
+    ordered = a._ordered
     best: Hypothesis | None = None
     # Depth-first branch and bound; token arcs are pushed last so they are
     # explored first, making the first completion the all-continue path and
     # keeping ties resolved toward fewer delimiters.
-    stack: list[Hypothesis] = [Hypothesis(a.start, (), 0.0)]
+    stack: list[Hypothesis] = [Hypothesis(a.start, 0.0)]
     while stack:
         hyp = stack.pop()
         if best is not None and hyp.score <= best.score:
@@ -307,18 +380,20 @@ def _search_exact(a: SegAutomaton, scorer: SymbolScorer) -> list[tuple[Segmentat
         if hyp.state == a.final:
             best = hyp
             continue
-        for sym in reversed(_arc_order(a, hyp.state)):
-            step = scorer.score_symbol(hyp, sym)
+        for arc in reversed(ordered[hyp.state]):
+            step = score_symbol(hyp, arc[0])
+            if step != step:
+                raise _nan_error(arc[0], hyp.state)
             if step > 1e-9:
                 raise ValueError(
                     f"scorer claims local normalization but returned a positive "
-                    f"log-score {step} for {sym!r}"
+                    f"log-score {step} for {arc[0]!r}"
                 )
-            nxt = _extend(a, hyp, sym, min(step, 0.0))
-            if best is None or nxt.score > best.score:
-                stack.append(nxt)
+            step = min(step, 0.0)
+            if best is None or hyp.score + step > best.score:
+                stack.append(_extend(hyp, arc, step))
     assert best is not None
-    return [(_decode(a, best), best.score)]
+    return [(_labels(best), best.score)]
 
 
 def constrained_search(

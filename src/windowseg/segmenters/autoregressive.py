@@ -119,9 +119,10 @@ class CachedConditionals:
 
     Static logits come from the token table, one row probe per token of
     the window and its pads; the decision history contributes one weight
-    looked up by its bit pattern.  Each (position, history) pair's
-    log-probabilities are cached, so it costs one dict probe after the
-    first evaluation, which keeps search over many hypotheses cheap.
+    looked up by its bit pattern.  Each position's log-probabilities are
+    cached under the last ``history`` decisions of its prefix, so a repeat
+    costs one slice and one dict probe, which keeps search over many
+    hypotheses cheap.
     Without a ``table`` (which must belong to ``model``) the window gets a
     fresh one of its own.
     """
@@ -133,14 +134,20 @@ class CachedConditionals:
         self.tokens = tuple(tokens)
         self._table = table if table is not None else TokenTable(model)
         self._static = self._table.static_logits(self.tokens)
-        self._probs: dict[tuple[int, str], tuple[float, float]] = {}
+        self._history = model.config.history
+        self._probs: dict[tuple[int, tuple], tuple[float, float]] = {}
 
     def logprobs(self, t: int, prefix: Sequence[object]) -> tuple[float, float]:
-        """(log p(CONTINUE), log p(SPLIT)) at position ``t`` given ``prefix``."""
-        bits = history_bits(prefix, t, self.model.config.history)
-        key = (t, bits)
+        """(log p(CONTINUE), log p(SPLIT)) at position ``t`` given ``prefix``.
+
+        Only ``prefix[t - history:t]`` is read; ``t`` in the cache key
+        stands for the padding of positions before the window start.
+        """
+        start = t - self._history
+        key = (t, tuple(prefix[start if start > 0 else 0:t]))
         got = self._probs.get(key)
         if got is None:
+            bits = history_bits(prefix, t, self._history)
             z = self._static[t] + self._table.history_weight(bits)
             got = (-_softplus(z), -_softplus(-z))
             self._probs[key] = got
@@ -154,7 +161,7 @@ class CachedConditionals:
             )
         total = 0.0
         for t in range(1, len(decisions)):
-            lc, ls = self.logprobs(t, decisions[:t])
+            lc, ls = self.logprobs(t, decisions)
             total += ls if _is_split(decisions[t]) else lc
         return total
 

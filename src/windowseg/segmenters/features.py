@@ -14,6 +14,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from random import Random
 from typing import Optional, Sequence, Union
@@ -72,18 +73,26 @@ def bias_feature(cfg: FeatureConfig) -> int:
     return _hash(cfg, "B")
 
 
+@lru_cache(maxsize=None)  # one entry per (salt, offset, order) in use
+def _gram_key_crc(salt: int, delta: int, order: int) -> int:
+    return zlib.crc32(f"G{delta}:{order}:".encode("utf-8"), salt)
+
+
 def offset_ngram_ids(cfg: FeatureConfig, token: str, delta: int) -> list[int]:
     """Hashed ids of ``token``'s character n-grams seen at context offset ``delta``.
 
     One id per n-gram occurrence, so a repeated n-gram is listed as often
-    as it occurs.
+    as it occurs.  Each id is ``_hash`` of the key ``G{delta}:{order}:{gram}``;
+    crc32 continues from the cached CRC of the key's prefix, so only the
+    gram's bytes are hashed.
     """
     padded = "\x02" + token + "\x03"
-    return [
-        _hash(cfg, f"G{delta}:{order}:{padded[s:s + order]}")
-        for order in cfg.ngram_orders
-        for s in range(len(padded) - order + 1)
-    ]
+    crc32, dims, ends = zlib.crc32, cfg.hash_dims, len(padded) + 1
+    ids: list[int] = []
+    for order in cfg.ngram_orders:
+        crc = _gram_key_crc(cfg.salt, delta, order)
+        ids += [crc32(padded[s - order:s].encode("utf-8"), crc) % dims for s in range(order, ends)]
+    return ids
 
 
 def static_features(cfg: FeatureConfig, tokens: Sequence[str], t: int) -> dict[int, float]:
@@ -333,7 +342,11 @@ def save_model(model: FeatureModel, path: Union[str, Path]) -> None:
 
 
 def load_model(path: Union[str, Path]) -> FeatureModel:
-    """Read a model file written by save_model; validates magic and version."""
+    """Read a model file written by save_model.
+
+    Validates magic, version, size and feature ids, and rejects NaN or
+    infinite weights, which would make every search ill-defined.
+    """
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise ValueError(f"{path}: truncated model file")
@@ -357,5 +370,7 @@ def load_model(path: Union[str, Path]) -> FeatureModel:
         off += _PAIR.size
         if fid >= hash_dims:
             raise ValueError(f"{path}: feature id {fid} out of range")
+        if not math.isfinite(w):
+            raise ValueError(f"{path}: feature id {fid} has non-finite weight {w}")
         weights[fid] = w
     return FeatureModel(cfg, weights)

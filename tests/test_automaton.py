@@ -14,6 +14,7 @@ from windowseg.automaton import (
     GREEDY,
     ConstantScorer,
     FunctionScorer,
+    SegAutomaton,
     SearchStrategy,
     beam,
     build_automaton,
@@ -178,6 +179,50 @@ class TestSearch:
         lying.locally_normalized = True
         with pytest.raises(ValueError):
             constrained_search(a, lying, EXACT)
+
+    @pytest.mark.parametrize("strat", [GREEDY, beam(1), beam(4), EXACT])
+    def test_nan_score_names_symbol_and_state(self, strat):
+        a = build_automaton(toks(4))
+        nan_split = FunctionScorer(
+            lambda prefix, sym: math.nan if sym == DEFAULT_DELIMITER else -0.5,
+            locally_normalized=True,
+        )
+        with pytest.raises(ValueError, match=f"NaN for '{DEFAULT_DELIMITER}' at state 1"):
+            constrained_search(a, nan_split, strat)
+
+    @pytest.mark.parametrize("strat", [GREEDY, beam(1), beam(4), EXACT])
+    def test_all_arcs_minus_inf_take_token_arcs(self, strat):
+        a = build_automaton(toks(4))
+        hopeless = FunctionScorer(lambda prefix, sym: -math.inf, locally_normalized=True)
+        labels, score = constrained_search(a, hopeless, strat)[0]
+        assert labels == SegmentationLabels((SPLIT, CONTINUE, CONTINUE, CONTINUE))
+        assert score == -math.inf
+
+    def test_dead_end_state_rejected(self):
+        a = build_automaton(toks(2))
+        dead = SegAutomaton(a.tokens, a.delimiter, a.start, a.final,
+                            ({}, *a.arcs[1:]), a.positions)
+        with pytest.raises(ValueError, match="state 0 has no arcs and is not final"):
+            constrained_search(dead, ConstantScorer(), GREEDY)
+
+    def test_emitted_is_the_path_so_far(self):
+        a = build_automaton(toks(6))
+        seen = []
+
+        def fn(emitted, sym):
+            seen.append(emitted)
+            return -0.1 * len(emitted) - (0.3 if sym == DEFAULT_DELIMITER else 0.0)
+
+        for strat in (GREEDY, beam(4)):
+            constrained_search(a, FunctionScorer(fn), strat)
+        assert () in seen
+        for emitted in seen:
+            words = [s for s in emitted if s != DEFAULT_DELIMITER]
+            assert tuple(words) == toks(6)[:len(words)]
+            assert all(
+                not (x == y == DEFAULT_DELIMITER) for x, y in zip(emitted, emitted[1:])
+            )
+        assert len(set(seen)) > 6
 
     @given(st.integers(0, 2 ** 32 - 1))
     def test_exact_matches_brute_force(self, seed):

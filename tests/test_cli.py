@@ -3,12 +3,14 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from synth import make_sentence
 from windowseg.cli import main
 from windowseg.dataio import read_labels_file
 from windowseg.mock_endpoint import MockEndpoint, MockEndpointConfig
+from windowseg.segmenters.features import FeatureConfig, FeatureModel, save_model
 
 
 def punctuated_doc(rng, n_sentences=(3, 5)):
@@ -250,6 +252,21 @@ class TestSegment:
         )
         assert rc == 3
         assert "model_path" in capsys.readouterr().err
+
+    def test_non_finite_model_weights_exit_3(self, project, tmp_path, capsys):
+        cfg = FeatureConfig(hash_dims=64, ngram_orders=(2,), context_radius=1, history=1)
+        save_model(FeatureModel(cfg, np.full(cfg.hash_dims, np.nan)), tmp_path / "nan.bin")
+        rc = main(
+            [
+                "segment", str(project / "derived" / "doc0.txt"),
+                "--out-dir", str(tmp_path / "out"),
+                "--segmenter", "autoregressive",
+                "--model", str(tmp_path / "nan.bin"),
+            ]
+        )
+        assert rc == 3
+        assert "feature id 0 has non-finite weight nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_input(self, project, tmp_path, capsys):
         rc = main(

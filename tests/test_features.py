@@ -2,6 +2,7 @@
 
 import math
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from windowseg.segmenters.features import (
     history_feature,
     load_model,
     loss_gradient,
+    offset_ngram_ids,
     save_model,
     static_features,
     step_features,
@@ -102,6 +104,21 @@ class TestFeatures:
             (3527, 1.0),
         ]
         assert history_feature(cfg, "_1") == 1568
+
+    @pytest.mark.parametrize("salt", [0, 5, 0xFFFFFFFF])
+    def test_offset_ids_hash_the_documented_keys(self, salt):
+        # Each id is the crc32 of the whole key G{delta}:{order}:{gram}.
+        cfg = FeatureConfig(hash_dims=2 ** 16 + 1, ngram_orders=(1, 2, 3, 5), salt=salt)
+        for token in ("aB", "Zz9", "<s>", "", "é", "naïve", "日本語", "a\x03b", "x" * 9):
+            padded = "\x02" + token + "\x03"
+            for delta in (-5, 0, 3):
+                want = [
+                    zlib.crc32(f"G{delta}:{order}:{padded[i:i + order]}".encode("utf-8"), salt)
+                    % cfg.hash_dims
+                    for order in cfg.ngram_orders
+                    for i in range(len(padded) - order + 1)
+                ]
+                assert offset_ngram_ids(cfg, token, delta) == want
 
     def test_step_features_add_history(self):
         toks = ("aa", "bb", "cc")
@@ -264,6 +281,16 @@ class TestSerialization:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 4])
         with pytest.raises(ValueError):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, tmp_path, bad):
+        weights = np.zeros(SMALL.hash_dims)
+        weights[3] = 0.5
+        weights[17] = bad
+        path = tmp_path / "m.bin"
+        save_model(FeatureModel(SMALL, weights), path)
+        with pytest.raises(ValueError, match="feature id 17 has non-finite weight"):
             load_model(path)
 
     def test_version_checked(self, tmp_path):

@@ -272,6 +272,24 @@ class TestCachedConditionals:
         with pytest.raises(ValueError):
             cc.sequence_logprob((SPLIT,))
 
+    def test_cache_reads_only_recent_history(self, model):
+        tokens = tuple(f"w{i % 5}" for i in range(12))
+        h = model.config.history
+        rng = random.Random(4)
+        cc = CachedConditionals(model, tokens)
+        for t in range(12):
+            prefixes = [tuple(rng.randint(0, 1) for _ in range(t)) for _ in range(6)]
+            for prefix in prefixes:
+                fresh = CachedConditionals(model, tokens).logprobs(t, prefix)
+                as_labels = tuple(SPLIT if d else CONTINUE for d in prefix)
+                assert cc.logprobs(t, prefix) == fresh
+                assert cc.logprobs(t, as_labels) == fresh
+                assert cc.logprobs(t, prefix + (1, 0, 1)) == fresh
+                # Flipping decisions older than the history hits the same entry.
+                old = max(t - h, 0)
+                flipped = tuple(1 - d for d in prefix[:old]) + prefix[old:]
+                assert cc.logprobs(t, flipped) is cc.logprobs(t, prefix)
+
 
 # Tokens that exercise the pads' spelling, non-ASCII text, the empty
 # token and repeated n-grams.
