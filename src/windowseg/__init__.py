@@ -45,7 +45,6 @@ from .core import (
 )
 from .eval import EvalReport, PairingError, boundary_f1, evaluate_corpus, format_report
 from .pipeline import (
-    RenderProjectSegmenter,
     build_segmenter,
     render_segments,
     segment_tokens,
@@ -70,7 +69,6 @@ __all__ = [
     "Malformed",
     "PairingError",
     "PipelineConfig",
-    "RenderProjectSegmenter",
     "SPLIT",
     "SearchStrategy",
     "SegAutomaton",

@@ -42,7 +42,6 @@ class SegAutomaton:
     start: int
     final: int
     arcs: tuple[dict[str, int], ...]  # arcs[state][symbol] -> next state
-    positions: tuple[int, ...]        # tokens consumed on entry to each state
     # Per-state arcs in search order: token arc before delimiter arc, a
     # stable expansion order matching the tie-break preference for no
     # delimiter.
@@ -115,13 +114,11 @@ def build_automaton(
             raise ValueError(f"token collides with the delimiter: {tok!r}")
     w = len(tokens)
     arcs: list[dict[str, int]] = [{} for _ in range(w + 1)]
-    positions: list[int] = list(range(w + 1))
     for i in range(w):
         arcs[i][tokens[i]] = i + 1
         if i > 0 or allow_initial_delimiter:
             detour = len(arcs)
             arcs.append({tokens[i]: i + 1})
-            positions.append(i)
             arcs[i][delimiter] = detour
     return SegAutomaton(
         tokens=tokens,
@@ -129,7 +126,6 @@ def build_automaton(
         start=0,
         final=w,
         arcs=tuple(arcs),
-        positions=tuple(positions),
     )
 
 

@@ -23,6 +23,8 @@ from .config import (
     CONSTRAINT_MODES,
     FALLBACK_KINDS,
     SEGMENTER_KINDS,
+    _SCALAR_KEYS,
+    _WINDOW_KEYS,
     ConfigError,
     load_config,
     validate,
@@ -74,27 +76,11 @@ def _rule(abbreviations: Optional[Path]) -> RulePunctuation:
 
 
 def _segment_overrides(args: argparse.Namespace) -> dict[str, object]:
-    return {
-        "segmenter": args.segmenter,
-        "segment_len": args.segment_len,
-        "model_path": args.model_path,
-        "replay_labels": args.replay_labels,
-        "strategy": args.strategy,
-        "constraint": args.constraint,
-        "endpoint_url": args.endpoint_url,
-        "endpoint_timeout": args.endpoint_timeout,
-        "endpoint_retries": args.endpoint_retries,
-        "endpoint_backoff": args.endpoint_backoff,
-        "endpoint_concurrency": args.endpoint_concurrency,
-        "endpoint_fallback": args.endpoint_fallback,
-        "abbreviations_path": args.abbreviations_path,
-        "normalize": args.normalize,
-        "seed": args.seed,
-        "workers": args.workers,
-        "window.size": args.window_size,
-        "window.left": args.window_left,
-        "window.right": args.window_right,
-    }
+    """Config overrides from ``segment``'s flags, whose dests are the key names."""
+    overrides: dict[str, object] = {key: getattr(args, key) for key in _SCALAR_KEYS}
+    for key in _WINDOW_KEYS:
+        overrides[f"window.{key}"] = getattr(args, f"window_{key}")
+    return overrides
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
@@ -106,6 +92,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
     code = _missing_inputs(args.inputs)
     if code is not None:
         return code
+    if len({p.stem for p in args.inputs}) != len(args.inputs):
+        return _fail("duplicate document stems in inputs", EXIT_DATA)
 
     replay_map = None
     segmenter: Optional[WindowSegmenter] = None
@@ -354,7 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", dest="model_path", default=None, help="boundary model file")
     p.add_argument("--replay-labels", default=None, help="labels file for segmenter=replay")
     p.add_argument("--strategy", default=None, help="greedy, exact, or beam:K")
-    p.add_argument("--constraint", choices=CONSTRAINT_MODES, default=None)
+    p.add_argument(
+        "--constraint",
+        choices=CONSTRAINT_MODES,
+        default=None,
+        help="implied by --segmenter (LEVENSHTEIN for external, else FST); must agree",
+    )
     p.add_argument("--segment-len", type=int, default=None, help="for segmenter=fixed")
     p.add_argument("--window-size", type=int, default=None)
     p.add_argument("--window-left", type=int, default=None)
@@ -365,14 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoint-backoff", type=float, default=None)
     p.add_argument("--endpoint-concurrency", type=int, default=None)
     p.add_argument("--endpoint-fallback", choices=FALLBACK_KINDS, default=None)
-    p.add_argument("--abbreviations", dest="abbreviations_path", default=None)
     p.add_argument(
         "--normalize",
         action=argparse.BooleanOptionalAction,
         default=None,
         help="lowercase and strip punctuation before segmenting (default: on)",
     )
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=None, help="window workers; 0 = auto")
     p.set_defaults(func=cmd_segment)
 

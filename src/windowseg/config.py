@@ -35,16 +35,16 @@ class PipelineConfig:
     model_path: Optional[str] = None
     replay_labels: Optional[str] = None
     strategy: str = "greedy"
-    constraint: str = "FST"
+    # Follows from the segmenter kind: LEVENSHTEIN for external, FST for the
+    # rest.  Accepted only if it agrees; nothing reads it.
+    constraint: Optional[str] = None
     endpoint_url: Optional[str] = None
     endpoint_timeout: float = 10.0
     endpoint_retries: int = 3
     endpoint_backoff: float = 0.25
     endpoint_concurrency: int = 4
     endpoint_fallback: str = "none"
-    abbreviations_path: Optional[str] = None
     normalize: bool = True
-    seed: int = 13
     workers: int = 0
 
 
@@ -63,9 +63,7 @@ _SCALAR_KEYS = {
     "endpoint_backoff": float,
     "endpoint_concurrency": int,
     "endpoint_fallback": str,
-    "abbreviations_path": str,
     "normalize": bool,
-    "seed": int,
     "workers": int,
 }
 _WINDOW_KEYS = {"size": int, "left": int, "right": int}
@@ -152,10 +150,18 @@ def validate(cfg: PipelineConfig, check_files: bool = True) -> None:
         raise ConfigError(
             f"unknown segmenter {cfg.segmenter!r}; expected one of {SEGMENTER_KINDS}"
         )
-    if cfg.constraint not in CONSTRAINT_MODES:
-        raise ConfigError(
-            f"unknown constraint mode {cfg.constraint!r}; expected one of {CONSTRAINT_MODES}"
-        )
+    if cfg.constraint is not None:
+        if cfg.constraint not in CONSTRAINT_MODES:
+            raise ConfigError(
+                f"unknown constraint mode {cfg.constraint!r}; expected one of {CONSTRAINT_MODES}"
+            )
+        implied = "LEVENSHTEIN" if cfg.segmenter == "external" else "FST"
+        if cfg.constraint != implied:
+            raise ConfigError(
+                f"segmenter {cfg.segmenter!r} implies constraint {implied}, not "
+                f"{cfg.constraint}: a local model is arc-constrained (FST), a remote "
+                "generator cannot be and is projected (LEVENSHTEIN)"
+            )
     if cfg.endpoint_fallback not in FALLBACK_KINDS:
         raise ConfigError(
             f"unknown endpoint fallback {cfg.endpoint_fallback!r}; "
@@ -190,10 +196,3 @@ def validate(cfg: PipelineConfig, check_files: bool = True) -> None:
     if cfg.segmenter == "external":
         if not cfg.endpoint_url:
             raise ConfigError("external segmenter requires endpoint_url")
-        if cfg.constraint != "LEVENSHTEIN":
-            raise ConfigError(
-                "external segmenter requires constraint LEVENSHTEIN: a remote "
-                "generator cannot be arc-constrained, only projected"
-            )
-    if cfg.abbreviations_path and check_files and not Path(cfg.abbreviations_path).is_file():
-        raise ConfigError(f"abbreviations file not found: {cfg.abbreviations_path}")

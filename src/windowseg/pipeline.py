@@ -8,21 +8,13 @@ deterministic for any worker count.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from concurrent.futures import ThreadPoolExecutor
 
-from .align import project_boundaries
 from .automaton import parse_strategy
 from .config import PipelineConfig
-from .core import (
-    DEFAULT_DELIMITER,
-    SPLIT,
-    SegmentationLabels,
-    Transcript,
-    encode_delimited,
-)
+from .core import SPLIT, SegmentationLabels, Transcript
 from .segmenters import (
     AutoregressiveSegmenter,
     EndpointConfig,
@@ -35,43 +27,12 @@ from .segmenters import (
 from .windowing import WindowConfig, plan_windows, stitch
 
 
-@dataclass(frozen=True)
-class RenderProjectSegmenter:
-    """Round-trips another segmenter's labels through the text channel.
-
-    The inner labeling is rendered as delimited text (initial delimiter
-    suppressed, as on the wire) and recovered by Levenshtein projection,
-    exercising the projection path end to end.  On a segmenter that emits
-    well-formed text this is the identity.
-    """
-
-    inner: WindowSegmenter
-    delimiter: str = DEFAULT_DELIMITER
-
-    def segment(
-        self, window: Sequence[str], info: WindowInfo = WindowInfo()
-    ) -> SegmentationLabels:
-        window = tuple(window)
-        if not window:
-            return SegmentationLabels(())
-        labels = self.inner.segment(window, info)
-        rendered = encode_delimited(Transcript(window), labels).render(self.delimiter)
-        projected = list(project_boundaries(window, rendered, self.delimiter))
-        projected[0] = SPLIT
-        return SegmentationLabels(tuple(projected))
-
-
 def build_segmenter(cfg: PipelineConfig) -> WindowSegmenter:
     """Construct the configured window segmenter; validate() the config first."""
     if cfg.segmenter == "fixed":
         return FixedLengthSegmenter(cfg.segment_len)
     if cfg.segmenter == "autoregressive":
-        seg = AutoregressiveSegmenter(
-            load_model(cfg.model_path), parse_strategy(cfg.strategy)
-        )
-        if cfg.constraint == "LEVENSHTEIN":
-            return RenderProjectSegmenter(seg)
-        return seg
+        return AutoregressiveSegmenter(load_model(cfg.model_path), parse_strategy(cfg.strategy))
     if cfg.segmenter == "external":
         fallback: Optional[WindowSegmenter] = None
         if cfg.endpoint_fallback == "fixed":

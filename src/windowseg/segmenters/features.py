@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from random import Random
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -249,32 +249,47 @@ def _example_steps(cfg: FeatureConfig, transcript: Transcript, labels: Segmentat
     return steps
 
 
-def evaluate_loss(model: FeatureModel, corpus: Corpus) -> float:
-    """Mean per-token negative log-likelihood over positions 1..n-1."""
-    _check_corpus(corpus)
+def _mean_loss(
+    weights: np.ndarray, documents: Iterable[list], grad: Optional[np.ndarray] = None
+) -> float:
+    """Mean per-token log-loss over ``_example_steps`` output, one list per document.
+
+    With ``grad`` given, the mean gradient is added to it.
+    """
     total = 0.0
     count = 0
-    for transcript, labels in corpus:
-        total -= model.sequence_logprob(transcript.tokens, labels)
-        count += len(transcript) - 1
-    return total / count if count else 0.0
+    for steps in documents:
+        # Summed per document first, as FeatureModel.sequence_logprob sums,
+        # so the mean equals -sum(sequence_logprob) / positions bit for bit.
+        doc_loss = 0.0
+        for ids, counts, y in steps:
+            z = float(weights[ids] @ counts)
+            doc_loss += _softplus(-z) if y else _softplus(z)
+            if grad is not None:
+                np.add.at(grad, ids, (_sigmoid(z) - y) * counts)
+        total += doc_loss
+        count += len(steps)
+    if not count:
+        return 0.0
+    if grad is not None:
+        grad /= count
+    return total / count
+
+
+def _corpus_steps(cfg: FeatureConfig, corpus: Corpus) -> Iterator[list]:
+    _check_corpus(corpus)
+    return (_example_steps(cfg, transcript, labels) for transcript, labels in corpus)
+
+
+def evaluate_loss(model: FeatureModel, corpus: Corpus) -> float:
+    """Mean per-token negative log-likelihood over positions 1..n-1."""
+    return _mean_loss(model.weights, _corpus_steps(model.config, corpus))
 
 
 def loss_gradient(model: FeatureModel, corpus: Corpus) -> tuple[float, np.ndarray]:
     """Mean per-token loss and its dense analytic gradient."""
-    _check_corpus(corpus)
     grad = np.zeros_like(model.weights)
-    total = 0.0
-    count = 0
-    for transcript, labels in corpus:
-        for ids, counts, y in _example_steps(model.config, transcript, labels):
-            z = float(model.weights[ids] @ counts)
-            total += _softplus(z) - y * z
-            np.add.at(grad, ids, (_sigmoid(z) - y) * counts)
-            count += 1
-    if count == 0:
-        return 0.0, grad
-    return total / count, grad / count
+    return _mean_loss(model.weights, _corpus_steps(model.config, corpus), grad), grad
 
 
 def train_feature_model(
@@ -296,8 +311,7 @@ def train_feature_model(
         model = init.copy()
     else:
         model = FeatureModel.zeros(feature_config)
-    _check_corpus(corpus)
-    prepared = [_example_steps(model.config, tr, lb) for tr, lb in corpus]
+    prepared = list(_corpus_steps(model.config, corpus))
     rng = Random(tcfg.seed)
     order = list(range(len(prepared)))
     weights = model.weights
@@ -310,15 +324,13 @@ def train_feature_model(
             for ids, counts, y in prepared[doc_index]:
                 step += 1
                 z = float(weights[ids] @ counts)
-                loss = _softplus(z) - y * z
-                if not math.isfinite(loss):
+                if not math.isfinite(z):  # the step's loss is finite exactly when z is
                     raise ValueError(
-                        f"non-finite loss {loss} at step {step} "
-                        f"(document {doc_index}, logit {z})"
+                        f"non-finite logit {z} at step {step} (document {doc_index})"
                     )
                 lr = tcfg.learning_rate / math.sqrt(step)
                 weights[ids] -= lr * (_sigmoid(z) - y) * counts
-        losses.append(evaluate_loss(model, corpus))
+        losses.append(_mean_loss(weights, prepared))
     return TrainResult(model, losses)
 
 

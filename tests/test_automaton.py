@@ -200,8 +200,7 @@ class TestSearch:
 
     def test_dead_end_state_rejected(self):
         a = build_automaton(toks(2))
-        dead = SegAutomaton(a.tokens, a.delimiter, a.start, a.final,
-                            ({}, *a.arcs[1:]), a.positions)
+        dead = SegAutomaton(a.tokens, a.delimiter, a.start, a.final, ({}, *a.arcs[1:]))
         with pytest.raises(ValueError, match="state 0 has no arcs and is not final"):
             constrained_search(dead, ConstantScorer(), GREEDY)
 

@@ -2,15 +2,18 @@
 
 import json
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from synth import make_sentence
-from windowseg.cli import main
+from windowseg.cli import _segment_overrides, build_parser, main
+from windowseg.config import PipelineConfig, load_config
 from windowseg.dataio import read_labels_file
 from windowseg.mock_endpoint import MockEndpoint, MockEndpointConfig
 from windowseg.segmenters.features import FeatureConfig, FeatureModel, save_model
+from windowseg.windowing import WindowConfig
 
 
 def punctuated_doc(rng, n_sentences=(3, 5)):
@@ -329,6 +332,100 @@ class TestSegment:
         # relative to its window start; just check shape and validity here.
         assert labels.split_positions()[0] == 0
 
+    def test_external_needs_no_constraint(self, project, tmp_path):
+        with MockEndpoint(MockEndpointConfig(mode="rule", period=6)) as ep:
+            rc = main(
+                [
+                    "segment", str(project / "derived" / "doc0.txt"),
+                    "--out-dir", str(tmp_path / "out"),
+                    "--segmenter", "external",
+                    "--endpoint-url", ep.url,
+                ]
+            )
+        assert rc == 0
+        assert (tmp_path / "out" / "doc0.labels.tsv").is_file()
+
+    @pytest.mark.parametrize(
+        "flags, implied",
+        [
+            (["--segmenter", "fixed", "--constraint", "LEVENSHTEIN"], "FST"),
+            (
+                [
+                    "--segmenter", "external", "--constraint", "FST",
+                    "--endpoint-url", "http://127.0.0.1:1/",
+                ],
+                "LEVENSHTEIN",
+            ),
+        ],
+    )
+    def test_constraint_disagreeing_with_segmenter_exit_3(
+        self, project, tmp_path, capsys, flags, implied
+    ):
+        rc = main(
+            ["segment", str(project / "derived" / "doc0.txt"),
+             "--out-dir", str(tmp_path / "out"), *flags]
+        )
+        assert rc == 3
+        assert f"implies constraint {implied}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["seed", "abbreviations_path"])
+    def test_removed_config_key_exit_3(self, project, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"segmenter": "fixed", key: 1}))
+        rc = main(
+            [
+                "segment", str(project / "derived" / "doc0.txt"),
+                "--out-dir", str(tmp_path / "out"),
+                "--config", str(cfg),
+            ]
+        )
+        assert rc == 3
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+    def test_duplicate_stems_rejected_before_writing(self, tmp_path, capsys):
+        inputs = []
+        for sub, text in (("a", "alpha bravo charlie\n"), ("b", "delta echo\n")):
+            (tmp_path / sub).mkdir()
+            inputs.append(tmp_path / sub / "doc.txt")
+            inputs[-1].write_text(text)
+        out = tmp_path / "out"
+        rc = main(
+            ["segment", *map(str, inputs), "--segmenter", "fixed", "--out-dir", str(out)]
+        )
+        assert rc == 1
+        assert "duplicate document stems in inputs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_config_key_has_a_flag_that_reaches_the_config(self):
+        flags = {
+            "segmenter": (["--segmenter", "external"], "external"),
+            "segment_len": (["--segment-len", "9"], 9),
+            "model_path": (["--model", "m.bin"], "m.bin"),
+            "replay_labels": (["--replay-labels", "l.tsv"], "l.tsv"),
+            "strategy": (["--strategy", "beam:3"], "beam:3"),
+            "constraint": (["--constraint", "LEVENSHTEIN"], "LEVENSHTEIN"),
+            "endpoint_url": (["--endpoint-url", "http://x/"], "http://x/"),
+            "endpoint_timeout": (["--endpoint-timeout", "2.5"], 2.5),
+            "endpoint_retries": (["--endpoint-retries", "7"], 7),
+            "endpoint_backoff": (["--endpoint-backoff", "0.5"], 0.5),
+            "endpoint_concurrency": (["--endpoint-concurrency", "2"], 2),
+            "endpoint_fallback": (["--endpoint-fallback", "fixed"], "fixed"),
+            "normalize": (["--no-normalize"], False),
+            "workers": (["--workers", "3"], 3),
+            "window.size": (["--window-size", "30"], 30),
+            "window.left": (["--window-left", "4"], 4),
+            "window.right": (["--window-right", "6"], 6),
+        }
+        window_keys = {f"window.{f.name}" for f in fields(WindowConfig)}
+        config_keys = {f.name for f in fields(PipelineConfig)} - {"window"} | window_keys
+        assert set(flags) == config_keys
+        argv = ["segment", "x.txt"] + [arg for flag, _ in flags.values() for arg in flag]
+        cfg = load_config(None, _segment_overrides(build_parser().parse_args(argv)))
+        for key, (_, value) in flags.items():
+            owner = cfg.window if key in window_keys else cfg
+            assert getattr(owner, key.removeprefix("window.")) == value, key
+
 
 class TestOracle:
     def test_identity_projection(self, project, tmp_path, capsys):
@@ -414,6 +511,12 @@ class TestUsage:
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--seed", "--abbreviations"])
+    def test_removed_segment_flags(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["segment", "x.txt", "--segmenter", "fixed", flag, "1"])
         assert exc.value.code == 2
 
     def test_unknown_choice(self):

@@ -1,6 +1,7 @@
 """Configuration resolution and validation."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -30,10 +31,10 @@ class TestLoading:
         assert load_config(nested).window == WindowConfig(20, 3, 5)
 
     def test_overrides_beat_file(self, tmp_path):
-        path = write_json(tmp_path, {"segment_len": 9, "seed": 1})
+        path = write_json(tmp_path, {"segment_len": 9, "workers": 1})
         cfg = load_config(path, {"segment_len": 11})
         assert cfg.segment_len == 11
-        assert cfg.seed == 1
+        assert cfg.workers == 1
 
     def test_none_overrides_ignored(self, tmp_path):
         path = write_json(tmp_path, {"segment_len": 9})
@@ -77,8 +78,8 @@ class TestLoading:
         assert load_config(write_json(tmp_path, {"normalize": False})).normalize is False
 
     def test_int_keys_reject_bool(self, tmp_path):
-        with pytest.raises(ConfigError, match="seed"):
-            load_config(write_json(tmp_path, {"seed": True}))
+        with pytest.raises(ConfigError, match="workers"):
+            load_config(write_json(tmp_path, {"workers": True}))
 
     def test_float_accepts_int(self, tmp_path):
         cfg = load_config(write_json(tmp_path, {"endpoint_timeout": 5}))
@@ -141,20 +142,28 @@ class TestValidate:
 
     def test_external_requires_url_and_projection(self):
         with pytest.raises(ConfigError, match="endpoint_url"):
-            validate(PipelineConfig(segmenter="external", constraint="LEVENSHTEIN"))
-        with pytest.raises(ConfigError, match="LEVENSHTEIN"):
-            validate(PipelineConfig(segmenter="external", endpoint_url="http://x/"))
-        validate(
-            PipelineConfig(
-                segmenter="external", endpoint_url="http://x/", constraint="LEVENSHTEIN"
-            )
-        )
+            validate(PipelineConfig(segmenter="external"))
+        cfg = PipelineConfig(segmenter="external", endpoint_url="http://x/")
+        validate(cfg)
+        with pytest.raises(ConfigError, match="implies constraint LEVENSHTEIN, not FST"):
+            validate(replace(cfg, constraint="FST"))
 
-    def test_abbreviations_path_checked(self, tmp_path):
-        cfg = self.base(abbreviations_path=str(tmp_path / "abbr.txt"))
-        with pytest.raises(ConfigError, match="abbreviations"):
-            validate(cfg)
+    @pytest.mark.parametrize("segmenter", ["autoregressive", "fixed", "replay"])
+    def test_local_segmenters_imply_fst(self, segmenter):
+        cfg = PipelineConfig(segmenter=segmenter, model_path="m", replay_labels="l")
         validate(cfg, check_files=False)
+        validate(replace(cfg, constraint="FST"), check_files=False)
+        with pytest.raises(ConfigError, match="implies constraint FST, not LEVENSHTEIN"):
+            validate(replace(cfg, constraint="LEVENSHTEIN"), check_files=False)
+
+    def test_explicit_levenshtein_for_external_loads(self):
+        # The form the benchmark harness passes.
+        cfg = load_config(
+            None,
+            {"segmenter": "external", "constraint": "LEVENSHTEIN", "endpoint_url": "http://x/"},
+        )
+        validate(cfg)
+        assert cfg.constraint == "LEVENSHTEIN"
 
     def test_strategy_forms_accepted(self):
         for strategy in ("greedy", "exact", "beam:8"):

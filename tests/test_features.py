@@ -1,5 +1,6 @@
 """Hashed log-linear boundary model: features, loss, training, serialization."""
 
+import hashlib
 import math
 import random
 import zlib
@@ -175,7 +176,10 @@ class TestGradient:
             corpus = tiny_corpus(rng, n_docs=2)
             model = FeatureModel(SMALL, rng_weights(rng, SMALL))
             loss, grad = loss_gradient(model, corpus)
-            assert math.isclose(loss, evaluate_loss(model, corpus))
+            positions = sum(len(t) - 1 for t, _ in corpus)
+            reference = -sum(model.sequence_logprob(t.tokens, lb) for t, lb in corpus) / positions
+            assert math.isclose(loss, reference)
+            assert evaluate_loss(model, corpus) == loss
             touched = np.nonzero(grad)[0]
             picks = rng.sample(list(touched), min(8, len(touched)))
             eps = 1e-5
@@ -204,6 +208,15 @@ class TestGradient:
         assert evaluate_loss(FeatureModel.zeros(SMALL), [(t, lab)]) == 0.0
 
 
+    def test_empty_docs_add_no_positions(self):
+        doc = (Transcript(("aa", "bb")), SegmentationLabels((SPLIT, SPLIT)))
+        empty = (Transcript(()), SegmentationLabels(()))
+        model = FeatureModel.zeros(SMALL)
+        loss = evaluate_loss(model, [empty, doc])
+        assert loss == evaluate_loss(model, [doc])
+        assert math.isclose(loss, math.log(2))
+
+
 class TestTraining:
     def test_loss_decreases_on_learnable_data(self):
         rng = random.Random(11)
@@ -223,6 +236,20 @@ class TestTraining:
         assert a.epoch_losses == b.epoch_losses
         c = train_feature_model(corpus, SMALL, TrainConfig(epochs=2, seed=6))
         assert not np.array_equal(a.model.weights, c.model.weights)
+
+    def test_last_epoch_loss_is_the_model_loss(self):
+        rng = random.Random(8)
+        corpus = tiny_corpus(rng)
+        result = train_feature_model(corpus, SMALL, TrainConfig(epochs=2))
+        assert result.epoch_losses[-1] == evaluate_loss(result.model, corpus)
+
+    def test_model_bytes_golden(self, tmp_path):
+        # Saved by an earlier version; the weight updates must never move.
+        corpus = make_corpus(random.Random(21), 6)
+        result = train_feature_model(corpus, SMALL, TrainConfig(epochs=2))
+        save_model(result.model, tmp_path / "m.bin")
+        digest = hashlib.sha256((tmp_path / "m.bin").read_bytes()).hexdigest()
+        assert digest == "84de2407b2c5365b0e798f5fc9aed24812dfabf1aed4baac86caf383fa85ecee"
 
     def test_zero_epochs_is_identity(self):
         rng = random.Random(4)

@@ -10,7 +10,6 @@ from synth import make_document
 from windowseg.config import PipelineConfig
 from windowseg.core import CONTINUE, SPLIT, SegmentationLabels
 from windowseg.pipeline import (
-    RenderProjectSegmenter,
     build_segmenter,
     render_segments,
     segment_tokens,
@@ -52,25 +51,6 @@ class TestSegmentTokens:
         assert got == labels
 
 
-class TestRenderProject:
-    def test_identity_on_well_formed_inner(self):
-        rng = random.Random(2)
-        doc, labels = make_document(rng, "d", n_sentences=(3, 5))
-        wrapped = RenderProjectSegmenter(ReplaySegmenter(labels))
-        assert wrapped.segment(doc.tokens) == labels
-
-    def test_empty_window(self):
-        wrapped = RenderProjectSegmenter(FixedLengthSegmenter(2))
-        assert wrapped.segment(()) == SegmentationLabels(())
-
-    @given(st.integers(1, 60), st.integers(1, 9))
-    def test_identity_for_fixed(self, n, period):
-        inner = FixedLengthSegmenter(period)
-        wrapped = RenderProjectSegmenter(inner)
-        tokens = [f"t{i}" for i in range(n)]
-        assert wrapped.segment(tokens) == inner.segment(tokens)
-
-
 class TestBuildSegmenter:
     def test_fixed(self):
         seg = build_segmenter(PipelineConfig(segmenter="fixed", segment_len=4))
@@ -94,19 +74,12 @@ class TestBuildSegmenter:
 
     def test_autoregressive_loads_model(self, tmp_path):
         from windowseg.segmenters import FeatureConfig, FeatureModel, save_model
-        from windowseg.pipeline import RenderProjectSegmenter as RPS
 
         path = tmp_path / "m.bin"
         save_model(FeatureModel.zeros(FeatureConfig(hash_dims=64)), path)
         cfg = PipelineConfig(segmenter="autoregressive", model_path=str(path))
         seg = build_segmenter(cfg)
         assert seg.model.config.hash_dims == 64
-        projected = build_segmenter(
-            PipelineConfig(
-                segmenter="autoregressive", model_path=str(path), constraint="LEVENSHTEIN"
-            )
-        )
-        assert isinstance(projected, RPS)
 
 
 class TestRenderSegments:
