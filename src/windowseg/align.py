@@ -91,6 +91,48 @@ def _tokens(side: Union[Transcript, Sequence[str]]) -> tuple[str, ...]:
     return side.tokens if isinstance(side, Transcript) else tuple(side)
 
 
+# Pass 1 widens the band this many diagonals past the ones between the
+# corners; an alignment within it needs no second pass.
+_BAND_SLACK = 64
+# Distance held by cells outside the band; large enough that no real
+# distance or neighbour check can equal it, small enough that +1 stays int32.
+_FAR = np.iinfo(np.int32).max // 2
+
+
+def _band_distances(ref_ids: np.ndarray, gen_ids: np.ndarray, dlo: int, dhi: int) -> np.ndarray:
+    """Edit distances ``D[i][j]`` on the diagonals ``dlo <= j - i <= dhi``.
+
+    Cell ``(i, j)`` is stored at ``band[i, j - i - dlo]``.  Cells off the
+    matrix hold ``_FAR``, as does one extra last column, so a reader may
+    look one diagonal to the right of any band cell unchecked.  A band
+    cell counts only paths inside the band, so it is an upper bound on
+    the true distance.  Requires ``dlo <= min(0, n - m)`` and
+    ``dhi >= max(0, n - m)``, so every row holds at least one cell.
+    """
+    m, n = len(ref_ids), len(gen_ids)
+    width = dhi - dlo + 1
+    band = np.full((m + 1, width + 1), _FAR, dtype=np.int32)
+    steps = np.arange(width, dtype=np.int32)
+    top = min(n, dhi) + 1
+    band[0, -dlo : top - dlo] = steps[:top]
+    # Row-by-row DP; the in-row left-to-right dependency D[i][j-1]+1 is a
+    # running minimum of candidate[k'] - k' plus k, which vectorizes.
+    for i in range(1, m + 1):
+        jlo, jhi = max(0, i + dlo), min(n, i + dhi)
+        klo, size = jlo - i - dlo, jhi - jlo + 1
+        prev = band[i - 1]
+        cand = np.empty(size, dtype=np.int32)
+        first = 1 if jlo == 0 else 0
+        if first:
+            cand[0] = i  # column 0 is the boundary D[i][0] = i
+        cand[first:] = np.minimum(
+            prev[klo + first : klo + size] + (gen_ids[jlo + first - 1 : jhi] != ref_ids[i - 1]),
+            prev[klo + first + 1 : klo + size + 1] + 1,
+        )
+        band[i, klo : klo + size] = np.minimum.accumulate(cand - steps[:size]) + steps[:size]
+    return band
+
+
 def levenshtein_align(
     reference: Union[Transcript, Sequence[str]],
     generated: Union[Transcript, Sequence[str]],
@@ -100,6 +142,22 @@ def levenshtein_align(
     Ties are broken per cell preferring MATCH, then SUBST, then DELETE,
     then INSERT, which keeps delimiters anchored to lexical matches and
     makes the output deterministic.  Either side may be empty.
+
+    The DP fills only a band of diagonals ``d = j - i`` (Ukkonen 1985),
+    in at most two passes.  With ``delta = n - m``, pass 1 covers
+    ``[min(0, delta) - K, max(0, delta) + K]`` (``K = _BAND_SLACK``,
+    clipped to the matrix); its cost ``U`` bounds the true distance
+    ``D`` from above.  A cell on an optimal path has
+    ``|d| + |delta - d| <= D <= U``, so all optimal paths lie within
+    ``(U - |delta|) // 2`` diagonals of the corners' ones.  When the band
+    holds that region, every cell on an optimal path holds its true
+    distance, and a neighbour that passes a traceback check lies on an
+    optimal path (band cells only overestimate, and off-band cells hold
+    a sentinel), so the links equal the full matrix's, not just the cost.
+    Otherwise pass 2 runs on exactly that region, which is exact by the
+    same argument.  Time and memory are O(m * (D + |m - n|)); unrelated
+    inputs (D near max(m, n)) still cost O(m * n).  Window-sized inputs
+    fit in the clipped pass-1 band, which is then the whole matrix.
     """
     ref = _tokens(reference)
     gen = _tokens(generated)
@@ -108,36 +166,36 @@ def levenshtein_align(
     ref_ids = np.fromiter((ids.setdefault(t, len(ids)) for t in ref), dtype=np.int64, count=m)
     gen_ids = np.fromiter((ids.setdefault(t, len(ids)) for t in gen), dtype=np.int64, count=n)
 
-    # Row-by-row DP; the in-row left-to-right dependency D[i][j-1]+1 is a
-    # running minimum of (candidate[k] - k) + j, which vectorizes.
-    dist = np.empty((m + 1, n + 1), dtype=np.int32)
-    cols = np.arange(n + 1, dtype=np.int32)
-    dist[0] = cols
-    for i in range(1, m + 1):
-        cand = np.empty(n + 1, dtype=np.int32)
-        cand[0] = i
-        sub = (gen_ids != ref_ids[i - 1]).astype(np.int32)
-        cand[1:] = np.minimum(dist[i - 1, :-1] + sub, dist[i - 1, 1:] + 1)
-        dist[i] = np.minimum.accumulate(cand - cols) + cols
+    delta = n - m
+    low, high = min(0, delta), max(0, delta)
+    dlo, dhi = max(-m, low - _BAND_SLACK), min(n, high + _BAND_SLACK)
+    band = _band_distances(ref_ids, gen_ids, dlo, dhi)
+    reach = (int(band[m, delta - dlo]) - abs(delta)) // 2
+    need_lo, need_hi = max(-m, low - reach), min(n, high + reach)
+    if need_lo < dlo or need_hi > dhi:
+        del band
+        dlo, dhi = need_lo, need_hi
+        band = _band_distances(ref_ids, gen_ids, dlo, dhi)
 
     links: list[Link] = []
     i, j = m, n
     while i > 0 or j > 0:
-        here = dist[i, j]
-        if i > 0 and j > 0 and ref[i - 1] == gen[j - 1] and dist[i - 1, j - 1] == here:
+        k = j - i - dlo
+        here = band[i, k]
+        if i > 0 and j > 0 and ref[i - 1] == gen[j - 1] and band[i - 1, k] == here:
             links.append(Link(MATCH, i - 1, j - 1))
             i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and ref[i - 1] != gen[j - 1] and dist[i - 1, j - 1] + 1 == here:
+        elif i > 0 and j > 0 and ref[i - 1] != gen[j - 1] and band[i - 1, k] + 1 == here:
             links.append(Link(SUBST, i - 1, j - 1))
             i, j = i - 1, j - 1
-        elif i > 0 and dist[i - 1, j] + 1 == here:
+        elif i > 0 and band[i - 1, k + 1] + 1 == here:
             links.append(Link(DELETE, i - 1, None))
             i -= 1
         else:
             links.append(Link(INSERT, None, j - 1))
             j -= 1
     links.reverse()
-    return Alignment(tuple(links), int(dist[m, n]))
+    return Alignment(tuple(links), int(band[m, delta - dlo]))
 
 
 def project_boundaries(

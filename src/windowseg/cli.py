@@ -212,6 +212,8 @@ def cmd_derive_labels(args: argparse.Namespace) -> int:
     code = _missing_inputs(args.inputs)
     if code is not None:
         return code
+    if len({p.stem for p in args.inputs}) != len(args.inputs):
+        return _fail("duplicate document stems in inputs", EXIT_DATA)
     rule = _rule(args.abbreviations)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     rows = []

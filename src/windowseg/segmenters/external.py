@@ -4,7 +4,8 @@ The remote model receives one window of plain text and returns delimited
 text.  Whatever comes back, the client produces a valid labeling: strict
 decoding when the model copied the input exactly, Levenshtein projection
 when it paraphrased, a local fallback segmenter (or an error) when the
-endpoint stays unreachable through the retry budget.
+endpoint stays unreachable through the retry budget or rejects the
+request outright (a 4xx answer other than 408 and 429, not retried).
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .base import WindowInfo, WindowSegmenter
 
 
 class EndpointError(RuntimeError):
-    """Raised when the endpoint fails past the retry budget and no fallback is set."""
+    """Raised when the endpoint fails past the retry budget, or answers with a
+    client error that retrying cannot fix, and no fallback is set."""
 
     def __init__(self, url: str, attempts: int, cause: Exception):
         super().__init__(f"endpoint {url} failed after {attempts} attempts: {cause}")
@@ -52,6 +54,18 @@ class EndpointConfig:
             raise ValueError("backoff must be >= 0")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
+
+
+def _client_error(exc: Exception) -> bool:
+    """A 4xx answer that the same request would get again.
+
+    408 (request timeout) and 429 (too many requests) say "try later",
+    so they are retried like 5xx answers and connection errors.
+    """
+    if not isinstance(exc, requests.HTTPError) or exc.response is None:
+        return False
+    status = exc.response.status_code
+    return 400 <= status < 500 and status not in (408, 429)
 
 
 class ExternalSegmenter:
@@ -105,6 +119,8 @@ class ExternalSegmenter:
             try:
                 return self._post(payload)
             except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
+                if _client_error(exc):
+                    raise EndpointError(self.config.url, attempt + 1, exc) from exc
                 last = exc
                 if attempt + 1 < attempts:
                     self._sleep(self.config.backoff * (2 ** attempt))

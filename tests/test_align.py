@@ -1,11 +1,16 @@
 """Levenshtein alignment and boundary projection."""
 
+import hashlib
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synth import corrupt_tokens, make_document
+from windowseg import align
 from windowseg.align import (
     DELETE,
     INSERT,
@@ -44,6 +49,57 @@ def dp_distance(a, b):
             )
         prev = cur
     return prev[len(b)]
+
+
+def full_matrix_alignment(a, b):
+    """Plain-Python O(mn) alignment with the library's traceback rule.
+
+    Fills the whole matrix, so it shares nothing with the banded DP but
+    the tie-break: MATCH, then SUBST, then DELETE, then INSERT.
+    """
+    m, n = len(a), len(b)
+    dist = [[0] * (n + 1) for _ in range(m + 1)]
+    for j in range(n + 1):
+        dist[0][j] = j
+    for i in range(1, m + 1):
+        dist[i][0] = i
+        for j in range(1, n + 1):
+            dist[i][j] = min(
+                dist[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
+                dist[i - 1][j] + 1,
+                dist[i][j - 1] + 1,
+            )
+    links = []
+    i, j = m, n
+    while i > 0 or j > 0:
+        here = dist[i][j]
+        if i > 0 and j > 0 and a[i - 1] == b[j - 1] and dist[i - 1][j - 1] == here:
+            links.append(Link(MATCH, i - 1, j - 1))
+            i, j = i - 1, j - 1
+        elif i > 0 and j > 0 and a[i - 1] != b[j - 1] and dist[i - 1][j - 1] + 1 == here:
+            links.append(Link(SUBST, i - 1, j - 1))
+            i, j = i - 1, j - 1
+        elif i > 0 and dist[i - 1][j] + 1 == here:
+            links.append(Link(DELETE, i - 1, None))
+            i -= 1
+        else:
+            links.append(Link(INSERT, None, j - 1))
+            j -= 1
+    return Alignment(tuple(reversed(links)), dist[m][n])
+
+
+@st.composite
+def small_alphabet_pairs(draw):
+    """Pairs over one to four symbols: many equal-cost paths to break ties on."""
+    alphabet = "abcd"[: draw(st.integers(1, 4))]
+    side = st.lists(st.sampled_from(alphabet), max_size=40)
+    return draw(side), draw(side)
+
+
+def synth_pair(seed, sentences, rate):
+    rng = random.Random(seed)
+    ref, _ = make_document(rng, "pair", n_sentences=(sentences, sentences))
+    return ref.tokens, corrupt_tokens(rng, ref.tokens, rate)
 
 
 class TestLinks:
@@ -112,6 +168,84 @@ class TestLevenshtein:
     def test_ref_index_of_gen(self):
         al = levenshtein_align(("a", "b", "c"), ("a", "x", "b", "c"))
         assert al.ref_index_of_gen() == [0, None, 1, 2]
+
+
+class TestBandedLinks:
+    """The banded DP returns the full matrix's links, not just its cost."""
+
+    # Slack 0-2 makes the first band fail the exactness test on most
+    # pairs, so those cases run the second pass.
+    @pytest.mark.parametrize("slack", [0, 1, 2, align._BAND_SLACK])
+    @given(pair=small_alphabet_pairs())
+    def test_tie_heavy(self, slack, pair):
+        a, b = pair
+        with mock.patch.object(align, "_BAND_SLACK", slack):
+            assert levenshtein_align(a, b) == full_matrix_alignment(a, b)
+
+    @given(st.lists(st.sampled_from("ab"), max_size=30))
+    def test_empty_sides(self, a):
+        for x, y in ((a, ()), ((), a), ((), ())):
+            assert levenshtein_align(x, y) == full_matrix_alignment(x, y)
+
+    @settings(max_examples=40)
+    @given(st.lists(st.sampled_from("ab"), max_size=160), st.lists(st.sampled_from("xy"), max_size=160))
+    def test_disjoint_vocabularies(self, a, b):
+        # D = max(m, n): the second band spans the whole matrix.
+        al = levenshtein_align(a, b)
+        assert al.total_cost == max(len(a), len(b))
+        assert al == full_matrix_alignment(a, b)
+
+    @settings(max_examples=40)
+    @given(
+        st.lists(st.sampled_from("abc"), max_size=12),
+        st.lists(st.sampled_from("abc"), min_size=90, max_size=200),
+    )
+    def test_large_length_difference(self, short, long):
+        assert levenshtein_align(short, long) == full_matrix_alignment(short, long)
+        assert levenshtein_align(long, short) == full_matrix_alignment(long, short)
+
+    def test_second_pass_runs_when_needed(self):
+        calls = []
+        real = align._band_distances
+
+        def counting(ref_ids, gen_ids, dlo, dhi):
+            calls.append((dlo, dhi))
+            return real(ref_ids, gen_ids, dlo, dhi)
+
+        rng = random.Random(3)
+        a = [rng.choice("ab") for _ in range(300)]
+        b = [rng.choice("bc") for _ in range(280)]
+        with mock.patch.object(align, "_band_distances", counting):
+            got = levenshtein_align(a, b)
+            assert len(calls) == 2
+            # The second band holds every diagonal an optimal path can use.
+            reach = (got.total_cost - 20) // 2
+            assert calls[1] == (max(-300, -20 - reach), min(280, reach))
+            calls.clear()
+            assert levenshtein_align(a, a).total_cost == 0
+            assert len(calls) == 1
+        assert got == full_matrix_alignment(a, b)
+
+    def test_golden_long_pair(self):
+        # Digest of the links the full-matrix DP gave for this pair.
+        ref, gen = synth_pair(20240, 1550, 0.1)
+        al = levenshtein_align(ref, gen)
+        assert (len(ref), len(gen), al.total_cost) == (10115, 10065, 991)
+        text = "\n".join(f"{l.op} {l.ref} {l.gen}" for l in al.links)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "425ed8fbe975684f12fc47c594dd95fe13e8c7441734f410e357bbc84fc124e2"
+
+    def test_memory_follows_distance_not_length(self):
+        # A full int32 matrix for this pair would take ~144 MB.
+        ref, gen = synth_pair(11, 920, 0.05)
+        assert len(ref) > 5900 and len(gen) > 5900
+        tracemalloc.start()
+        try:
+            levenshtein_align(ref, gen)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 @st.composite

@@ -78,6 +78,18 @@ class TestDeriveLabels:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_duplicate_stems_rejected_before_writing(self, tmp_path, capsys):
+        inputs = []
+        for sub, text in (("a", "Alpha bravo. Charlie.\n"), ("b", "Delta echo.\n")):
+            (tmp_path / sub).mkdir()
+            inputs.append(tmp_path / sub / "doc.txt")
+            inputs[-1].write_text(text)
+        out = tmp_path / "out"
+        rc = main(["derive-labels", *map(str, inputs), "--out-dir", str(out)])
+        assert rc == 1
+        assert "duplicate document stems in inputs" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_reports_epochs(self, project, capsys, tmp_path):

@@ -4,6 +4,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+import requests
 
 from synth import make_document
 from windowseg.core import CONTINUE, SPLIT, SegmentationLabels, Transcript, encode_delimited
@@ -140,6 +141,77 @@ class TestRetries:
         seg = ExternalSegmenter(cfg, sleep=sleep)
         with pytest.raises(EndpointError):
             seg.segment(TOKENS[:3])
+
+
+class StatusSession:
+    """Stands in for ``requests.Session``: answers each POST with the next
+    status code in turn (the last one repeats) and counts the calls."""
+
+    def __init__(self, *statuses):
+        self.statuses = statuses
+        self.calls = 0
+
+    def post(self, url, json, timeout):
+        resp = requests.Response()
+        resp.status_code = self.statuses[min(self.calls, len(self.statuses) - 1)]
+        resp.url = url
+        resp._content = b'{"text": "tok0 tok1 tok2"}'
+        self.calls += 1
+        return resp
+
+
+def stubbed(session, **kw):
+    sleeps = []
+    cfg, sleep = make_client("http://stub/", sleeps=sleeps, max_retries=3, **kw)
+    seg = ExternalSegmenter(cfg, sleep=sleep)
+    seg._session = lambda: session
+    return seg, sleeps
+
+
+class TestClientErrors:
+    @pytest.mark.parametrize("status", [400, 401, 404, 422])
+    def test_client_error_is_final(self, status):
+        session = StatusSession(status)
+        seg, sleeps = stubbed(session)
+        with pytest.raises(EndpointError) as exc:
+            seg.generate(TOKENS[:3])
+        assert session.calls == 1
+        assert sleeps == []
+        assert exc.value.attempts == 1
+        assert isinstance(exc.value.cause, requests.HTTPError)
+
+    @pytest.mark.parametrize("status", [408, 429, 500, 503])
+    def test_retryable_status_uses_the_budget(self, status):
+        session = StatusSession(status)
+        seg, sleeps = stubbed(session)
+        with pytest.raises(EndpointError) as exc:
+            seg.generate(TOKENS[:3])
+        assert session.calls == 4
+        assert exc.value.attempts == 4
+        assert len(sleeps) == 3
+
+    def test_retry_then_success(self):
+        session = StatusSession(429, 503, 200)
+        seg, sleeps = stubbed(session)
+        assert seg.generate(TOKENS[:3]) == "tok0 tok1 tok2"
+        assert session.calls == 3
+        assert sleeps == [0.01, 0.02]
+
+    def test_client_error_after_retries_stops_there(self):
+        session = StatusSession(503, 404)
+        seg, sleeps = stubbed(session)
+        with pytest.raises(EndpointError) as exc:
+            seg.generate(TOKENS[:3])
+        assert session.calls == 2
+        assert exc.value.attempts == 2
+
+    def test_client_error_goes_to_fallback(self):
+        session = StatusSession(400)
+        seg, sleeps = stubbed(session)
+        seg.fallback = FixedLengthSegmenter(2)
+        assert seg.segment(TOKENS[:5]).split_positions() == (0, 2, 4)
+        assert session.calls == 1
+        assert sleeps == []
 
 
 class TestConcurrency:
