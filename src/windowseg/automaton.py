@@ -49,14 +49,14 @@ class SegAutomaton:
 
     def __post_init__(self) -> None:
         delimiter = self.delimiter
-        ordered = tuple(
-            tuple(
-                (sym, arcs[sym], sym == delimiter)
-                for sym in sorted(arcs, key=lambda s: s == delimiter)
-            )
-            for arcs in self.arcs
-        )
-        object.__setattr__(self, "_ordered", ordered)
+        ordered = []
+        for arcs in self.arcs:
+            row = [(sym, nxt, False) for sym, nxt in arcs.items() if sym != delimiter]
+            detour = arcs.get(delimiter)
+            if detour is not None:
+                row.append((delimiter, detour, True))
+            ordered.append(tuple(row))
+        object.__setattr__(self, "_ordered", tuple(ordered))
 
     @property
     def num_states(self) -> int:

@@ -14,6 +14,7 @@ bad usage, 3 invalid configuration, 4 endpoint failure after retries,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -29,7 +30,7 @@ from .config import (
     load_config,
     validate,
 )
-from .core import Transcript, normalize_text
+from .core import SegmentationLabels, Transcript, normalize_text
 from .dataio import read_labels_file, read_transcript, write_labels_file
 from .eval import PairingError, evaluate_corpus, format_report
 from .mock_endpoint import MODES, MockEndpoint, MockEndpointConfig
@@ -127,11 +128,30 @@ def cmd_segment(args: argparse.Namespace) -> int:
         except EndpointError as exc:
             return _fail(str(exc), EXIT_ENDPOINT)
         lines = render_segments(tokens, labels)
-        out_segments = args.out_dir / f"{doc}.segments.txt"
-        out_segments.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
-        write_labels_file([(doc, labels)], args.out_dir / f"{doc}.labels.tsv")
+        _write_document(args.out_dir, doc, lines, labels)
         print(f"{doc}: {len(tokens)} tokens, {len(lines)} segments")
     return 0
+
+
+def _write_document(
+    out_dir: Path, doc: str, lines: Sequence[str], labels: SegmentationLabels
+) -> None:
+    """Write ``doc``'s segments and labels files, neither left half-written.
+
+    Both go to temporary files in ``out_dir`` first and are renamed into
+    place only once both are complete; on failure the temporaries are
+    removed and the exception propagates.
+    """
+    targets = (out_dir / f"{doc}.segments.txt", out_dir / f"{doc}.labels.tsv")
+    temps = [target.with_name(f".{target.name}.tmp") for target in targets]
+    try:
+        temps[0].write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        write_labels_file([(doc, labels)], temps[1])
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="lowercase and strip punctuation before segmenting (default: on)",
     )
-    p.add_argument("--workers", type=int, default=None, help="window workers; 0 = auto")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="window threads; 0 = auto: 1 for local segmenters, one per CPU for external",
+    )
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("train", help="train a boundary model on labeled transcripts")

@@ -9,6 +9,7 @@ once, with errors that name the offending key.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
@@ -45,7 +46,17 @@ class PipelineConfig:
     endpoint_concurrency: int = 4
     endpoint_fallback: str = "none"
     normalize: bool = True
+    # Window threads; 0 = auto, resolved by __post_init__, so cfg.workers is
+    # never 0.  ``dataclasses.replace`` keeps the resolved count, not the 0.
     workers: int = 0
+
+    def __post_init__(self) -> None:
+        # Local segmenters are CPU-bound Python holding the interpreter lock,
+        # so more threads only contend for it.  External windows wait on HTTP
+        # round trips, which overlap; endpoint_concurrency caps the requests.
+        if self.workers == 0:
+            auto = (os.cpu_count() or 1) if self.segmenter == "external" else 1
+            object.__setattr__(self, "workers", auto)
 
 
 _DEFAULTS = PipelineConfig()

@@ -1,13 +1,14 @@
 """End-to-end document segmentation: plan windows, run a segmenter, stitch.
 
-Windows are independent, so they run on a bounded thread pool; results
-are stitched in plan order regardless of completion order, keeping output
-deterministic for any worker count.
+Windows are independent.  By default they run one after another on the
+calling thread; with ``workers > 1`` they run on a thread pool of that
+size, which pays off only for segmenters that wait on I/O (``external``).
+Results are stitched in plan order regardless of completion order, so
+output is the same bytes for any worker count.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence, Union
 
 from concurrent.futures import ThreadPoolExecutor
@@ -56,9 +57,16 @@ def segment_tokens(
     tokens: Sequence[str],
     segmenter: WindowSegmenter,
     window: WindowConfig = WindowConfig(),
-    workers: int = 0,
+    workers: int = 1,
 ) -> SegmentationLabels:
-    """Window, segment, and stitch one document's tokens."""
+    """Window, segment, and stitch one document's tokens.
+
+    ``workers`` threads segment the windows; 1 runs them on the calling
+    thread.  ``PipelineConfig.workers`` holds the resolved count for a
+    configured segmenter.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tokens = tuple(tokens)
     if not tokens:
         return SegmentationLabels(())
@@ -72,8 +80,8 @@ def segment_tokens(
         )
         return segmenter.segment(win.slice(tokens), info)
 
-    count = min(len(windows), workers or os.cpu_count() or 1)
-    if count <= 1 or len(windows) == 1:
+    count = min(len(windows), workers)
+    if count == 1:
         results = [run(w) for w in windows]
     else:
         with ThreadPoolExecutor(max_workers=count) as pool:
@@ -85,7 +93,7 @@ def segment_transcript(
     transcript: Transcript,
     segmenter: WindowSegmenter,
     window: WindowConfig = WindowConfig(),
-    workers: int = 0,
+    workers: int = 1,
 ) -> SegmentationLabels:
     return segment_tokens(transcript.tokens, segmenter, window, workers)
 

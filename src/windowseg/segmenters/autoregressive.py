@@ -177,6 +177,11 @@ class FeatureStepScorer:
     token arcs score log p(CONTINUE) unless they complete a delimiter
     detour or sit at position 0, both of which are structural (probability
     one, score zero).
+
+    Search scores a hypothesis's token arc and then its delimiter arc, so
+    the scorer keeps the last hypothesis's conditionals and answers the
+    second arc without a lookup.  It is built per window and so never
+    shared between threads.
     """
 
     locally_normalized = True
@@ -190,14 +195,20 @@ class FeatureStepScorer:
     ):
         self.delimiter = delimiter
         self.conditionals = CachedConditionals(model, tokens, table)
+        self._last: Optional[Hypothesis] = None
+        self._last_probs = (0.0, 0.0)
 
     def score_symbol(self, hypothesis: Hypothesis, symbol: str) -> float:
-        t = hypothesis.position
-        if symbol == self.delimiter:
-            return self.conditionals.logprobs(t, hypothesis.decisions)[1]
-        if hypothesis.pending or t == 0:
+        split = symbol == self.delimiter
+        if not split and (hypothesis.pending or not hypothesis.decisions):
             return 0.0
-        return self.conditionals.logprobs(t, hypothesis.decisions)[0]
+        # Holding the hypothesis keeps its id from being reused.
+        if hypothesis is not self._last:
+            self._last = hypothesis
+            self._last_probs = self.conditionals.logprobs(
+                len(hypothesis.decisions), hypothesis.decisions
+            )
+        return self._last_probs[split]
 
 
 @dataclass

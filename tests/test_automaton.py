@@ -34,6 +34,17 @@ def toks(w: int) -> tuple[str, ...]:
     return tuple(f"t{i}" for i in range(w))
 
 
+def sorted_arcs(a: SegAutomaton):
+    """Reference search order: a stable sort putting the delimiter arc last."""
+    return tuple(
+        tuple(
+            (sym, arcs[sym], sym == a.delimiter)
+            for sym in sorted(arcs, key=lambda s: s == a.delimiter)
+        )
+        for arcs in a.arcs
+    )
+
+
 class TestBuild:
     def test_empty_window(self):
         a = build_automaton(())
@@ -70,6 +81,21 @@ class TestBuild:
         assert a.step(0, "t0") == 1
         with pytest.raises(ValueError):
             a.step(0, DEFAULT_DELIMITER)
+
+    @pytest.mark.parametrize("initial", [False, True])
+    @pytest.mark.parametrize("window", [(), ("a",), ("a", "a", "b"), toks(9)])
+    def test_arc_order_is_token_then_delimiter(self, window, initial):
+        a = build_automaton(window, allow_initial_delimiter=initial)
+        assert a._ordered == sorted_arcs(a)
+
+    def test_arc_order_on_hand_built_automaton(self):
+        # Several non-delimiter arcs keep dict order; the delimiter goes last
+        # wherever it was inserted.
+        d = DEFAULT_DELIMITER
+        arcs = ({d: 3, "b": 1, "a": 2}, {"c": 2}, {}, {"z": 1, d: 2, "y": 0})
+        a = SegAutomaton(("a",), d, start=0, final=2, arcs=arcs)
+        assert a._ordered == sorted_arcs(a)
+        assert a._ordered[0] == (("b", 1, False), ("a", 2, False), (d, 3, True))
 
     def test_arc_format(self):
         text = build_automaton(("a", "b")).to_arc_format()

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from synth import make_sentence
+from windowseg import cli, pipeline
 from windowseg.cli import _segment_overrides, build_parser, main
 from windowseg.config import PipelineConfig, load_config
-from windowseg.dataio import read_labels_file
+from windowseg.dataio import read_labels_file, write_labels_file
 from windowseg.mock_endpoint import MockEndpoint, MockEndpointConfig
 from windowseg.segmenters.features import FeatureConfig, FeatureModel, save_model
 from windowseg.windowing import WindowConfig
@@ -188,6 +189,59 @@ class TestSegment:
                 {p.name: p.read_bytes() for p in sorted(out.iterdir())}
             )
         assert outs[0] == outs[1]
+
+    def test_workers_zero_means_auto(self, project, tmp_path):
+        rc = main(
+            [
+                "segment", str(project / "derived" / "doc0.txt"),
+                "--out-dir", str(tmp_path),
+                "--model", str(project / "model.bin"),
+                "--workers", "0",
+            ]
+        )
+        assert rc == 0
+        assert (tmp_path / "doc0.labels.tsv").is_file()
+
+    def test_default_decodes_on_calling_thread(self, project, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("built a thread pool")
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+        derived = project / "derived"
+        tokens = []
+        for path in sorted(derived.glob("doc*.txt")):
+            tokens += path.read_text().split()
+        assert len(tokens) > WindowConfig().size  # several windows
+        long_doc = tmp_path / "long.txt"
+        long_doc.write_text(" ".join(tokens) + "\n")
+        out = tmp_path / "out"
+        rc = main(
+            ["segment", str(long_doc), "--out-dir", str(out), "--model", str(project / "model.bin")]
+        )
+        assert rc == 0
+        assert len(read_labels_file(out / "long.labels.tsv")["long"]) == len(tokens)
+
+    def test_failed_write_leaves_earlier_documents_whole(self, project, tmp_path, monkeypatch):
+        inputs = sorted((project / "derived").glob("doc*.txt"))[:2]
+        calls = []
+
+        def flaky_write(entries, path):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            write_labels_file(entries, path)
+
+        monkeypatch.setattr(cli, "write_labels_file", flaky_write)
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="disk full"):
+            main(["segment", *map(str, inputs), "--out-dir", str(out), "--segmenter", "fixed"])
+        first = inputs[0].stem
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"{first}.labels.tsv", f"{first}.segments.txt"
+        ]
+        tokens = inputs[0].read_text().split()
+        assert (out / f"{first}.segments.txt").read_text().split() == tokens
+        assert len(read_labels_file(out / f"{first}.labels.tsv")[first]) == len(tokens)
 
     def test_replay_round_trip_scores_perfectly(self, project, capsys):
         derived = project / "derived"

@@ -1,6 +1,7 @@
 """Configuration resolution and validation."""
 
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -21,6 +22,30 @@ class TestDefaults:
         assert cfg == PipelineConfig()
         assert cfg.window == WindowConfig(40, 5, 5)
         assert cfg.segmenter == "autoregressive"
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("kind", ["autoregressive", "fixed", "replay"])
+    def test_auto_is_one_thread_for_local_segmenters(self, kind):
+        assert load_config(None, {"segmenter": kind}).workers == 1
+        assert PipelineConfig(segmenter=kind).workers == 1
+
+    def test_auto_is_one_thread_per_cpu_for_external(self, monkeypatch):
+        assert load_config(None, {"segmenter": "external"}).workers == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert load_config(None, {"segmenter": "external", "workers": 0}).workers == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert PipelineConfig(segmenter="external").workers == 1
+
+    @pytest.mark.parametrize("kind", ["autoregressive", "fixed", "replay", "external"])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_explicit_count_kept(self, kind, workers, tmp_path):
+        assert load_config(None, {"segmenter": kind, "workers": workers}).workers == workers
+        path = write_json(tmp_path, {"segmenter": kind, "workers": workers})
+        assert load_config(path).workers == workers
+
+    def test_negative_left_for_validate(self):
+        assert PipelineConfig(workers=-1).workers == -1
 
 
 class TestLoading:

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from synth import make_document
+from windowseg import pipeline
 from windowseg.config import PipelineConfig
 from windowseg.core import CONTINUE, SPLIT, SegmentationLabels
 from windowseg.pipeline import (
@@ -38,6 +39,20 @@ class TestSegmentTokens:
         cfg = WindowConfig(40, 5, 5)
         outs = {segment_tokens(doc.tokens, seg, cfg, workers=w) for w in (1, 2, 4)}
         assert outs == {labels}
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            segment_tokens(["x"] * 100, FixedLengthSegmenter(3), WindowConfig(40, 5, 5), workers)
+
+    def test_default_runs_on_calling_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("built a thread pool")
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+        tokens = ["x"] * 200
+        seg = FixedLengthSegmenter(7)
+        assert segment_tokens(tokens, seg, WindowConfig(40, 5, 5)) == seg.segment(tokens)
 
     def test_replay_round_trips_through_windows(self):
         rng = random.Random(1)

@@ -164,6 +164,21 @@ class TestAutoregressive:
                 want = scorer.conditionals.sequence_logprob(labels.decisions)
                 assert score == want  # bit-exact: same cached conditionals
 
+    def test_one_conditional_lookup_per_hypothesis(self, model, monkeypatch):
+        # Greedy expands one hypothesis per state; its token and delimiter
+        # arcs share one lookup, and structural arcs need none.
+        calls = []
+        original = CachedConditionals.logprobs
+
+        def counting(self, t, prefix):
+            calls.append(t)
+            return original(self, t, prefix)
+
+        monkeypatch.setattr(CachedConditionals, "logprobs", counting)
+        tokens = tuple(f"w{i % 7}" for i in range(30))
+        constrained_search(build_automaton(tokens), FeatureStepScorer(model, tokens), GREEDY)
+        assert calls == list(range(1, 30))
+
     def test_exact_beats_greedy(self, model):
         rng = random.Random(3)
         doc, _ = make_document(rng, "x", n_sentences=(3, 4))
