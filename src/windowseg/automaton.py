@@ -10,8 +10,11 @@ construction.
 
 Searches are generic over an autoregressive symbol scorer, so the same
 machinery serves greedy decoding, beam search with ranked n-best output,
-and exact search by depth-first branch and bound (which requires a locally
-normalized scorer so that prefix scores upper-bound completions).
+and exact search: one Viterbi pass over the token positions.  A scorer
+setting ``history = h`` promises that its scores at a hypothesis depend
+only on its state and last ``h`` decisions, so exact search merges
+hypotheses sharing both, in O(w * 2^h) score calls.  A scorer without
+``history`` may read the full prefix and is enumerated.
 
 A hypothesis links to the one it extends instead of copying its emitted
 symbols, so ``Hypothesis.emitted`` is rebuilt on demand (O(w) per read)
@@ -230,13 +233,10 @@ class Hypothesis:
 class SymbolScorer(Protocol):
     """Autoregressive log-scorer over output symbols.
 
-    ``locally_normalized`` declares that, at every expansion point, the
-    scores of the allowed next symbols are log-probabilities summing to
-    one (hence each is <= 0).  Exact search relies on this to bound
-    completions by prefix scores.
+    Setting ``history = h`` promises that scores at a hypothesis depend
+    only on its state and its last ``h`` decisions; an absent ``history``
+    means the full prefix.
     """
-
-    locally_normalized: bool
 
     def score_symbol(self, hypothesis: Hypothesis, symbol: str) -> float:
         ...
@@ -247,7 +247,7 @@ class ConstantScorer:
     """Assigns the same log-score to every symbol; useful as a tie-break probe."""
 
     value: float = math.log(0.5)
-    locally_normalized: bool = False
+    history = 0
 
     def score_symbol(self, hypothesis: Hypothesis, symbol: str) -> float:
         return self.value
@@ -258,7 +258,6 @@ class FunctionScorer:
     """Wraps a plain ``fn(emitted_prefix, symbol) -> log-score`` callable."""
 
     fn: Callable[[tuple[str, ...], str], float]
-    locally_normalized: bool = False
 
     def score_symbol(self, hypothesis: Hypothesis, symbol: str) -> float:
         return self.fn(hypothesis.emitted, symbol)
@@ -313,11 +312,6 @@ def _greedy_hypothesis(a: SegAutomaton, scorer: SymbolScorer) -> Hypothesis:
     return hyp
 
 
-def _search_greedy(a: SegAutomaton, scorer: SymbolScorer) -> list[tuple[SegmentationLabels, float]]:
-    hyp = _greedy_hypothesis(a, scorer)
-    return [(_labels(hyp), hyp.score)]
-
-
 def _search_beam(
     a: SegAutomaton, scorer: SymbolScorer, width: int
 ) -> list[tuple[SegmentationLabels, float]]:
@@ -359,37 +353,36 @@ def _search_beam(
     return out
 
 
-def _search_exact(a: SegAutomaton, scorer: SymbolScorer) -> list[tuple[SegmentationLabels, float]]:
-    if not getattr(scorer, "locally_normalized", False):
-        raise ValueError("exact search requires a locally normalized scorer")
+def _exact_hypothesis(a: SegAutomaton, scorer: SymbolScorer) -> Hypothesis:
+    # One layer per token position; a pending child joins the layer being
+    # read.  Of two children sharing state and last ``history`` decisions
+    # only the one with the smaller key can lead to the optimum.
+    history = getattr(scorer, "history", None)
     score_symbol = scorer.score_symbol
     ordered = a._ordered
-    best: Hypothesis | None = None
-    # Depth-first branch and bound; token arcs are pushed last so they are
-    # explored first, making the first completion the all-continue path and
-    # keeping ties resolved toward fewer delimiters.
-    stack: list[Hypothesis] = [Hypothesis(a.start, 0.0)]
-    while stack:
-        hyp = stack.pop()
-        if best is not None and hyp.score <= best.score:
-            continue
-        if hyp.state == a.final:
-            best = hyp
-            continue
-        for arc in reversed(ordered[hyp.state]):
-            step = score_symbol(hyp, arc[0])
-            if step != step:
-                raise _nan_error(arc[0], hyp.state)
-            if step > 1e-9:
-                raise ValueError(
-                    f"scorer claims local normalization but returned a positive "
-                    f"log-score {step} for {arc[0]!r}"
-                )
-            step = min(step, 0.0)
-            if best is None or hyp.score + step > best.score:
-                stack.append(_extend(hyp, arc, step))
-    assert best is not None
-    return [(_labels(best), best.score)]
+    finished: list[Hypothesis] = []
+    layer = [Hypothesis(a.start, 0.0)]
+    while layer:
+        merged: dict[tuple, Hypothesis] = {}
+        for hyp in layer:
+            if hyp.state == a.final:
+                finished.append(hyp)
+                continue
+            for arc in ordered[hyp.state]:
+                s = score_symbol(hyp, arc[0])
+                if s != s:
+                    raise _nan_error(arc[0], hyp.state)
+                child = _extend(hyp, arc, s)
+                if child.pending:
+                    layer.append(child)
+                    continue
+                d = child.decisions
+                sig = (child.state, d if history is None else d[max(0, len(d) - history):])
+                kept = merged.get(sig)
+                if kept is None or child.key < kept.key:
+                    merged[sig] = child
+        layer = list(merged.values())
+    return min(finished, key=_KEY)
 
 
 def constrained_search(
@@ -401,8 +394,8 @@ def constrained_search(
     width, best first.  Every result is well-formed by construction since
     only automaton arcs are followed.
     """
-    if strategy.kind == "greedy":
-        return _search_greedy(a, scorer)
     if strategy.kind == "beam":
         return _search_beam(a, scorer, strategy.beam_width)
-    return _search_exact(a, scorer)
+    search = _greedy_hypothesis if strategy.kind == "greedy" else _exact_hypothesis
+    hyp = search(a, scorer)
+    return [(_labels(hyp), hyp.score)]

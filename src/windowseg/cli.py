@@ -30,7 +30,7 @@ from .config import (
     load_config,
     validate,
 )
-from .core import SegmentationLabels, Transcript, normalize_text
+from .core import SegmentationLabels, normalize_text
 from .dataio import read_labels_file, read_transcript, write_labels_file
 from .eval import PairingError, evaluate_corpus, format_report
 from .mock_endpoint import MODES, MockEndpoint, MockEndpointConfig
@@ -106,7 +106,6 @@ def cmd_segment(args: argparse.Namespace) -> int:
     except ValueError as exc:  # corrupt model or labels file
         return _fail(str(exc), EXIT_BAD_CONFIG)
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     for path in args.inputs:
         text = path.read_text(encoding="utf-8")
         tokens = normalize_text(text) if cfg.normalize else text.split()
@@ -128,7 +127,10 @@ def cmd_segment(args: argparse.Namespace) -> int:
         except EndpointError as exc:
             return _fail(str(exc), EXIT_ENDPOINT)
         lines = render_segments(tokens, labels)
-        _write_document(args.out_dir, doc, lines, labels)
+        try:
+            _write_document(args.out_dir, doc, lines, labels)
+        except OSError as exc:
+            return _fail(f"{exc.filename or args.out_dir}: {exc.strerror or exc}", EXIT_DATA)
         print(f"{doc}: {len(tokens)} tokens, {len(lines)} segments")
     return 0
 
@@ -138,10 +140,11 @@ def _write_document(
 ) -> None:
     """Write ``doc``'s segments and labels files, neither left half-written.
 
-    Both go to temporary files in ``out_dir`` first and are renamed into
-    place only once both are complete; on failure the temporaries are
-    removed and the exception propagates.
+    Both go to temporary files in ``out_dir`` (created if missing) first
+    and are renamed into place only once both are complete; on failure
+    the temporaries are removed and the exception propagates.
     """
+    out_dir.mkdir(parents=True, exist_ok=True)
     targets = (out_dir / f"{doc}.segments.txt", out_dir / f"{doc}.labels.tsv")
     temps = [target.with_name(f".{target.name}.tmp") for target in targets]
     try:
@@ -235,11 +238,9 @@ def cmd_derive_labels(args: argparse.Namespace) -> int:
     if len({p.stem for p in args.inputs}) != len(args.inputs):
         return _fail("duplicate document stems in inputs", EXIT_DATA)
     rule = _rule(args.abbreviations)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
+    docs = []  # all derived before any is written, so a bad input writes nothing
     for path in args.inputs:
-        out_path = args.out_dir / f"{path.stem}.txt"
-        if out_path.resolve() == path.resolve():
+        if (args.out_dir / f"{path.stem}.txt").resolve() == path.resolve():
             return _fail(
                 f"refusing to overwrite input {path}; pick another --out-dir",
                 EXIT_DATA,
@@ -248,11 +249,12 @@ def cmd_derive_labels(args: argparse.Namespace) -> int:
             transcript, labels = rule.derive_labels(path.read_text(encoding="utf-8"))
         except ValueError as exc:
             return _fail(f"{path}: {exc}", EXIT_DATA)
-        transcript = Transcript(transcript.tokens, path.stem)
-        out_path.write_text(transcript.text() + "\n", encoding="utf-8")
-        rows.append((path.stem, labels))
-        print(f"{path.stem}: {len(transcript)} tokens, {len(labels.split_positions())} segments")
-    write_labels_file(rows, args.out_dir / args.labels_name)
+        docs.append((path.stem, transcript, labels))
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    for doc, transcript, labels in docs:
+        (args.out_dir / f"{doc}.txt").write_text(transcript.text() + "\n", encoding="utf-8")
+        print(f"{doc}: {len(transcript)} tokens, {len(labels.split_positions())} segments")
+    write_labels_file([(doc, labels) for doc, _, labels in docs], args.out_dir / args.labels_name)
     print(f"wrote labels: {args.out_dir / args.labels_name}")
     return 0
 

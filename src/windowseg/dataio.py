@@ -31,6 +31,13 @@ def write_transcript(transcript: Transcript, path: PathLike) -> None:
     Path(path).write_text(transcript.text() + "\n", encoding="utf-8")
 
 
+def _int_field(path: PathLike, lineno: int, what: str, field: str) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: {what} {field!r} is not an integer") from None
+
+
 def read_labels_file(path: PathLike) -> dict[str, SegmentationLabels]:
     """Map source_id to its full labeling (SPLIT at 0 implied)."""
     out: dict[str, SegmentationLabels] = {}
@@ -43,14 +50,11 @@ def read_labels_file(path: PathLike) -> dict[str, SegmentationLabels]:
                 f"{path}:{lineno}: expected 'source_id<TAB>token_count<TAB>positions'"
             )
         source_id, count_field, pos_field = parts
-        try:
-            n = int(count_field)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: token count {count_field!r} is not an integer")
+        n = _int_field(path, lineno, "token count", count_field)
         if n < 0:
             raise ValueError(f"{path}:{lineno}: token count must be >= 0")
-        pos_field = pos_field.strip()
-        positions = tuple(int(p) for p in pos_field.split(",")) if pos_field else ()
+        fields = pos_field.split(",") if pos_field.strip() else []
+        positions = tuple(_int_field(path, lineno, "position", p) for p in fields)
         if any(p <= 0 for p in positions):
             raise ValueError(f"{path}:{lineno}: positions must be >= 1")
         if list(positions) != sorted(set(positions)):

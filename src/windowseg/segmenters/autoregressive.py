@@ -184,8 +184,6 @@ class FeatureStepScorer:
     shared between threads.
     """
 
-    locally_normalized = True
-
     def __init__(
         self,
         model: FeatureModel,
@@ -194,6 +192,7 @@ class FeatureStepScorer:
         table: Optional[TokenTable] = None,
     ):
         self.delimiter = delimiter
+        self.history = model.config.history
         self.conditionals = CachedConditionals(model, tokens, table)
         self._last: Optional[Hypothesis] = None
         self._last_probs = (0.0, 0.0)

@@ -66,10 +66,11 @@ class TableScorer:
     """Locally normalized scorer from a random table p(SPLIT | t, prev).
 
     Depends only on the position and the previous decision, so the exact
-    path score is cheap to reproduce by brute force.
+    path score is cheap to reproduce by brute force, and exact search
+    merges hypotheses on that one decision.
     """
 
-    locally_normalized = True
+    history = 1
 
     def __init__(
         self,

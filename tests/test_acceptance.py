@@ -123,8 +123,6 @@ def test_01_search_and_projection_outputs_always_valid(report):
 class _ReplayScorer:
     """Prefers the delimiter exactly where a target labeling splits."""
 
-    locally_normalized = False
-
     def __init__(self, bits, delimiter=DEFAULT_DELIMITER):
         self.bits = bits
         self.delimiter = delimiter

@@ -2,6 +2,7 @@
 
 import math
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -194,24 +195,11 @@ class TestSearch:
         for strat in (GREEDY, EXACT, beam(8)):
             assert constrained_search(a, flat, strat)[0][0] == want
 
-    def test_exact_requires_normalized(self):
-        a = build_automaton(toks(3))
-        with pytest.raises(ValueError):
-            constrained_search(a, ConstantScorer(), EXACT)
-
-    def test_exact_rejects_positive_scores(self):
-        a = build_automaton(toks(3))
-        lying = FunctionScorer(lambda prefix, sym: 0.3)
-        lying.locally_normalized = True
-        with pytest.raises(ValueError):
-            constrained_search(a, lying, EXACT)
-
     @pytest.mark.parametrize("strat", [GREEDY, beam(1), beam(4), EXACT])
     def test_nan_score_names_symbol_and_state(self, strat):
         a = build_automaton(toks(4))
         nan_split = FunctionScorer(
-            lambda prefix, sym: math.nan if sym == DEFAULT_DELIMITER else -0.5,
-            locally_normalized=True,
+            lambda prefix, sym: math.nan if sym == DEFAULT_DELIMITER else -0.5
         )
         with pytest.raises(ValueError, match=f"NaN for '{DEFAULT_DELIMITER}' at state 1"):
             constrained_search(a, nan_split, strat)
@@ -219,7 +207,7 @@ class TestSearch:
     @pytest.mark.parametrize("strat", [GREEDY, beam(1), beam(4), EXACT])
     def test_all_arcs_minus_inf_take_token_arcs(self, strat):
         a = build_automaton(toks(4))
-        hopeless = FunctionScorer(lambda prefix, sym: -math.inf, locally_normalized=True)
+        hopeless = FunctionScorer(lambda prefix, sym: -math.inf)
         labels, score = constrained_search(a, hopeless, strat)[0]
         assert labels == SegmentationLabels((SPLIT, CONTINUE, CONTINUE, CONTINUE))
         assert score == -math.inf
@@ -259,6 +247,35 @@ class TestSearch:
         want, want_score = brute_force_best(n, sc)
         assert got == want
         assert math.isclose(score, want_score, rel_tol=0, abs_tol=1e-9)
+
+    @pytest.mark.parametrize("h", [0, 1, 2, 3])
+    @pytest.mark.parametrize("initial", [False, True])
+    def test_merged_search_matches_enumeration(self, h, initial):
+        # The same scores with and without ``history``: merging hypotheses
+        # must find the path (score and tie-break) that enumeration finds.
+        # Dyadic scores sum exactly, so ties are real and frequent.
+        for seed in range(40):
+            n = seed % 10 + 1
+            a = build_automaton(toks(n), allow_initial_delimiter=initial)
+            merged = constrained_search(a, MarkovScorer(h, seed), EXACT)
+            assert merged == constrained_search(a, MarkovScorer(h, seed, declare=False), EXACT)
+
+    @pytest.mark.parametrize("h", [0, 1, 2, 4, 6])
+    def test_exact_score_calls_bounded_by_history(self, h):
+        for w in (1, 7, 40):
+            for initial in (False, True):
+                scorer = MarkovScorer(h, w)
+                constrained_search(
+                    build_automaton(toks(w), allow_initial_delimiter=initial), scorer, EXACT
+                )
+                assert scorer.calls <= 3 * w * 2 ** h
+
+    def test_exact_accepts_unnormalized_scores(self):
+        # Every delimiter adds +0.3, so the optimum splits everywhere.
+        a = build_automaton(toks(5))
+        (labels, score), = constrained_search(a, ConstantScorer(0.3), EXACT)
+        assert labels == SegmentationLabels((SPLIT,) * 5)
+        assert score == pytest.approx(0.3 * 9)
 
     @given(st.integers(0, 2 ** 32 - 1))
     def test_full_width_beam_ranks_whole_language(self, seed):
@@ -324,6 +341,25 @@ class TestSearch:
         results = constrained_search(a, sc, beam(6))
         labelings = [lab for lab, _ in results]
         assert len(set(labelings)) == len(labelings)
+
+
+class MarkovScorer:
+    """Pseudo-random dyadic scores of the position, the pending flag and the
+    last ``h`` decisions; declares ``history = h`` unless told not to, and
+    counts its calls."""
+
+    def __init__(self, h, seed, declare=True):
+        self.h = h
+        self.seed = seed
+        self.calls = 0
+        if declare:
+            self.history = h
+
+    def score_symbol(self, hyp, sym):
+        self.calls += 1
+        d = hyp.decisions
+        key = (self.seed, len(d), d[max(0, len(d) - self.h):], hyp.pending, sym)
+        return (zlib.crc32(repr(key).encode("utf-8")) % 64) / 16 - 2
 
 
 def rng_free(prefix, sym, seed):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -89,6 +90,17 @@ class TestDeriveLabels:
         rc = main(["derive-labels", *map(str, inputs), "--out-dir", str(out)])
         assert rc == 1
         assert "duplicate document stems in inputs" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_underivable_input_writes_nothing(self, tmp_path, capsys):
+        good, bad = tmp_path / "a.txt", tmp_path / "b.txt"
+        good.write_text("Alpha bravo. Charlie delta.\n")
+        bad.write_text("!!! ...\n")
+        out = tmp_path / "out"
+        rc = main(["derive-labels", str(good), str(bad), "--out-dir", str(out)])
+        assert rc == 1
+        assert f"error: {bad}: no tokens survive normalization" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -221,7 +233,27 @@ class TestSegment:
         assert rc == 0
         assert len(read_labels_file(out / "long.labels.tsv")["long"]) == len(tokens)
 
-    def test_failed_write_leaves_earlier_documents_whole(self, project, tmp_path, monkeypatch):
+    def test_exact_strategy_on_a_multi_window_document(self, project, tmp_path):
+        # Words the model never saw leave every boundary uncertain, so no
+        # path can be pruned early: exact search must not enumerate.
+        tokens = [f"zq{i % 13}x" for i in range(3 * WindowConfig().size)]
+        long_doc = tmp_path / "long.txt"
+        long_doc.write_text(" ".join(tokens) + "\n")
+        out = tmp_path / "out"
+        t0 = time.perf_counter()
+        rc = main(
+            [
+                "segment", str(long_doc), "--out-dir", str(out),
+                "--model", str(project / "model.bin"), "--strategy", "exact",
+            ]
+        )
+        assert rc == 0
+        assert time.perf_counter() - t0 < 10.0
+        assert len(read_labels_file(out / "long.labels.tsv")["long"]) == len(tokens)
+
+    def test_failed_write_leaves_earlier_documents_whole(
+        self, project, tmp_path, monkeypatch, capsys
+    ):
         inputs = sorted((project / "derived").glob("doc*.txt"))[:2]
         calls = []
 
@@ -233,8 +265,9 @@ class TestSegment:
 
         monkeypatch.setattr(cli, "write_labels_file", flaky_write)
         out = tmp_path / "out"
-        with pytest.raises(OSError, match="disk full"):
-            main(["segment", *map(str, inputs), "--out-dir", str(out), "--segmenter", "fixed"])
+        rc = main(["segment", *map(str, inputs), "--out-dir", str(out), "--segmenter", "fixed"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {out}: disk full\n"
         first = inputs[0].stem
         assert sorted(p.name for p in out.iterdir()) == [
             f"{first}.labels.tsv", f"{first}.segments.txt"
@@ -242,6 +275,15 @@ class TestSegment:
         tokens = inputs[0].read_text().split()
         assert (out / f"{first}.segments.txt").read_text().split() == tokens
         assert len(read_labels_file(out / f"{first}.labels.tsv")[first]) == len(tokens)
+
+    def test_unwritable_out_dir_exit_1(self, project, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        doc = project / "derived" / "doc0.txt"
+        rc = main(["segment", str(doc), "--out-dir", str(blocker / "out"), "--segmenter", "fixed"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {blocker / 'out'}: ") and "Traceback" not in err
 
     def test_replay_round_trip_scores_perfectly(self, project, capsys):
         derived = project / "derived"

@@ -87,6 +87,8 @@ class TestLabelsFiles:
             ("a\t3", "expected"),
             ("a\t3\t1\textra", "expected"),
             ("a\tthree\t1", "not an integer"),
+            ("a\t4\t2,x", r"bad\.tsv:1: position 'x' is not an integer"),
+            ("a\t4\t2,,3", r"bad\.tsv:1: position '' is not an integer"),
             ("a\t-1\t", ">= 0"),
             ("a\t4\t0,2", ">= 1"),
             ("a\t4\t3,2", "ascending"),

@@ -57,7 +57,7 @@ def _prefix_scorer(seed: int) -> FunctionScorer:
         p = 0.05 + 0.9 * (h % 10007) / 10007
         return math.log(p) if sym == DEFAULT_DELIMITER else math.log1p(-p)
 
-    return FunctionScorer(fn, locally_normalized=True)
+    return FunctionScorer(fn)
 
 
 def _encode(results) -> list[str]:
@@ -83,11 +83,7 @@ def compute_cases() -> dict[str, list[str]]:
         for initial in (False, True):
             tag = f"w{w}{'i' if initial else ''}"
             cases.update(_run(f"zeros/{tag}", tokens, lambda t: FeatureStepScorer(zeros, t), initial))
-            # Normalized only so that exact search accepts it; greedy and
-            # beam never read the flag.
-            cases.update(_run(
-                f"const/{tag}", tokens, lambda t: ConstantScorer(locally_normalized=True), initial
-            ))
+            cases.update(_run(f"const/{tag}", tokens, lambda t: ConstantScorer(), initial))
 
     rng = random.Random(7)
     trained = train_feature_model(

@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -188,6 +189,20 @@ class TestAutoregressive:
         g = constrained_search(a, scorer, GREEDY)[0][1]
         e = constrained_search(a, scorer, EXACT)[0][1]
         assert e >= g
+
+    @pytest.mark.parametrize("w", [40, 200])
+    def test_exact_is_polynomial_on_an_uncertain_model(self, w):
+        # Every path of the zero model ties, which branch and bound cannot
+        # prune; the lattice pass keeps 2^history hypotheses per position.
+        zeros = FeatureModel.zeros(FeatureConfig(hash_dims=64))
+        tokens = [f"t{i}" for i in range(w)]
+        t0 = time.perf_counter()
+        (labels, score), = constrained_search(
+            build_automaton(tokens), FeatureStepScorer(zeros, tokens), EXACT
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert labels == SegmentationLabels((SPLIT,) + (CONTINUE,) * (w - 1))
+        assert score == pytest.approx((w - 1) * math.log(0.5))
 
     def test_nbest_contract(self, model):
         seg = AutoregressiveSegmenter(model)
