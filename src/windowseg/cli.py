@@ -59,6 +59,11 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _write_failed(exc: OSError, path: Path) -> int:
+    """Exit 1 naming the file (or else ``path``) a failed write was for."""
+    return _fail(f"{exc.filename or path}: {exc.strerror or exc}", EXIT_DATA)
+
+
 def _missing_inputs(paths: Sequence[Path]) -> Optional[int]:
     missing = [p for p in paths if not p.is_file()]
     for p in missing:
@@ -130,7 +135,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
         try:
             _write_document(args.out_dir, doc, lines, labels)
         except OSError as exc:
-            return _fail(f"{exc.filename or args.out_dir}: {exc.strerror or exc}", EXIT_DATA)
+            return _write_failed(exc, args.out_dir)
         print(f"{doc}: {len(tokens)} tokens, {len(lines)} segments")
     return 0
 
@@ -222,7 +227,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_DATA)
     for epoch, loss in enumerate(result.epoch_losses, 1):
         print(f"epoch {epoch}: loss {loss:.6f}")
-    save_model(result.model, args.out)
+    try:
+        save_model(result.model, args.out)
+    except OSError as exc:
+        return _write_failed(exc, args.out)
     print(f"wrote model: {args.out}")
     return 0
 
@@ -250,11 +258,16 @@ def cmd_derive_labels(args: argparse.Namespace) -> int:
         except ValueError as exc:
             return _fail(f"{path}: {exc}", EXIT_DATA)
         docs.append((path.stem, transcript, labels))
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    for doc, transcript, labels in docs:
-        (args.out_dir / f"{doc}.txt").write_text(transcript.text() + "\n", encoding="utf-8")
-        print(f"{doc}: {len(transcript)} tokens, {len(labels.split_positions())} segments")
-    write_labels_file([(doc, labels) for doc, _, labels in docs], args.out_dir / args.labels_name)
+    try:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        for doc, transcript, labels in docs:
+            (args.out_dir / f"{doc}.txt").write_text(transcript.text() + "\n", encoding="utf-8")
+            print(f"{doc}: {len(transcript)} tokens, {len(labels.split_positions())} segments")
+        write_labels_file(
+            [(doc, labels) for doc, _, labels in docs], args.out_dir / args.labels_name
+        )
+    except OSError as exc:
+        return _write_failed(exc, args.out_dir)
     print(f"wrote labels: {args.out_dir / args.labels_name}")
     return 0
 
@@ -287,7 +300,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             return _fail(f"{stem}: {exc}", EXIT_DATA)
         rows.append((stem, labels))
         print(f"{stem}: {len(tokens)} tokens, {len(labels.split_positions())} segments")
-    write_labels_file(rows, args.out)
+    try:
+        write_labels_file(rows, args.out)
+    except OSError as exc:
+        return _write_failed(exc, args.out)
     print(f"wrote labels: {args.out}")
     return 0
 

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
 from .automaton import parse_strategy
+from .segmenters.external import parse_endpoint_url
 from .windowing import WindowConfig
 
 SEGMENTER_KINDS = ("autoregressive", "fixed", "external", "replay")
@@ -207,3 +208,7 @@ def validate(cfg: PipelineConfig, check_files: bool = True) -> None:
     if cfg.segmenter == "external":
         if not cfg.endpoint_url:
             raise ConfigError("external segmenter requires endpoint_url")
+        try:
+            parse_endpoint_url(cfg.endpoint_url)
+        except ValueError as exc:
+            raise ConfigError(str(exc))

@@ -13,6 +13,7 @@ Failure injection flags exercise the retry and fallback policies.
 from __future__ import annotations
 
 import json
+import socket
 import string
 import threading
 import zlib
@@ -90,6 +91,27 @@ class _Server(ThreadingHTTPServer):
         self.config = config
         self.failures_left = config.fail_first
         self.lock = threading.Lock()
+        self.open_requests: set[socket.socket] = set()
+
+    def process_request(self, request, client_address) -> None:
+        with self.lock:
+            self.open_requests.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self.lock:
+            self.open_requests.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Also end kept-alive connections, so a stopped endpoint answers no one."""
+        super().server_close()
+        with self.lock:
+            for request in self.open_requests:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:  # the client closed it already
+                    pass
 
     def take_failure(self) -> bool:
         """True when this request should fail (500)."""
@@ -103,6 +125,11 @@ class _Server(ThreadingHTTPServer):
 
 
 class _Handler(BaseHTTPRequestHandler):
+    # Keep-alive, so a client's windows share one connection.  Without
+    # TCP_NODELAY the body write, sent after the headers, waits on the
+    # client's delayed ACK (Nagle) for tens of milliseconds per request.
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     server: _Server
 
     def _send(self, status: int, payload: dict) -> None:

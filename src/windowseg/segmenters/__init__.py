@@ -16,7 +16,7 @@ from .base import (
     WindowSegmenter,
     rerank,
 )
-from .external import EndpointConfig, EndpointError, ExternalSegmenter
+from .external import EndpointConfig, EndpointError, EndpointStatusError, ExternalSegmenter
 from .features import (
     Corpus,
     FeatureConfig,
@@ -36,6 +36,7 @@ __all__ = [
     "Corpus",
     "EndpointConfig",
     "EndpointError",
+    "EndpointStatusError",
     "ExternalSegmenter",
     "FeatureConfig",
     "FeatureModel",

@@ -6,16 +6,21 @@ decoding when the model copied the input exactly, Levenshtein projection
 when it paraphrased, a local fallback segmenter (or an error) when the
 endpoint stays unreachable through the retry budget or rejects the
 request outright (a 4xx answer other than 408 and 429, not retried).
+
+Requests go over persistent HTTP/1.1 connections (stdlib ``http.client``),
+so a document's windows do not each pay a TCP (and TLS) handshake.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
+import selectors
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
-
-import requests
+from typing import Callable, NamedTuple, Optional, Sequence
+from urllib.parse import urlsplit
 
 from ..align import project_boundaries
 from ..core import DEFAULT_DELIMITER, Malformed, SPLIT, SegmentationLabels, decode_delimited
@@ -33,6 +38,40 @@ class EndpointError(RuntimeError):
         self.cause = cause
 
 
+class EndpointStatusError(Exception):
+    """The endpoint answered with a status outside 2xx (``.status``)."""
+
+    def __init__(self, status: int, reason: str):
+        super().__init__(f"HTTP {status} {reason}".rstrip())
+        self.status = status
+
+
+class EndpointAddress(NamedTuple):
+    """Where an endpoint URL points: scheme, host, port and request target."""
+
+    scheme: str
+    host: str
+    port: Optional[int]
+    target: str
+
+
+def parse_endpoint_url(url: str) -> EndpointAddress:
+    """Split an ``http``/``https`` URL with a host; ValueError otherwise.
+
+    The request target keeps the URL's query string.
+    """
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https"):
+        raise ValueError(f"endpoint url {url!r} needs an http:// or https:// scheme")
+    if not parts.hostname:
+        raise ValueError(f"endpoint url {url!r} has no host")
+    if parts.username is not None:
+        raise ValueError(f"endpoint url {url!r} carries credentials, which are not sent")
+    port = parts.port  # ValueError for a port that is not a number in range
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    return EndpointAddress(parts.scheme, parts.hostname, port, target)
+
+
 @dataclass(frozen=True)
 class EndpointConfig:
     """Connection policy for the external segmenter."""
@@ -46,6 +85,7 @@ class EndpointConfig:
     def __post_init__(self) -> None:
         if not self.url:
             raise ValueError("endpoint url is required")
+        parse_endpoint_url(self.url)
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
         if self.max_retries < 0:
@@ -56,23 +96,54 @@ class EndpointConfig:
             raise ValueError("concurrency must be >= 1")
 
 
+# What one attempt can raise short of a programming error: socket errors and
+# timeouts (OSError), protocol errors, a bad status, or a body that is not
+# JSON with a string "text" field.
+_ATTEMPT_ERRORS = (
+    OSError, http.client.HTTPException, EndpointStatusError, ValueError, KeyError, TypeError
+)
+
+
 def _client_error(exc: Exception) -> bool:
     """A 4xx answer that the same request would get again.
 
     408 (request timeout) and 429 (too many requests) say "try later",
     so they are retried like 5xx answers and connection errors.
     """
-    if not isinstance(exc, requests.HTTPError) or exc.response is None:
+    if not isinstance(exc, EndpointStatusError):
         return False
-    status = exc.response.status_code
-    return 400 <= status < 500 and status not in (408, 429)
+    return 400 <= exc.status < 500 and exc.status not in (408, 429)
+
+
+def _closed_by_server(conn: http.client.HTTPConnection) -> bool:
+    """Whether an idle connection can no longer carry an exchange.
+
+    An idle socket that polls readable has seen the server's FIN (or stray
+    bytes).  A selector, unlike ``select.select``, takes descriptors past
+    FD_SETSIZE.
+    """
+    with selectors.DefaultSelector() as sel:
+        sel.register(conn.sock, selectors.EVENT_READ)
+        return bool(sel.select(0))
+
+
+def _response_text(status: int, reason: str, body: bytes) -> str:
+    if not 200 <= status < 300:
+        raise EndpointStatusError(status, reason)
+    text = json.loads(body)["text"]
+    if not isinstance(text, str):
+        raise ValueError(f"endpoint returned non-string text: {text!r}")
+    return text
 
 
 class ExternalSegmenter:
     """Window segmenter backed by a remote model over HTTP POST JSON.
 
     In-flight requests are bounded by a semaphore so pipelines with many
-    window workers cannot stampede the endpoint.
+    window workers cannot stampede the endpoint.  Idle keep-alive
+    connections are kept on the segmenter, not per thread, so they outlive
+    the thread pool of each document; the semaphore caps them at
+    ``concurrency``.
     """
 
     def __init__(
@@ -87,38 +158,54 @@ class ExternalSegmenter:
         self.delimiter = delimiter
         self._sleep = sleep
         self._gate = threading.BoundedSemaphore(config.concurrency)
-        self._local = threading.local()
+        self._address = parse_endpoint_url(config.url)
+        self._idle: list[http.client.HTTPConnection] = []
 
-    def _session(self) -> requests.Session:
-        if not hasattr(self._local, "session"):
-            self._local.session = requests.Session()
-        return self._local.session
+    def _connection(self) -> http.client.HTTPConnection:
+        """An idle connection the server has not closed, else a new one."""
+        while True:
+            try:
+                conn = self._idle.pop()
+            except IndexError:
+                break
+            if not _closed_by_server(conn):
+                return conn
+            conn.close()
+        scheme, host, port, _ = self._address
+        kind = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+        return kind(host, port, timeout=self.config.timeout)
 
-    def _post(self, payload: dict) -> str:
+    def _post(self, body: bytes) -> str:
         with self._gate:
-            resp = self._session().post(
-                self.config.url, json=payload, timeout=self.config.timeout
-            )
-        resp.raise_for_status()
-        data = resp.json()
-        text = data["text"]
-        if not isinstance(text, str):
-            raise ValueError(f"endpoint returned non-string text: {text!r}")
+            conn = self._connection()
+            try:
+                conn.request(
+                    "POST", self._address.target, body, {"Content-Type": "application/json"}
+                )
+                resp = conn.getresponse()
+                text = _response_text(resp.status, resp.reason, resp.read())
+            except BaseException:
+                conn.close()
+                raise
+            if resp.will_close:
+                conn.close()
+            else:
+                self._idle.append(conn)
         return text
 
     def generate(self, window: Sequence[str], info: WindowInfo = WindowInfo()) -> str:
         """The endpoint's raw generated text for one window, with retries."""
-        payload = {
+        body = json.dumps({
             "text": " ".join(window),
             "left_context": info.left_context,
             "right_context": info.right_context,
-        }
+        }).encode("utf-8")
         attempts = self.config.max_retries + 1
         last: Exception = RuntimeError("no attempts made")
         for attempt in range(attempts):
             try:
-                return self._post(payload)
-            except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
+                return self._post(body)
+            except _ATTEMPT_ERRORS as exc:
                 if _client_error(exc):
                     raise EndpointError(self.config.url, attempt + 1, exc) from exc
                 last = exc

@@ -27,6 +27,18 @@ def punctuated_doc(rng, n_sentences=(3, 5)):
     return " ".join(sentences) + "\n"
 
 
+def unwritable(tmp_path):
+    """A path under a regular file: any write there fails with NotADirectoryError."""
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    return blocker / "out"
+
+
+def assert_write_error(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def project(tmp_path_factory):
     """raw punctuated docs -> derived transcripts+labels -> trained model."""
@@ -103,6 +115,12 @@ class TestDeriveLabels:
         assert f"error: {bad}: no tokens survive normalization" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unwritable_out_dir_exit_1(self, project, tmp_path, capsys):
+        out = unwritable(tmp_path)
+        rc = main(["derive-labels", str(project / "raw" / "doc0.txt"), "--out-dir", str(out)])
+        assert rc == 1
+        assert_write_error(capsys, out)
+
 
 class TestTrain:
     def test_reports_epochs(self, project, capsys, tmp_path):
@@ -159,6 +177,20 @@ class TestTrain:
             ]
         )
         assert rc == 3
+
+    def test_unwritable_out_exit_1(self, project, tmp_path, capsys):
+        derived = project / "derived"
+        out = unwritable(tmp_path) / "m.bin"
+        rc = main(
+            [
+                "train", str(derived / "doc0.txt"),
+                "--labels", str(derived / "labels.tsv"),
+                "--out", str(out),
+                "--epochs", "1", "--hash-dims", "1024", "--orders", "2", "--radius", "1",
+            ]
+        )
+        assert rc == 1
+        assert_write_error(capsys, out)
 
 
 class TestSegment:
@@ -277,13 +309,11 @@ class TestSegment:
         assert len(read_labels_file(out / f"{first}.labels.tsv")[first]) == len(tokens)
 
     def test_unwritable_out_dir_exit_1(self, project, tmp_path, capsys):
-        blocker = tmp_path / "file"
-        blocker.write_text("not a directory\n")
+        out = unwritable(tmp_path)
         doc = project / "derived" / "doc0.txt"
-        rc = main(["segment", str(doc), "--out-dir", str(blocker / "out"), "--segmenter", "fixed"])
+        rc = main(["segment", str(doc), "--out-dir", str(out), "--segmenter", "fixed"])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {blocker / 'out'}: ") and "Traceback" not in err
+        assert_write_error(capsys, out)
 
     def test_replay_round_trip_scores_perfectly(self, project, capsys):
         derived = project / "derived"
@@ -420,6 +450,20 @@ class TestSegment:
         )
         assert rc == 4
         assert "error" in capsys.readouterr().err
+
+    def test_malformed_endpoint_url_exit_3(self, project, tmp_path, capsys):
+        rc = main(
+            [
+                "segment", str(project / "derived" / "doc0.txt"),
+                "--out-dir", str(tmp_path / "out"),
+                "--segmenter", "external",
+                "--endpoint-url", "localhost:8080/",
+                "--endpoint-fallback", "fixed",
+            ]
+        )
+        assert rc == 3
+        assert "http:// or https://" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_external_against_live_mock(self, project, tmp_path):
         derived = project / "derived"
@@ -566,6 +610,19 @@ class TestOracle:
         assert rc == 5
         err = capsys.readouterr().err
         assert "doc0" in err and "zzz" in err
+
+    def test_unwritable_out_exit_1(self, project, tmp_path, capsys):
+        out = unwritable(tmp_path) / "oracle.tsv"
+        rc = main(
+            [
+                "oracle",
+                "--references", str(project / "raw" / "doc0.txt"),
+                "--asr", str(project / "derived" / "doc0.txt"),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert_write_error(capsys, out)
 
 
 class TestEval:

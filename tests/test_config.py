@@ -173,6 +173,23 @@ class TestValidate:
         with pytest.raises(ConfigError, match="implies constraint LEVENSHTEIN, not FST"):
             validate(replace(cfg, constraint="FST"))
 
+    @pytest.mark.parametrize(
+        "url, message",
+        [
+            ("localhost:8080/", "scheme"),
+            ("ftp://host/", "scheme"),
+            ("http:///path", "no host"),
+            ("http://host:port/", "Port"),
+            ("http://user:pw@host/", "credentials"),
+        ],
+    )
+    def test_malformed_endpoint_url(self, url, message):
+        with pytest.raises(ConfigError, match=message):
+            validate(PipelineConfig(segmenter="external", endpoint_url=url))
+
+    def test_https_ipv6_url_with_query_accepted(self):
+        validate(PipelineConfig(segmenter="external", endpoint_url="https://[::1]:8443/gen?q=1"))
+
     @pytest.mark.parametrize("segmenter", ["autoregressive", "fixed", "replay"])
     def test_local_segmenters_imply_fst(self, segmenter):
         cfg = PipelineConfig(segmenter=segmenter, model_path="m", replay_labels="l")

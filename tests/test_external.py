@@ -1,10 +1,16 @@
 """External segmenter client against the mock HTTP endpoint."""
 
+import fcntl
+import http.client
+import json
 import random
+import socket
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from synth import make_document
 from windowseg.core import CONTINUE, SPLIT, SegmentationLabels, Transcript, encode_delimited
@@ -12,6 +18,7 @@ from windowseg.mock_endpoint import MockEndpoint, MockEndpointConfig, generate_r
 from windowseg.segmenters import (
     EndpointConfig,
     EndpointError,
+    EndpointStatusError,
     ExternalSegmenter,
     FixedLengthSegmenter,
 )
@@ -64,6 +71,11 @@ class TestEndpointConfig:
             EndpointConfig("http://x/", max_retries=-1)
         with pytest.raises(ValueError):
             EndpointConfig("http://x/", concurrency=0)
+
+    def test_url_needs_http_scheme_and_host(self):
+        for url in ("localhost:8080/", "ftp://x/", "http://"):
+            with pytest.raises(ValueError):
+                EndpointConfig(url)
 
 
 class TestSegmentPaths:
@@ -143,75 +155,192 @@ class TestRetries:
             seg.segment(TOKENS[:3])
 
 
-class StatusSession:
-    """Stands in for ``requests.Session``: answers each POST with the next
-    status code in turn (the last one repeats) and counts the calls."""
+class ScriptedServer:
+    """An in-test HTTP server answering each POST with the next status code
+    in turn (the last one repeats); counts calls and records request paths.
 
-    def __init__(self, *statuses):
-        self.statuses = statuses
+    ``close_each`` advertises HTTP/1.1 keep-alive but closes the connection
+    after every response, as a server dropping idle connections does.
+    """
+
+    def __init__(self, *statuses, protocol="HTTP/1.1", close_each=False):
+        self.statuses = statuses or (200,)
         self.calls = 0
+        self.paths = []
+        self.closed = threading.Semaphore(0)  # released once per closed connection
+        script = self
 
-    def post(self, url, json, timeout):
-        resp = requests.Response()
-        resp.status_code = self.statuses[min(self.calls, len(self.statuses) - 1)]
-        resp.url = url
-        resp._content = b'{"text": "tok0 tok1 tok2"}'
-        self.calls += 1
-        return resp
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = protocol
+            disable_nagle_algorithm = True
+
+            def do_POST(self):  # noqa: N802 - http.server API name
+                self.rfile.read(int(self.headers["Content-Length"]))
+                status = script.statuses[min(script.calls, len(script.statuses) - 1)]
+                script.calls += 1
+                script.paths.append(self.path)
+                body = b'{"text": "tok0 tok1 tok2"}'
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+                if close_each:
+                    self.close_connection = True
+
+            def log_message(self, fmt, *args):
+                pass
+
+        class Server(ThreadingHTTPServer):
+            daemon_threads = True
+
+            def shutdown_request(self, request):
+                super().shutdown_request(request)
+                script.closed.release()
+
+        self._server = Server(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self._server.server_address[1]}/"
+
+    def __enter__(self):
+        threading.Thread(target=self._server.serve_forever, args=(0.01,), daemon=True).start()
+        return self
+
+    def __exit__(self, *exc):
+        self._server.shutdown()
+        self._server.server_close()
 
 
-def stubbed(session, **kw):
+def scripted(server, **kw):
     sleeps = []
-    cfg, sleep = make_client("http://stub/", sleeps=sleeps, max_retries=3, **kw)
-    seg = ExternalSegmenter(cfg, sleep=sleep)
-    seg._session = lambda: session
-    return seg, sleeps
+    cfg, sleep = make_client(server.url, sleeps=sleeps, max_retries=3, **kw)
+    return ExternalSegmenter(cfg, sleep=sleep), sleeps
 
 
 class TestClientErrors:
     @pytest.mark.parametrize("status", [400, 401, 404, 422])
     def test_client_error_is_final(self, status):
-        session = StatusSession(status)
-        seg, sleeps = stubbed(session)
-        with pytest.raises(EndpointError) as exc:
-            seg.generate(TOKENS[:3])
-        assert session.calls == 1
+        with ScriptedServer(status) as server:
+            seg, sleeps = scripted(server)
+            with pytest.raises(EndpointError) as exc:
+                seg.generate(TOKENS[:3])
+        assert server.calls == 1
         assert sleeps == []
         assert exc.value.attempts == 1
-        assert isinstance(exc.value.cause, requests.HTTPError)
+        assert isinstance(exc.value.cause, EndpointStatusError)
+        assert exc.value.cause.status == status
 
     @pytest.mark.parametrize("status", [408, 429, 500, 503])
     def test_retryable_status_uses_the_budget(self, status):
-        session = StatusSession(status)
-        seg, sleeps = stubbed(session)
-        with pytest.raises(EndpointError) as exc:
-            seg.generate(TOKENS[:3])
-        assert session.calls == 4
+        with ScriptedServer(status) as server:
+            seg, sleeps = scripted(server)
+            with pytest.raises(EndpointError) as exc:
+                seg.generate(TOKENS[:3])
+        assert server.calls == 4
         assert exc.value.attempts == 4
+        assert exc.value.cause.status == status
         assert len(sleeps) == 3
 
     def test_retry_then_success(self):
-        session = StatusSession(429, 503, 200)
-        seg, sleeps = stubbed(session)
-        assert seg.generate(TOKENS[:3]) == "tok0 tok1 tok2"
-        assert session.calls == 3
+        with ScriptedServer(429, 503, 200) as server:
+            seg, sleeps = scripted(server)
+            assert seg.generate(TOKENS[:3]) == "tok0 tok1 tok2"
+        assert server.calls == 3
         assert sleeps == [0.01, 0.02]
 
     def test_client_error_after_retries_stops_there(self):
-        session = StatusSession(503, 404)
-        seg, sleeps = stubbed(session)
-        with pytest.raises(EndpointError) as exc:
-            seg.generate(TOKENS[:3])
-        assert session.calls == 2
+        with ScriptedServer(503, 404) as server:
+            seg, sleeps = scripted(server)
+            with pytest.raises(EndpointError) as exc:
+                seg.generate(TOKENS[:3])
+        assert server.calls == 2
         assert exc.value.attempts == 2
 
     def test_client_error_goes_to_fallback(self):
-        session = StatusSession(400)
-        seg, sleeps = stubbed(session)
-        seg.fallback = FixedLengthSegmenter(2)
-        assert seg.segment(TOKENS[:5]).split_positions() == (0, 2, 4)
-        assert session.calls == 1
+        with ScriptedServer(400) as server:
+            seg, sleeps = scripted(server)
+            seg.fallback = FixedLengthSegmenter(2)
+            assert seg.segment(TOKENS[:5]).split_positions() == (0, 2, 4)
+        assert server.calls == 1
         assert sleeps == []
+
+
+class TestConnections:
+    def test_query_string_reaches_the_server(self):
+        with ScriptedServer() as server:
+            seg = ExternalSegmenter(EndpointConfig(server.url + "gen?q=1"))
+            assert seg.generate(TOKENS[:3]) == "tok0 tok1 tok2"
+        assert server.paths == ["/gen?q=1"]
+
+    def test_windows_share_one_connection(self):
+        with ScriptedServer() as server:
+            seg, _ = scripted(server)
+            for _ in range(3):
+                seg.generate(TOKENS[:3])
+            assert server.closed.acquire(timeout=0.2) is False
+        assert server.calls == 3
+
+    def test_stale_keep_alive_reconnects_without_retrying(self):
+        # The server closes every connection after its response although it
+        # advertised keep-alive; reusing it would fail and cost a backoff.
+        with ScriptedServer(close_each=True) as server:
+            seg, sleeps = scripted(server)
+            for _ in range(3):
+                assert seg.generate(TOKENS[:3]) == "tok0 tok1 tok2"
+                assert server.closed.acquire(timeout=5)
+        assert server.calls == 3
+        assert sleeps == []
+
+    def test_idle_check_takes_descriptors_past_fd_setsize(self):
+        # select.select raises ValueError for a descriptor >= FD_SETSIZE
+        # (1024), which would cost every window a retry.
+        with ScriptedServer() as server:
+            seg, sleeps = scripted(server)
+            seg.generate(TOKENS[:3])
+            conn = seg._idle[0]
+            high = socket.socket(fileno=fcntl.fcntl(conn.sock.fileno(), fcntl.F_DUPFD, 1500))
+            high.settimeout(conn.sock.gettimeout())
+            conn.sock.close()
+            conn.sock = high
+            assert seg.generate(TOKENS[:3]) == "tok0 tok1 tok2"
+            assert seg._idle == [conn] and conn.sock is high
+        assert sleeps == []
+
+    def test_http10_server_closes_each_connection(self):
+        with ScriptedServer(protocol="HTTP/1.0") as server:
+            seg, sleeps = scripted(server)
+            for _ in range(3):
+                assert seg.generate(TOKENS[:3]) == "tok0 tok1 tok2"
+        assert server.calls == 3
+        assert sleeps == []
+        assert seg._idle == []
+
+    def test_stopped_mock_ends_kept_alive_connections(self):
+        ep = MockEndpoint(MockEndpointConfig(mode="echo")).start()
+        cfg, sleep = make_client(ep.url, max_retries=0, timeout=1)
+        seg = ExternalSegmenter(cfg, sleep=sleep)
+        assert seg.generate(TOKENS[:3]) == "tok0 tok1 tok2"
+        ep.stop()
+        with pytest.raises(EndpointError):
+            seg.generate(TOKENS[:3])
+
+    def test_mock_keeps_alive_without_nagle_stall(self):
+        # Under the Nagle/delayed-ACK stall each exchange takes ~40 ms.
+        body = json.dumps({"text": " ".join(TOKENS)}).encode()
+        with MockEndpoint(MockEndpointConfig(mode="rule")) as ep:
+            conn = http.client.HTTPConnection(*ep._server.server_address[:2], timeout=5)
+            try:
+                t0 = time.perf_counter()
+                socks = []
+                for _ in range(20):
+                    conn.request("POST", "/", body, {"Content-Type": "application/json"})
+                    resp = conn.getresponse()
+                    assert resp.status == 200 and json.loads(resp.read())["text"]
+                    socks.append(conn.sock)
+                elapsed = time.perf_counter() - t0
+            finally:
+                conn.close()
+        assert socks[0] is not None and all(sock is socks[0] for sock in socks)
+        assert elapsed < 0.4
 
 
 class TestConcurrency:
