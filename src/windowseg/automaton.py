@@ -4,9 +4,8 @@ For a window of tokens ``x_0 .. x_{w-1}`` the acceptor recognizes exactly
 the delimiter-insertions of the window: at every token position the path
 either consumes the token directly or takes a detour that consumes the
 delimiter and then the token.  The shape is a sawtooth: one main state per
-position plus one detour state per permitted delimiter slot.  Any search
-procedure restricted to its arcs therefore emits well-formed output by
-construction.
+position plus one detour state per delimiter slot.  Any search procedure
+restricted to its arcs therefore emits well-formed output by construction.
 
 Searches are generic over an autoregressive symbol scorer, so the same
 machinery serves greedy decoding, beam search with ranked n-best output,
@@ -26,7 +25,7 @@ higher score first, ties toward fewer and later delimiters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterator, Optional, Protocol, Sequence, runtime_checkable
 
@@ -38,44 +37,27 @@ Arc = tuple[str, int, bool]
 
 @dataclass(frozen=True)
 class SegAutomaton:
-    """Deterministic acceptor of all segmentations of one token window."""
+    """Deterministic acceptor of all segmentations of one token window.
+
+    ``rows[state]`` lists the arcs leaving ``state`` in search order: the
+    token arc before the delimiter arc, a stable expansion order matching
+    the tie-break preference for no delimiter.
+    """
 
     tokens: tuple[str, ...]
     delimiter: str
     start: int
     final: int
-    arcs: tuple[dict[str, int], ...]  # arcs[state][symbol] -> next state
-    # Per-state arcs in search order: token arc before delimiter arc, a
-    # stable expansion order matching the tie-break preference for no
-    # delimiter.
-    _ordered: tuple[tuple[Arc, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        delimiter = self.delimiter
-        ordered = []
-        for arcs in self.arcs:
-            row = [(sym, nxt, False) for sym, nxt in arcs.items() if sym != delimiter]
-            detour = arcs.get(delimiter)
-            if detour is not None:
-                row.append((delimiter, detour, True))
-            ordered.append(tuple(row))
-        object.__setattr__(self, "_ordered", tuple(ordered))
+    rows: tuple[tuple[Arc, ...], ...]
 
     @property
     def num_states(self) -> int:
-        return len(self.arcs)
+        return len(self.rows)
 
-    def allowed_symbols(self, state: int) -> frozenset[str]:
-        """Arc labels leaving ``state``; empty only at the final state."""
-        if not 0 <= state < len(self.arcs):
-            raise ValueError(f"unknown state {state}")
-        return frozenset(self.arcs[state])
-
-    def step(self, state: int, symbol: str) -> int:
-        nxt = self.arcs[state].get(symbol)
-        if nxt is None:
-            raise ValueError(f"no arc labeled {symbol!r} from state {state}")
-        return nxt
+    @property
+    def arcs(self) -> tuple[dict[str, int], ...]:
+        """``arcs[state][symbol] -> next state``, derived from ``rows``."""
+        return tuple({sym: nxt for sym, nxt, _ in row} for row in self.rows)
 
     def enumerate_strings(self) -> Iterator[tuple[str, ...]]:
         """All accepted symbol strings, in depth-first token-before-delimiter order."""
@@ -85,51 +67,31 @@ class SegAutomaton:
             if state == self.final:
                 yield emitted
                 continue
-            for sym in sorted(self.arcs[state], key=lambda s: s == self.delimiter, reverse=True):
-                stack.append((self.arcs[state][sym], emitted + (sym,)))
-
-    def to_arc_format(self) -> str:
-        """Text arc table for external FST tooling: ``src dst input output`` lines
-        plus one line naming each final state."""
-        lines = []
-        for state in range(len(self.arcs)):
-            for sym, nxt in sorted(self.arcs[state].items()):
-                lines.append(f"{state} {nxt} {sym} {sym}")
-        lines.append(str(self.final))
-        return "\n".join(lines) + "\n"
+            for sym, nxt, _ in reversed(self.rows[state]):
+                stack.append((nxt, emitted + (sym,)))
 
 
 def build_automaton(
-    window_tokens: Sequence[str],
-    delimiter: str = DEFAULT_DELIMITER,
-    allow_initial_delimiter: bool = False,
+    window_tokens: Sequence[str], delimiter: str = DEFAULT_DELIMITER
 ) -> SegAutomaton:
     """Build the sawtooth acceptor for one window.
 
-    By default the delimiter slot before token 0 is suppressed (the global
-    convention: a segment always opens there), giving 2^(w-1) accepted
-    strings; with ``allow_initial_delimiter`` the language doubles.  An
-    empty window yields the single-state acceptor of the empty string.
+    Main states ``0..w`` consume the tokens in order; state ``w + i`` is the
+    detour for the delimiter slot before token ``i`` (``0 < i < w``).  The
+    slot before token 0 is absent (the global convention: a segment always
+    opens there), giving 2^(w-1) accepted strings.  An empty window yields
+    the single-state acceptor of the empty string.
     """
     tokens = tuple(window_tokens)
     for tok in tokens:
-        if tok == delimiter or delimiter in tok:
+        if delimiter in tok:
             raise ValueError(f"token collides with the delimiter: {tok!r}")
     w = len(tokens)
-    arcs: list[dict[str, int]] = [{} for _ in range(w + 1)]
-    for i in range(w):
-        arcs[i][tokens[i]] = i + 1
-        if i > 0 or allow_initial_delimiter:
-            detour = len(arcs)
-            arcs.append({tokens[i]: i + 1})
-            arcs[i][delimiter] = detour
-    return SegAutomaton(
-        tokens=tokens,
-        delimiter=delimiter,
-        start=0,
-        final=w,
-        arcs=tuple(arcs),
-    )
+    token_arcs = [(tok, i + 1, False) for i, tok in enumerate(tokens)]
+    rows = [(arc, (delimiter, w + i, True)) if i else (arc,) for i, arc in enumerate(token_arcs)]
+    rows.append(())
+    rows += [(arc,) for arc in token_arcs[1:]]
+    return SegAutomaton(tokens=tokens, delimiter=delimiter, start=0, final=w, rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -175,11 +137,11 @@ class Hypothesis:
     """A scored path prefix through the automaton.
 
     ``decisions`` records the segmentation decision per consumed token
-    (position 0 is always 1: its delimiter is implied even when
-    suppressed); ``pending`` is set between a delimiter and the token
-    that completes it.  ``parent`` is the hypothesis this one extends by
-    the arc labeled ``symbol`` (both None at the start state), and
-    ``emitted`` follows those links back, so it costs O(w) per read.
+    (position 0 is always 1: its delimiter is implied); ``pending`` is
+    set between a delimiter and the token that completes it.  ``parent``
+    is the hypothesis this one extends by the arc labeled ``symbol`` (both
+    None at the start state), and ``emitted`` follows those links back, so
+    it costs O(w) per read.
 
     ``key`` is the beam ranking, computed once:
     ``(-score, decisions + (1,) if pending else decisions)``.  Higher score
@@ -267,8 +229,8 @@ def _extend(hyp: Hypothesis, arc: Arc, step_score: float) -> Hypothesis:
     symbol, nxt, is_delimiter = arc
     if is_delimiter:
         return Hypothesis(nxt, hyp.score + step_score, hyp.decisions, True, hyp, symbol)
-    # Position 0 always opens a segment even though its delimiter is
-    # suppressed; recording it as 1 keeps scorer decision histories
+    # Position 0 always opens a segment though no delimiter arc leads to
+    # it; recording it as 1 keeps scorer decision histories
     # consistent with document-level labelings.  A pending hypothesis's
     # key already holds the decisions its token arc leads to.
     if hyp.pending:
@@ -294,12 +256,12 @@ def _labels(hyp: Hypothesis) -> SegmentationLabels:
 
 def _greedy_hypothesis(a: SegAutomaton, scorer: SymbolScorer) -> Hypothesis:
     score_symbol = scorer.score_symbol
-    ordered = a._ordered
+    rows = a.rows
     hyp = Hypothesis(a.start, 0.0)
     while hyp.state != a.final:
         best_arc = None
         best_score = -math.inf
-        for arc in ordered[hyp.state]:
+        for arc in rows[hyp.state]:
             s = score_symbol(hyp, arc[0])
             if s != s:
                 raise _nan_error(arc[0], hyp.state)
@@ -320,13 +282,13 @@ def _search_beam(
     if a.start == a.final:
         return [(_labels(active[0]), 0.0)]
     score_symbol = scorer.score_symbol
-    ordered = a._ordered
+    rows = a.rows
     final = a.final
     while active:
         candidates: list[Hypothesis] = []
         completed = len(finished)
         for hyp in active:
-            for arc in ordered[hyp.state]:
+            for arc in rows[hyp.state]:
                 s = score_symbol(hyp, arc[0])
                 if s != s:
                     raise _nan_error(arc[0], hyp.state)
@@ -359,7 +321,7 @@ def _exact_hypothesis(a: SegAutomaton, scorer: SymbolScorer) -> Hypothesis:
     # only the one with the smaller key can lead to the optimum.
     history = getattr(scorer, "history", None)
     score_symbol = scorer.score_symbol
-    ordered = a._ordered
+    rows = a.rows
     finished: list[Hypothesis] = []
     layer = [Hypothesis(a.start, 0.0)]
     while layer:
@@ -368,7 +330,7 @@ def _exact_hypothesis(a: SegAutomaton, scorer: SymbolScorer) -> Hypothesis:
             if hyp.state == a.final:
                 finished.append(hyp)
                 continue
-            for arc in ordered[hyp.state]:
+            for arc in rows[hyp.state]:
                 s = score_symbol(hyp, arc[0])
                 if s != s:
                     raise _nan_error(arc[0], hyp.state)

@@ -64,6 +64,14 @@ def _write_failed(exc: OSError, path: Path) -> int:
     return _fail(f"{exc.filename or path}: {exc.strerror or exc}", EXIT_DATA)
 
 
+def _read_utf8(path: Path) -> str:
+    """``path``'s text; a ValueError naming ``path`` if it is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _missing_inputs(paths: Sequence[Path]) -> Optional[int]:
     missing = [p for p in paths if not p.is_file()]
     for p in missing:
@@ -112,7 +120,10 @@ def cmd_segment(args: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_BAD_CONFIG)
 
     for path in args.inputs:
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = _read_utf8(path)
+        except ValueError as exc:
+            return _fail(str(exc), EXIT_DATA)
         tokens = normalize_text(text) if cfg.normalize else text.split()
         doc = path.stem
         seg = segmenter
@@ -131,6 +142,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
             labels = segment_tokens(tokens, seg, cfg.window, cfg.workers)
         except EndpointError as exc:
             return _fail(str(exc), EXIT_ENDPOINT)
+        except ValueError as exc:  # e.g. a token holding the delimiter
+            return _fail(f"{path}: {exc}", EXIT_DATA)
         lines = render_segments(tokens, labels)
         try:
             _write_document(args.out_dir, doc, lines, labels)
@@ -181,7 +194,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     corpus = []
     unpaired = []
     for path in args.inputs:
-        transcript = read_transcript(path)
+        try:
+            transcript = read_transcript(path)
+        except ValueError as exc:  # not UTF-8, or a token holding the delimiter
+            return _fail(f"{path}: {exc}", EXIT_DATA)
         if transcript.source_id not in labels_map:
             unpaired.append(transcript.source_id)
             continue
@@ -230,7 +246,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     try:
         save_model(result.model, args.out)
     except OSError as exc:
-        return _write_failed(exc, args.out)
+        # Name --out, not the temporary the failed write may have been to.
+        return _fail(f"{args.out}: {exc.strerror or exc}", EXIT_DATA)
     print(f"wrote model: {args.out}")
     return 0
 
@@ -291,8 +308,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     rule = _rule(args.abbreviations)
     rows = []
     for stem in sorted(refs):
-        reference = refs[stem].read_text(encoding="utf-8")
-        asr_text = asrs[stem].read_text(encoding="utf-8")
+        try:
+            reference, asr_text = _read_utf8(refs[stem]), _read_utf8(asrs[stem])
+        except ValueError as exc:
+            return _fail(str(exc), EXIT_DATA)
         tokens = normalize_text(asr_text) if args.normalize else asr_text.split()
         try:
             labels = project_oracle(reference, tokens, rule)

@@ -9,6 +9,7 @@ once, with errors that name the offending key.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -185,12 +186,12 @@ def validate(cfg: PipelineConfig, check_files: bool = True) -> None:
         raise ConfigError(str(exc))
     if cfg.segment_len < 1:
         raise ConfigError("segment_len must be >= 1")
-    if cfg.endpoint_timeout <= 0:
-        raise ConfigError("endpoint_timeout must be positive")
+    if not 0 < cfg.endpoint_timeout < math.inf:  # also rejects NaN
+        raise ConfigError("endpoint_timeout must be positive and finite")
     if cfg.endpoint_retries < 0:
         raise ConfigError("endpoint_retries must be >= 0")
-    if cfg.endpoint_backoff < 0:
-        raise ConfigError("endpoint_backoff must be >= 0")
+    if not 0 <= cfg.endpoint_backoff < math.inf:
+        raise ConfigError("endpoint_backoff must be >= 0 and finite")
     if cfg.endpoint_concurrency < 1:
         raise ConfigError("endpoint_concurrency must be >= 1")
     if cfg.workers < 0:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import selectors
 import threading
 import time
@@ -86,12 +87,12 @@ class EndpointConfig:
         if not self.url:
             raise ValueError("endpoint url is required")
         parse_endpoint_url(self.url)
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout < math.inf:  # also rejects NaN
+            raise ValueError("timeout must be positive and finite")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff < 0:
-            raise ValueError("backoff must be >= 0")
+        if not 0 <= self.backoff < math.inf:
+            raise ValueError("backoff must be >= 0 and finite")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
 

@@ -11,6 +11,7 @@ locally normalized conditionals.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -29,7 +30,12 @@ PAD_RIGHT = "</s>"
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Feature space geometry; fixed at training time and stored with the model."""
+    """Feature space geometry; fixed at training time and stored with the model.
+
+    Every field must fit the v1 model file: ``hash_dims`` and ``salt`` in 32
+    bits; ``context_radius``, ``history``, each n-gram order and the number
+    of orders in one byte.
+    """
 
     hash_dims: int = 2 ** 20
     ngram_orders: tuple[int, ...] = (2, 3, 4)
@@ -39,12 +45,14 @@ class FeatureConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ngram_orders", tuple(self.ngram_orders))
-        if self.hash_dims < 1:
-            raise ValueError("hash_dims must be >= 1")
-        if not self.ngram_orders or any(o < 1 for o in self.ngram_orders):
-            raise ValueError("ngram orders must be positive")
-        if self.context_radius < 0 or self.history < 0:
-            raise ValueError("context_radius and history must be >= 0")
+        if not 1 <= self.hash_dims <= 0xFFFFFFFF:
+            raise ValueError("hash_dims must be in [1, 2**32 - 1]")
+        if not 1 <= len(self.ngram_orders) <= 255:
+            raise ValueError("there must be 1 to 255 ngram orders")
+        if any(not 1 <= o <= 255 for o in self.ngram_orders):
+            raise ValueError("ngram orders must be in [1, 255]")
+        if not (0 <= self.context_radius <= 255 and 0 <= self.history <= 255):
+            raise ValueError("context_radius and history must be in [0, 255]")
         if not 0 <= self.salt <= 0xFFFFFFFF:
             raise ValueError("salt must fit in 32 bits")
 
@@ -342,15 +350,25 @@ _PAIR = struct.Struct("<Id")
 
 
 def save_model(model: FeatureModel, path: Union[str, Path]) -> None:
-    """Write the versioned binary model file (sparse nonzero weights)."""
+    """Write the versioned binary model file (sparse nonzero weights).
+
+    The file is written to a temporary next to ``path`` and renamed into
+    place, so a failed save leaves no partial model behind.
+    """
     cfg = model.config
     nonzero = np.nonzero(model.weights)[0]
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, cfg.hash_dims, len(cfg.ngram_orders)))
-        fh.write(bytes(cfg.ngram_orders))
-        fh.write(_TAIL.pack(cfg.context_radius, cfg.history, cfg.salt, len(nonzero)))
-        for fid in nonzero:
-            fh.write(_PAIR.pack(int(fid), float(model.weights[fid])))
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(temp, "wb") as fh:
+            fh.write(_HEADER.pack(_MAGIC, _VERSION, cfg.hash_dims, len(cfg.ngram_orders)))
+            fh.write(bytes(cfg.ngram_orders))
+            fh.write(_TAIL.pack(cfg.context_radius, cfg.history, cfg.salt, len(nonzero)))
+            for fid in nonzero:
+                fh.write(_PAIR.pack(int(fid), float(model.weights[fid])))
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 def load_model(path: Union[str, Path]) -> FeatureModel:
@@ -370,13 +388,15 @@ def load_model(path: Union[str, Path]) -> FeatureModel:
     off = _HEADER.size
     orders = tuple(blob[off:off + n_orders])
     off += n_orders
+    if len(blob) < off + _TAIL.size:
+        raise ValueError(f"{path}: truncated model file")
     radius, history, salt, count = _TAIL.unpack_from(blob, off)
     off += _TAIL.size
     cfg = FeatureConfig(hash_dims, orders, radius, history, salt)
-    weights = np.zeros(hash_dims)
     expected = off + count * _PAIR.size
     if len(blob) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")
+    weights = np.zeros(hash_dims)
     for _ in range(count):
         fid, w = _PAIR.unpack_from(blob, off)
         off += _PAIR.size

@@ -35,14 +35,19 @@ def toks(w: int) -> tuple[str, ...]:
     return tuple(f"t{i}" for i in range(w))
 
 
-def sorted_arcs(a: SegAutomaton):
-    """Reference search order: a stable sort putting the delimiter arc last."""
+def dict_built_rows(tokens, d=DEFAULT_DELIMITER):
+    """Reference rows: the acceptor grown state by state as per-state dicts,
+    each then stably sorted to put the delimiter arc last."""
+    w = len(tokens)
+    arcs = [{} for _ in range(w + 1)]
+    for i in range(w):
+        arcs[i][tokens[i]] = i + 1
+        if i > 0:
+            arcs.append({tokens[i]: i + 1})
+            arcs[i][d] = len(arcs) - 1
     return tuple(
-        tuple(
-            (sym, arcs[sym], sym == a.delimiter)
-            for sym in sorted(arcs, key=lambda s: s == a.delimiter)
-        )
-        for arcs in a.arcs
+        tuple((sym, row[sym], sym == d) for sym in sorted(row, key=lambda s: s == d))
+        for row in arcs
     )
 
 
@@ -57,7 +62,6 @@ class TestBuild:
         for w in range(1, 8):
             a = build_automaton(toks(w))
             assert a.num_states == 2 * w
-            assert build_automaton(toks(w), allow_initial_delimiter=True).num_states == 2 * w + 1
 
     def test_delimiter_collision_rejected(self):
         with pytest.raises(ValueError):
@@ -69,40 +73,15 @@ class TestBuild:
         a = build_automaton(("a", "a", "a"))
         assert len(list(a.enumerate_strings())) == 4
 
-    def test_allowed_symbols(self):
-        a = build_automaton(toks(2))
-        assert a.allowed_symbols(0) == {"t0"}
-        assert a.allowed_symbols(1) == {"t1", DEFAULT_DELIMITER}
-        assert a.allowed_symbols(a.final) == frozenset()
-        with pytest.raises(ValueError):
-            a.allowed_symbols(99)
-
-    def test_step(self):
-        a = build_automaton(toks(2))
-        assert a.step(0, "t0") == 1
-        with pytest.raises(ValueError):
-            a.step(0, DEFAULT_DELIMITER)
-
-    @pytest.mark.parametrize("initial", [False, True])
     @pytest.mark.parametrize("window", [(), ("a",), ("a", "a", "b"), toks(9)])
-    def test_arc_order_is_token_then_delimiter(self, window, initial):
-        a = build_automaton(window, allow_initial_delimiter=initial)
-        assert a._ordered == sorted_arcs(a)
+    def test_arc_order_is_token_then_delimiter(self, window):
+        a = build_automaton(window)
+        assert a.rows == dict_built_rows(window)
 
-    def test_arc_order_on_hand_built_automaton(self):
-        # Several non-delimiter arcs keep dict order; the delimiter goes last
-        # wherever it was inserted.
+    def test_arcs_view_matches_rows(self):
         d = DEFAULT_DELIMITER
-        arcs = ({d: 3, "b": 1, "a": 2}, {"c": 2}, {}, {"z": 1, d: 2, "y": 0})
-        a = SegAutomaton(("a",), d, start=0, final=2, arcs=arcs)
-        assert a._ordered == sorted_arcs(a)
-        assert a._ordered[0] == (("b", 1, False), ("a", 2, False), (d, 3, True))
-
-    def test_arc_format(self):
-        text = build_automaton(("a", "b")).to_arc_format()
-        lines = text.strip().splitlines()
-        assert lines[-1] == "2"  # final state
-        assert f"1 3 {DEFAULT_DELIMITER} {DEFAULT_DELIMITER}" in lines
+        a = build_automaton(("a", "b", "c"))
+        assert a.arcs == ({"a": 1}, {"b": 2, d: 4}, {"c": 3, d: 5}, {}, {"b": 2}, {"c": 3})
 
 
 class TestLanguage:
@@ -110,11 +89,6 @@ class TestLanguage:
         for w in range(1, 8):
             a = build_automaton(toks(w))
             assert len(set(a.enumerate_strings())) == 2 ** (w - 1)
-
-    def test_initial_delimiter_doubles(self):
-        for w in range(1, 6):
-            a = build_automaton(toks(w), allow_initial_delimiter=True)
-            assert len(set(a.enumerate_strings())) == 2 ** w
 
     def test_every_string_wellformed(self):
         for w in range(0, 7):
@@ -150,9 +124,9 @@ class TestComposeProject:
         composed = fstref.composed_segmentation_fsa(toks(w), DEFAULT_DELIMITER)
         assert set(fstref.accepted_strings(composed)) == direct
 
-    def test_not_isomorphic_to_initial_delimiter_variant(self):
-        direct = build_automaton(toks(3), allow_initial_delimiter=True)
-        composed = fstref.composed_segmentation_fsa(toks(3), DEFAULT_DELIMITER)
+    def test_not_isomorphic_to_another_window(self):
+        direct = build_automaton(toks(3))
+        composed = fstref.composed_segmentation_fsa(("t0", "t2", "t1"), DEFAULT_DELIMITER)
         assert not fstref.isomorphic(
             direct.start,
             {i: dict(direct.arcs[i]) for i in range(direct.num_states)},
@@ -214,7 +188,7 @@ class TestSearch:
 
     def test_dead_end_state_rejected(self):
         a = build_automaton(toks(2))
-        dead = SegAutomaton(a.tokens, a.delimiter, a.start, a.final, ({}, *a.arcs[1:]))
+        dead = SegAutomaton(a.tokens, a.delimiter, a.start, a.final, ((), *a.rows[1:]))
         with pytest.raises(ValueError, match="state 0 has no arcs and is not final"):
             constrained_search(dead, ConstantScorer(), GREEDY)
 
@@ -249,26 +223,22 @@ class TestSearch:
         assert math.isclose(score, want_score, rel_tol=0, abs_tol=1e-9)
 
     @pytest.mark.parametrize("h", [0, 1, 2, 3])
-    @pytest.mark.parametrize("initial", [False, True])
-    def test_merged_search_matches_enumeration(self, h, initial):
+    def test_merged_search_matches_enumeration(self, h):
         # The same scores with and without ``history``: merging hypotheses
         # must find the path (score and tie-break) that enumeration finds.
         # Dyadic scores sum exactly, so ties are real and frequent.
         for seed in range(40):
             n = seed % 10 + 1
-            a = build_automaton(toks(n), allow_initial_delimiter=initial)
+            a = build_automaton(toks(n))
             merged = constrained_search(a, MarkovScorer(h, seed), EXACT)
             assert merged == constrained_search(a, MarkovScorer(h, seed, declare=False), EXACT)
 
     @pytest.mark.parametrize("h", [0, 1, 2, 4, 6])
     def test_exact_score_calls_bounded_by_history(self, h):
         for w in (1, 7, 40):
-            for initial in (False, True):
-                scorer = MarkovScorer(h, w)
-                constrained_search(
-                    build_automaton(toks(w), allow_initial_delimiter=initial), scorer, EXACT
-                )
-                assert scorer.calls <= 3 * w * 2 ** h
+            scorer = MarkovScorer(h, w)
+            constrained_search(build_automaton(toks(w)), scorer, EXACT)
+            assert scorer.calls <= 3 * w * 2 ** h
 
     def test_exact_accepts_unnormalized_scores(self):
         # Every delimiter adds +0.3, so the optimum splits everywhere.

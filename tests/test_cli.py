@@ -12,6 +12,7 @@ from synth import make_sentence
 from windowseg import cli, pipeline
 from windowseg.cli import _segment_overrides, build_parser, main
 from windowseg.config import PipelineConfig, load_config
+from windowseg.core import DEFAULT_DELIMITER
 from windowseg.dataio import read_labels_file, write_labels_file
 from windowseg.mock_endpoint import MockEndpoint, MockEndpointConfig
 from windowseg.segmenters.features import FeatureConfig, FeatureModel, save_model
@@ -34,7 +35,8 @@ def unwritable(tmp_path):
     return blocker / "out"
 
 
-def assert_write_error(capsys, path):
+def assert_path_error(capsys, path):
+    """One ``error: <path>: <reason>`` message and no traceback."""
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
@@ -119,7 +121,7 @@ class TestDeriveLabels:
         out = unwritable(tmp_path)
         rc = main(["derive-labels", str(project / "raw" / "doc0.txt"), "--out-dir", str(out)])
         assert rc == 1
-        assert_write_error(capsys, out)
+        assert_path_error(capsys, out)
 
 
 class TestTrain:
@@ -190,7 +192,70 @@ class TestTrain:
             ]
         )
         assert rc == 1
-        assert_write_error(capsys, out)
+        assert_path_error(capsys, out)
+
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--radius", "256"), ("--history", "300"), ("--orders", "2,300"),
+        ("--hash-dims", str(2 ** 32)),
+    ])
+    def test_flags_the_model_file_cannot_store_exit_3(
+        self, project, tmp_path, capsys, flag, value
+    ):
+        derived = project / "derived"
+        out = tmp_path / "m.bin"
+        rc = main(
+            [
+                "train", str(derived / "doc0.txt"),
+                "--labels", str(derived / "labels.tsv"),
+                "--out", str(out),
+                flag, value,
+            ]
+        )
+        assert rc == 3
+        assert "epoch" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_truncated_warm_start_exit_1(self, project, tmp_path, capsys):
+        derived = project / "derived"
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes((project / "model.bin").read_bytes()[:11])
+        rc = main(
+            [
+                "train", str(derived / "doc0.txt"),
+                "--labels", str(derived / "labels.tsv"),
+                "--out", str(tmp_path / "m.bin"),
+                "--warm-start", str(cut),
+            ]
+        )
+        assert rc == 1
+        assert_path_error(capsys, cut)
+
+    def test_non_utf8_transcript_exit_1(self, project, tmp_path, capsys):
+        bad = tmp_path / "doc0.txt"
+        bad.write_bytes(b"alpha \xff bravo\n")
+        rc = main(
+            [
+                "train", str(bad),
+                "--labels", str(project / "derived" / "labels.tsv"),
+                "--out", str(tmp_path / "m.bin"),
+            ]
+        )
+        assert rc == 1
+        assert_path_error(capsys, bad)
+
+    def test_delimiter_in_transcript_exit_1(self, project, tmp_path, capsys):
+        bad = tmp_path / "doc0.txt"
+        bad.write_text(f"alpha b{DEFAULT_DELIMITER}c\n", encoding="utf-8")
+        rc = main(
+            [
+                "train", str(bad),
+                "--labels", str(project / "derived" / "labels.tsv"),
+                "--out", str(tmp_path / "m.bin"),
+            ]
+        )
+        assert rc == 1
+        assert_path_error(capsys, bad)
 
 
 class TestSegment:
@@ -313,7 +378,7 @@ class TestSegment:
         doc = project / "derived" / "doc0.txt"
         rc = main(["segment", str(doc), "--out-dir", str(out), "--segmenter", "fixed"])
         assert rc == 1
-        assert_write_error(capsys, out)
+        assert_path_error(capsys, out)
 
     def test_replay_round_trip_scores_perfectly(self, project, capsys):
         derived = project / "derived"
@@ -407,6 +472,68 @@ class TestSegment:
         )
         assert rc == 3
         assert "feature id 0 has non-finite weight nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_truncated_model_exit_3(self, project, tmp_path, capsys):
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes((project / "model.bin").read_bytes()[:11])
+        rc = main(
+            [
+                "segment", str(project / "derived" / "doc0.txt"),
+                "--out-dir", str(tmp_path / "out"),
+                "--segmenter", "autoregressive",
+                "--model", str(cut),
+            ]
+        )
+        assert rc == 3
+        assert_path_error(capsys, cut)
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_input_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "doc.txt"
+        bad.write_bytes(b"alpha \xff bravo\n")
+        rc = main(["segment", str(bad), "--out-dir", str(tmp_path / "out"), "--segmenter", "fixed"])
+        assert rc == 1
+        assert_path_error(capsys, bad)
+        assert not (tmp_path / "out").exists()
+
+    def test_delimiter_in_unnormalized_token_exit_1(self, project, tmp_path, capsys):
+        bad = tmp_path / "doc.txt"
+        bad.write_text(f"alpha b{DEFAULT_DELIMITER}c delta\n", encoding="utf-8")
+        rc = main(
+            [
+                "segment", str(bad),
+                "--out-dir", str(tmp_path / "out"),
+                "--segmenter", "autoregressive",
+                "--model", str(project / "model.bin"),
+                "--no-normalize",
+            ]
+        )
+        assert rc == 1
+        assert_path_error(capsys, bad)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["endpoint_timeout", "endpoint_backoff"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_non_finite_endpoint_setting_exit_3(
+        self, project, tmp_path, capsys, key, value, via
+    ):
+        args = [
+            "segment", str(project / "derived" / "doc0.txt"),
+            "--out-dir", str(tmp_path / "out"),
+            "--segmenter", "external",
+            "--endpoint-url", "http://127.0.0.1:1/",
+            "--endpoint-fallback", "fixed",
+        ]
+        if via == "flag":
+            args += ["--" + key.replace("_", "-"), value]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: float(value)}))  # NaN / Infinity literals
+            args += ["--config", str(cfg)]
+        assert main(args) == 3
+        assert f"{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_input(self, project, tmp_path, capsys):
@@ -611,6 +738,26 @@ class TestOracle:
         err = capsys.readouterr().err
         assert "doc0" in err and "zzz" in err
 
+    @pytest.mark.parametrize("side", ["references", "asr"])
+    def test_non_utf8_input_exit_1(self, project, tmp_path, capsys, side):
+        bad = tmp_path / "doc0.txt"
+        bad.write_bytes(b"Alpha \xff bravo.\n")
+        inputs = {"references": project / "raw" / "doc0.txt",
+                  "asr": project / "derived" / "doc0.txt"}
+        inputs[side] = bad
+        out = tmp_path / "o.tsv"
+        rc = main(
+            [
+                "oracle",
+                "--references", str(inputs["references"]),
+                "--asr", str(inputs["asr"]),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert_path_error(capsys, bad)
+        assert not out.exists()
+
     def test_unwritable_out_exit_1(self, project, tmp_path, capsys):
         out = unwritable(tmp_path) / "oracle.tsv"
         rc = main(
@@ -622,7 +769,7 @@ class TestOracle:
             ]
         )
         assert rc == 1
-        assert_write_error(capsys, out)
+        assert_path_error(capsys, out)
 
 
 class TestEval:

@@ -1,6 +1,7 @@
 """Configuration resolution and validation."""
 
 import json
+import math
 import os
 from dataclasses import replace
 
@@ -142,6 +143,15 @@ class TestValidate:
     def test_field_errors(self, kw, message):
         with pytest.raises(ConfigError, match=message):
             validate(self.base(**kw))
+
+    @pytest.mark.parametrize("key", ["endpoint_timeout", "endpoint_backoff"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_endpoint_settings(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be .* finite"):
+            validate(self.base(**{key: value}))
+        # JSON's NaN and Infinity literals reach validate the same way.
+        with pytest.raises(ConfigError, match=key):
+            validate(load_config(write_json(tmp_path, {key: value})))
 
     def test_autoregressive_requires_model(self):
         cfg = PipelineConfig(segmenter="autoregressive")

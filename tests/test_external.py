@@ -3,6 +3,7 @@
 import fcntl
 import http.client
 import json
+import math
 import random
 import socket
 import threading
@@ -71,6 +72,12 @@ class TestEndpointConfig:
             EndpointConfig("http://x/", max_retries=-1)
         with pytest.raises(ValueError):
             EndpointConfig("http://x/", concurrency=0)
+
+    @pytest.mark.parametrize("key", ["timeout", "backoff"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be .* finite"):
+            EndpointConfig("http://x/", **{key: value})
 
     def test_url_needs_http_scheme_and_host(self):
         for url in ("localhost:8080/", "ftp://x/", "http://"):

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,6 +46,25 @@ class TestConfig:
             FeatureConfig(context_radius=-1)
         with pytest.raises(ValueError):
             FeatureConfig(salt=2 ** 32)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(hash_dims=2 ** 32),
+            dict(context_radius=256),
+            dict(history=256),
+            dict(ngram_orders=(2, 256)),
+            dict(ngram_orders=(1,) * 256),
+        ],
+    )
+    def test_rejects_what_the_model_file_cannot_store(self, kw):
+        # Construction only: no weights are allocated.
+        with pytest.raises(ValueError):
+            FeatureConfig(**kw)
+
+    def test_model_file_limits_accepted(self):
+        FeatureConfig(hash_dims=2 ** 32 - 1, context_radius=255, history=255,
+                      ngram_orders=(255,) * 255)
 
     def test_train_config_validation(self):
         with pytest.raises(ValueError):
@@ -309,6 +329,38 @@ class TestSerialization:
         path.write_bytes(blob[: len(blob) - 4])
         with pytest.raises(ValueError):
             load_model(path)
+
+    def test_every_proper_prefix_rejected(self, tmp_path):
+        rng = random.Random(11)
+        path = tmp_path / "m.bin"
+        save_model(FeatureModel(SMALL, rng_weights(rng, SMALL)), path)
+        blob = path.read_bytes()
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(ValueError, match="truncated|expected"):
+                load_model(path)
+
+    def test_failed_save_leaves_no_file(self, tmp_path, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        def fail(*args):
+            raise Boom
+
+        # The header is written; the first weight pair fails.
+        monkeypatch.setattr("windowseg.segmenters.features._PAIR", SimpleNamespace(pack=fail))
+        model = FeatureModel(SMALL, rng_weights(random.Random(12), SMALL))
+        with pytest.raises(Boom):
+            save_model(model, tmp_path / "m.bin")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_replaces_an_existing_file_whole(self, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"old")
+        model = FeatureModel(SMALL, rng_weights(random.Random(13), SMALL))
+        save_model(model, path)
+        assert np.array_equal(load_model(path).weights, model.weights)
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_weight_rejected(self, tmp_path, bad):

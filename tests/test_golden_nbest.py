@@ -67,10 +67,10 @@ def _encode(results) -> list[str]:
     ]
 
 
-def _run(case, tokens, make_scorer, initial) -> dict[str, list[str]]:
+def _run(case, tokens, make_scorer) -> dict[str, list[str]]:
     out = {}
     for name, strategy in STRATEGIES.items():
-        a = build_automaton(tokens, allow_initial_delimiter=initial)
+        a = build_automaton(tokens)
         out[f"{case}/{name}"] = _encode(constrained_search(a, make_scorer(tokens), strategy))
     return out
 
@@ -80,10 +80,8 @@ def compute_cases() -> dict[str, list[str]]:
     zeros = FeatureModel.zeros(CFG)
     for w in range(1, 12):
         tokens = [f"t{i}" for i in range(w)]
-        for initial in (False, True):
-            tag = f"w{w}{'i' if initial else ''}"
-            cases.update(_run(f"zeros/{tag}", tokens, lambda t: FeatureStepScorer(zeros, t), initial))
-            cases.update(_run(f"const/{tag}", tokens, lambda t: ConstantScorer(), initial))
+        cases.update(_run(f"zeros/w{w}", tokens, lambda t: FeatureStepScorer(zeros, t)))
+        cases.update(_run(f"const/w{w}", tokens, lambda t: ConstantScorer()))
 
     rng = random.Random(7)
     trained = train_feature_model(
@@ -97,8 +95,8 @@ def compute_cases() -> dict[str, list[str]]:
         tokens = doc[start:start + w]
         for tag, model in (("trained", trained), ("noisy", noisy)):
             seg = AutoregressiveSegmenter(model)
-            cases.update(_run(f"{tag}/{i}", tokens, seg.scorer, False))
-        cases.update(_run(f"prefix/{i}", tokens, lambda t, i=i: _prefix_scorer(i), i % 2 == 1))
+            cases.update(_run(f"{tag}/{i}", tokens, seg.scorer))
+        cases.update(_run(f"prefix/{i}", tokens, lambda t, i=i: _prefix_scorer(i)))
     return cases
 
 
