@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     CONTINUE,
-    DEFAULT_DELIMITER,
     SPLIT,
     Decision,
     DelimitedText,
@@ -201,19 +200,20 @@ def levenshtein_align(
 def project_boundaries(
     reference: Union[Transcript, Sequence[str]],
     generated: Union[DelimitedText, str, Sequence[str]],
-    delimiter: str = DEFAULT_DELIMITER,
 ) -> SegmentationLabels:
     """Carry the delimiters of ``generated`` onto the reference tokens.
 
     Each delimiter belongs to the generated token after it; that token's
     aligned reference position becomes a SPLIT.  A delimiter in front of
     an inserted (unaligned) token falls forward to the next aligned one
-    and is dropped when none follows.  Total on any input: the result is
-    always a labeling of the reference window.
+    and is dropped when none follows.  Text is read leniently (see
+    ``parse_delimited_lenient``), so a delimiter glued to a word counts as
+    if spaced.  Total on any input: the result is always a labeling of the
+    reference window.
     """
     ref = _tokens(reference)
     if not isinstance(generated, DelimitedText):
-        generated = parse_delimited_lenient(generated, delimiter)
+        generated = parse_delimited_lenient(generated)
     if not ref:
         return SegmentationLabels(())
     gen_tokens = generated.tokens()

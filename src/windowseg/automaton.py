@@ -6,6 +6,8 @@ either consumes the token directly or takes a detour that consumes the
 delimiter and then the token.  The shape is a sawtooth: one main state per
 position plus one detour state per delimiter slot.  Any search procedure
 restricted to its arcs therefore emits well-formed output by construction.
+The delimiter is core's one reserved symbol ``■`` (``DEFAULT_DELIMITER``);
+the acceptor takes no other, and rejects a window token holding it.
 
 Searches are generic over an autoregressive symbol scorer, so the same
 machinery serves greedy decoding, beam search with ranked n-best output,
@@ -45,7 +47,6 @@ class SegAutomaton:
     """
 
     tokens: tuple[str, ...]
-    delimiter: str
     start: int
     final: int
     rows: tuple[tuple[Arc, ...], ...]
@@ -71,27 +72,29 @@ class SegAutomaton:
                 stack.append((nxt, emitted + (sym,)))
 
 
-def build_automaton(
-    window_tokens: Sequence[str], delimiter: str = DEFAULT_DELIMITER
-) -> SegAutomaton:
+def build_automaton(window_tokens: Sequence[str]) -> SegAutomaton:
     """Build the sawtooth acceptor for one window.
 
     Main states ``0..w`` consume the tokens in order; state ``w + i`` is the
     detour for the delimiter slot before token ``i`` (``0 < i < w``).  The
     slot before token 0 is absent (the global convention: a segment always
     opens there), giving 2^(w-1) accepted strings.  An empty window yields
-    the single-state acceptor of the empty string.
+    the single-state acceptor of the empty string.  A token holding the
+    delimiter is rejected (a cheap subset of core's token rule).
     """
     tokens = tuple(window_tokens)
     for tok in tokens:
-        if delimiter in tok:
+        if DEFAULT_DELIMITER in tok:
             raise ValueError(f"token collides with the delimiter: {tok!r}")
     w = len(tokens)
     token_arcs = [(tok, i + 1, False) for i, tok in enumerate(tokens)]
-    rows = [(arc, (delimiter, w + i, True)) if i else (arc,) for i, arc in enumerate(token_arcs)]
+    rows = [
+        (arc, (DEFAULT_DELIMITER, w + i, True)) if i else (arc,)
+        for i, arc in enumerate(token_arcs)
+    ]
     rows.append(())
     rows += [(arc,) for arc in token_arcs[1:]]
-    return SegAutomaton(tokens=tokens, delimiter=delimiter, start=0, final=w, rows=tuple(rows))
+    return SegAutomaton(tokens=tokens, start=0, final=w, rows=tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ bad usage, 3 invalid configuration, 4 endpoint failure after retries,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -30,8 +29,14 @@ from .config import (
     load_config,
     validate,
 )
-from .core import SegmentationLabels, normalize_text
-from .dataio import read_labels_file, read_transcript, write_labels_file
+from .core import Transcript, normalize_text
+from .dataio import (
+    format_labels,
+    format_transcript,
+    read_labels_file,
+    read_transcript,
+    write_files,
+)
 from .eval import PairingError, evaluate_corpus, format_report
 from .mock_endpoint import MODES, MockEndpoint, MockEndpointConfig
 from .pipeline import build_segmenter, render_segments, segment_tokens
@@ -125,6 +130,10 @@ def cmd_segment(args: argparse.Namespace) -> int:
         except ValueError as exc:
             return _fail(str(exc), EXIT_DATA)
         tokens = normalize_text(text) if cfg.normalize else text.split()
+        try:
+            Transcript(tokens)  # core's token rule: no token holds the delimiter
+        except ValueError as exc:
+            return _fail(f"{path}: {exc}", EXIT_DATA)
         doc = path.stem
         seg = segmenter
         if replay_map is not None:
@@ -142,37 +151,19 @@ def cmd_segment(args: argparse.Namespace) -> int:
             labels = segment_tokens(tokens, seg, cfg.window, cfg.workers)
         except EndpointError as exc:
             return _fail(str(exc), EXIT_ENDPOINT)
-        except ValueError as exc:  # e.g. a token holding the delimiter
+        except ValueError as exc:
             return _fail(f"{path}: {exc}", EXIT_DATA)
         lines = render_segments(tokens, labels)
         try:
-            _write_document(args.out_dir, doc, lines, labels)
+            args.out_dir.mkdir(parents=True, exist_ok=True)
+            write_files({
+                args.out_dir / f"{doc}.segments.txt": "".join(f"{line}\n" for line in lines),
+                args.out_dir / f"{doc}.labels.tsv": format_labels([(doc, labels)]),
+            })
         except OSError as exc:
             return _write_failed(exc, args.out_dir)
         print(f"{doc}: {len(tokens)} tokens, {len(lines)} segments")
     return 0
-
-
-def _write_document(
-    out_dir: Path, doc: str, lines: Sequence[str], labels: SegmentationLabels
-) -> None:
-    """Write ``doc``'s segments and labels files, neither left half-written.
-
-    Both go to temporary files in ``out_dir`` (created if missing) first
-    and are renamed into place only once both are complete; on failure
-    the temporaries are removed and the exception propagates.
-    """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    targets = (out_dir / f"{doc}.segments.txt", out_dir / f"{doc}.labels.tsv")
-    temps = [target.with_name(f".{target.name}.tmp") for target in targets]
-    try:
-        temps[0].write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
-        write_labels_file([(doc, labels)], temps[1])
-        for temp, target in zip(temps, targets):
-            os.replace(temp, target)
-    finally:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +237,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     try:
         save_model(result.model, args.out)
     except OSError as exc:
-        # Name --out, not the temporary the failed write may have been to.
-        return _fail(f"{args.out}: {exc.strerror or exc}", EXIT_DATA)
+        return _write_failed(exc, args.out)
     print(f"wrote model: {args.out}")
     return 0
 
@@ -275,16 +265,19 @@ def cmd_derive_labels(args: argparse.Namespace) -> int:
         except ValueError as exc:
             return _fail(f"{path}: {exc}", EXIT_DATA)
         docs.append((path.stem, transcript, labels))
+    files: dict[Path, str] = {
+        args.out_dir / f"{doc}.txt": format_transcript(transcript) for doc, transcript, _ in docs
+    }
+    files[args.out_dir / args.labels_name] = format_labels(
+        [(doc, labels) for doc, _, labels in docs]
+    )
     try:
         args.out_dir.mkdir(parents=True, exist_ok=True)
-        for doc, transcript, labels in docs:
-            (args.out_dir / f"{doc}.txt").write_text(transcript.text() + "\n", encoding="utf-8")
-            print(f"{doc}: {len(transcript)} tokens, {len(labels.split_positions())} segments")
-        write_labels_file(
-            [(doc, labels) for doc, _, labels in docs], args.out_dir / args.labels_name
-        )
+        write_files(files)
     except OSError as exc:
         return _write_failed(exc, args.out_dir)
+    for doc, transcript, labels in docs:
+        print(f"{doc}: {len(transcript)} tokens, {len(labels.split_positions())} segments")
     print(f"wrote labels: {args.out_dir / args.labels_name}")
     return 0
 
@@ -320,7 +313,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         rows.append((stem, labels))
         print(f"{stem}: {len(tokens)} tokens, {len(labels.split_positions())} segments")
     try:
-        write_labels_file(rows, args.out)
+        write_files({args.out: format_labels(rows)})
     except OSError as exc:
         return _write_failed(exc, args.out)
     print(f"wrote labels: {args.out}")

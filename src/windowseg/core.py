@@ -3,9 +3,16 @@
 A transcript is a flat sequence of word tokens.  A segmentation assigns one
 of two decisions to every token: SPLIT opens a new segment at that token,
 CONTINUE extends the current one.  The generative encoding of a segmentation
-is the token stream with a reserved delimiter symbol in front of every SPLIT
-token.  The delimiter in front of token 0 carries no information (a segment
-always begins there) and is suppressed when rendering.
+is the token stream with one reserved delimiter symbol, ``■``
+(``DEFAULT_DELIMITER``), in front of every SPLIT token.  The delimiter in
+front of token 0 carries no information (a segment always begins there) and
+is suppressed when rendering.
+
+The delimiter is fixed, and every layer (the acceptor, projection, the
+segmenters and the mock endpoint) reads it from here.  The token rule is
+stated once, in ``_check_token``: a token is non-empty, holds no whitespace
+and holds no ``■``.  ``Transcript`` and ``DelimitedText`` enforce it, and
+``normalize_text`` strips ``■`` along with punctuation.
 
 All types here are immutable values; the operations are pure functions.
 """
@@ -35,12 +42,12 @@ SPLIT = Decision.SPLIT
 CONTINUE = Decision.CONTINUE
 
 
-def _check_token(token: str, delimiter: str = DEFAULT_DELIMITER) -> None:
+def _check_token(token: str) -> None:
     if not token:
         raise ValueError("tokens must be non-empty")
     if any(ch.isspace() for ch in token):
         raise ValueError(f"token contains whitespace: {token!r}")
-    if delimiter in token:
+    if DEFAULT_DELIMITER in token:
         raise ValueError(f"token contains the delimiter symbol: {token!r}")
 
 
@@ -134,22 +141,19 @@ class DelimitedText:
     def tokens(self) -> tuple[str, ...]:
         return tuple(tok for _, tok in self.items)
 
-    def render(self, delimiter: str = DEFAULT_DELIMITER, include_initial: bool = False) -> str:
-        """Render to a whitespace-joined string.
-
-        The delimiter before the first token is suppressed unless
-        ``include_initial`` is set.
-        """
+    def render(self) -> str:
+        """Render to a whitespace-joined string; the delimiter before the
+        first token is suppressed."""
         out: list[str] = []
         for i, (has_delim, tok) in enumerate(self.items):
-            if has_delim and (i > 0 or include_initial):
-                out.append(delimiter)
+            if has_delim and i > 0:
+                out.append(DEFAULT_DELIMITER)
             out.append(tok)
         return " ".join(out)
 
-    def symbols(self, delimiter: str = DEFAULT_DELIMITER, include_initial: bool = False) -> tuple[str, ...]:
+    def symbols(self) -> tuple[str, ...]:
         """The rendered token/delimiter sequence as individual symbols."""
-        return tuple(self.render(delimiter, include_initial).split())
+        return tuple(self.render().split())
 
 
 @dataclass(frozen=True)
@@ -193,7 +197,6 @@ def encode_delimited(transcript: Transcript, labels: SegmentationLabels) -> Deli
 def decode_delimited(
     candidate: Union[str, Sequence[str]],
     reference: Union[Transcript, Sequence[str]],
-    delimiter: str = DEFAULT_DELIMITER,
 ) -> Union[SegmentationLabels, Malformed]:
     """Strictly decode a delimited candidate against the reference tokens.
 
@@ -201,7 +204,9 @@ def decode_delimited(
     sequence equals the reference exactly, no two delimiters are adjacent,
     and no delimiter trails the last token.  Returns the decoded labels
     (position 0 coerced to SPLIT), or ``Malformed`` locating the first
-    violation.
+    violation.  A delimiter glued to a token (``a■``) is not split off:
+    the symbol does not match the reference token, so the candidate is
+    malformed.
     """
     symbols = candidate.split() if isinstance(candidate, str) else list(candidate)
     ref = reference.tokens if isinstance(reference, Transcript) else tuple(reference)
@@ -209,7 +214,7 @@ def decode_delimited(
     pending = False
     t = 0
     for sym in symbols:
-        if sym == delimiter:
+        if sym == DEFAULT_DELIMITER:
             if pending:
                 return Malformed(t, "adjacent delimiters")
             pending = True
@@ -228,21 +233,19 @@ def decode_delimited(
     return SegmentationLabels(tuple(decisions))
 
 
-def parse_delimited_lenient(
-    candidate: Union[str, Sequence[str]], delimiter: str = DEFAULT_DELIMITER
-) -> DelimitedText:
+def parse_delimited_lenient(candidate: Union[str, Sequence[str]]) -> DelimitedText:
     """Parse arbitrary generated text into a delimited token stream.
 
-    Never fails: runs of adjacent delimiters collapse to one, trailing
-    delimiters are dropped, and any token is accepted as-is.  Tokens that
-    would be invalid (contain whitespace after splitting: impossible) are
-    kept verbatim.
+    Never fails: a delimiter glued to a word is split off it (``a■b`` reads
+    as ``a ■ b``), runs of adjacent delimiters collapse to one, trailing
+    delimiters are dropped, and every other symbol is kept as a token.
     """
-    symbols = candidate.split() if isinstance(candidate, str) else list(candidate)
+    text = candidate if isinstance(candidate, str) else " ".join(candidate)
+    symbols = text.replace(DEFAULT_DELIMITER, f" {DEFAULT_DELIMITER} ").split()
     items: list[tuple[bool, str]] = []
     pending = False
     for sym in symbols:
-        if sym == delimiter:
+        if sym == DEFAULT_DELIMITER:
             pending = True
             continue
         items.append((pending, sym))

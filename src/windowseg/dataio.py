@@ -9,10 +9,14 @@ where the positions are the ascending SPLIT positions beyond 0 (position
 0 is implied; the field is empty for single-segment documents).  Carrying
 the token count makes a labels file self-contained: a full labeling can
 be rebuilt, and positions are validated against the document length.
+
+Every file is written through ``write_files``, so each is whole or left as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 from pathlib import Path
 from typing import Iterable, Mapping, Union
 
@@ -21,14 +25,46 @@ from .core import SegmentationLabels, Transcript
 PathLike = Union[str, Path]
 
 
+def write_files(files: Mapping[PathLike, Union[str, bytes, bytearray]]) -> None:
+    """Write a batch of files so that each is whole or keeps its old content.
+
+    Every file is first written to a temporary ``.<name>.tmp`` beside it,
+    text as UTF-8; only once all are written are they renamed into place.
+    On failure the temporaries are removed and the exception propagates;
+    an ``OSError`` names the target path, not its temporary.
+    """
+    staged: list[tuple[Path, Path]] = []
+    target = None
+    try:
+        for path, data in files.items():
+            target = Path(path)
+            temp = target.with_name(f".{target.name}.tmp")
+            staged.append((temp, target))
+            temp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        for temp, target in staged:
+            os.replace(temp, target)
+    except OSError as exc:
+        exc.filename = str(target)
+        raise
+    finally:
+        for temp, _ in staged:
+            with contextlib.suppress(OSError):
+                temp.unlink()
+
+
 def read_transcript(path: PathLike, source_id: str = "") -> Transcript:
     path = Path(path)
     tokens = path.read_text(encoding="utf-8").split()
     return Transcript(tuple(tokens), source_id or path.stem)
 
 
+def format_transcript(transcript: Transcript) -> str:
+    """The content of a transcript file."""
+    return transcript.text() + "\n"
+
+
 def write_transcript(transcript: Transcript, path: PathLike) -> None:
-    Path(path).write_text(transcript.text() + "\n", encoding="utf-8")
+    write_files({path: format_transcript(transcript)})
 
 
 def _int_field(path: PathLike, lineno: int, what: str, field: str) -> int:
@@ -67,12 +103,13 @@ def read_labels_file(path: PathLike) -> dict[str, SegmentationLabels]:
     return out
 
 
-def write_labels_file(
-    entries: Union[
-        Mapping[str, SegmentationLabels], Iterable[tuple[str, SegmentationLabels]]
-    ],
-    path: PathLike,
-) -> None:
+LabelsEntries = Union[
+    Mapping[str, SegmentationLabels], Iterable[tuple[str, SegmentationLabels]]
+]
+
+
+def format_labels(entries: LabelsEntries) -> str:
+    """The content of a labels file holding ``entries`` in order."""
     items = entries.items() if isinstance(entries, Mapping) else entries
     lines = []
     for source_id, labels in items:
@@ -80,7 +117,11 @@ def write_labels_file(
         lines.append(
             f"{source_id}\t{len(labels)}\t{','.join(str(p) for p in positions)}"
         )
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def write_labels_file(entries: LabelsEntries, path: PathLike) -> None:
+    write_files({path: format_labels(entries)})
 
 
 def labels_entry(

@@ -34,7 +34,6 @@ class MockEndpointConfig:
     period: int = 7
     corrupt_rate: float = 0.15
     seed: int = 13
-    delimiter: str = DEFAULT_DELIMITER
     fail_first: int = 0
     fail_all: bool = False
 
@@ -57,7 +56,7 @@ def generate_response(cfg: MockEndpointConfig, text: str) -> str:
     symbols: list[str] = []
     for i, tok in enumerate(tokens):
         if i > 0 and i % cfg.period == 0:
-            symbols.append(cfg.delimiter)
+            symbols.append(DEFAULT_DELIMITER)
         symbols.append(tok)
     if cfg.mode == "rule":
         return " ".join(symbols)
@@ -72,14 +71,14 @@ def generate_response(cfg: MockEndpointConfig, text: str) -> str:
             continue
         if op == "dup":
             out.extend((sym, sym))
-        elif op == "mutate" and sym != cfg.delimiter:
+        elif op == "mutate" and sym != DEFAULT_DELIMITER:
             out.append(sym + rng.choice(string.ascii_lowercase))
         elif op == "spam_delim":
-            out.extend((cfg.delimiter, sym))
+            out.extend((DEFAULT_DELIMITER, sym))
         else:
             out.extend((rng.choice(("uh", "um", "hmm", "er")), sym))
     if rng.random() < cfg.corrupt_rate:
-        out.append(cfg.delimiter)
+        out.append(DEFAULT_DELIMITER)
     return " ".join(out)
 
 

@@ -188,17 +188,15 @@ class FeatureStepScorer:
         self,
         model: FeatureModel,
         tokens: Sequence[str],
-        delimiter: str = DEFAULT_DELIMITER,
         table: Optional[TokenTable] = None,
     ):
-        self.delimiter = delimiter
         self.history = model.config.history
         self.conditionals = CachedConditionals(model, tokens, table)
         self._last: Optional[Hypothesis] = None
         self._last_probs = (0.0, 0.0)
 
     def score_symbol(self, hypothesis: Hypothesis, symbol: str) -> float:
-        split = symbol == self.delimiter
+        split = symbol == DEFAULT_DELIMITER
         if not split and (hypothesis.pending or not hypothesis.decisions):
             return 0.0
         # Holding the hypothesis keeps its id from being reused.
@@ -220,7 +218,6 @@ class AutoregressiveSegmenter:
 
     model: Optional[FeatureModel]
     strategy: SearchStrategy = GREEDY
-    delimiter: str = DEFAULT_DELIMITER
     name: str = "autoregressive"
     _table: Optional[TokenTable] = field(default=None, init=False, repr=False, compare=False)
 
@@ -232,12 +229,12 @@ class AutoregressiveSegmenter:
     def scorer(self, window: Sequence[str]) -> FeatureStepScorer:
         model = self._model()
         self._table = table = _table_for(model, self._table)
-        return FeatureStepScorer(model, window, self.delimiter, table)
+        return FeatureStepScorer(model, window, table)
 
     def segment(
         self, window: Sequence[str], info: WindowInfo = WindowInfo()
     ) -> SegmentationLabels:
-        a = build_automaton(window, self.delimiter)
+        a = build_automaton(window)
         return constrained_search(a, self.scorer(window), self.strategy)[0][0]
 
     def nbest(
@@ -251,7 +248,7 @@ class AutoregressiveSegmenter:
         if k < 1:
             raise ValueError("k must be >= 1")
         strat = strategy or beam(k)
-        a = build_automaton(window, self.delimiter)
+        a = build_automaton(window)
         results = constrained_search(a, self.scorer(window), strat)
         return NBestList(tuple(results[:k]), self.name)
 

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from urllib.parse import urlsplit
 
 from ..align import project_boundaries
-from ..core import DEFAULT_DELIMITER, Malformed, SPLIT, SegmentationLabels, decode_delimited
+from ..core import Malformed, SPLIT, SegmentationLabels, decode_delimited
 from .base import WindowInfo, WindowSegmenter
 
 
@@ -151,12 +151,10 @@ class ExternalSegmenter:
         self,
         config: EndpointConfig,
         fallback: Optional[WindowSegmenter] = None,
-        delimiter: str = DEFAULT_DELIMITER,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.config = config
         self.fallback = fallback
-        self.delimiter = delimiter
         self._sleep = sleep
         self._gate = threading.BoundedSemaphore(config.concurrency)
         self._address = parse_endpoint_url(config.url)
@@ -226,12 +224,12 @@ class ExternalSegmenter:
             if self.fallback is None:
                 raise
             return self.fallback.segment(window, info)
-        decoded = decode_delimited(generated, window, self.delimiter)
+        decoded = decode_delimited(generated, window)
         if isinstance(decoded, Malformed):
             # Rendered text always implies a suppressed delimiter before the
             # first token, so the projected labeling opens a segment there
             # just as strict decoding does.
-            projected = list(project_boundaries(window, generated, self.delimiter))
+            projected = list(project_boundaries(window, generated))
             projected[0] = SPLIT
             return SegmentationLabels(tuple(projected))
         return decoded

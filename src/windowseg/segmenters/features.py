@@ -11,7 +11,6 @@ locally normalized conditionals.
 from __future__ import annotations
 
 import math
-import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from ..core import CONTINUE, SPLIT, Decision, SegmentationLabels, Transcript
+from ..dataio import write_files
 
 PAD_LEFT = "<s>"
 PAD_RIGHT = "</s>"
@@ -352,23 +352,17 @@ _PAIR = struct.Struct("<Id")
 def save_model(model: FeatureModel, path: Union[str, Path]) -> None:
     """Write the versioned binary model file (sparse nonzero weights).
 
-    The file is written to a temporary next to ``path`` and renamed into
-    place, so a failed save leaves no partial model behind.
+    Written through ``dataio.write_files``, so a failed save leaves no
+    partial model behind.
     """
     cfg = model.config
     nonzero = np.nonzero(model.weights)[0]
-    path = Path(path)
-    temp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(temp, "wb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, _VERSION, cfg.hash_dims, len(cfg.ngram_orders)))
-            fh.write(bytes(cfg.ngram_orders))
-            fh.write(_TAIL.pack(cfg.context_radius, cfg.history, cfg.salt, len(nonzero)))
-            for fid in nonzero:
-                fh.write(_PAIR.pack(int(fid), float(model.weights[fid])))
-        os.replace(temp, path)
-    finally:
-        temp.unlink(missing_ok=True)
+    blob = bytearray(_HEADER.pack(_MAGIC, _VERSION, cfg.hash_dims, len(cfg.ngram_orders)))
+    blob += bytes(cfg.ngram_orders)
+    blob += _TAIL.pack(cfg.context_radius, cfg.history, cfg.salt, len(nonzero))
+    for fid in nonzero:
+        blob += _PAIR.pack(int(fid), float(model.weights[fid]))
+    write_files({path: blob})
 
 
 def load_model(path: Union[str, Path]) -> FeatureModel:

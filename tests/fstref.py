@@ -38,14 +38,12 @@ def line_acceptor(tokens: Sequence[str]) -> Fst:
     return Fst(0, frozenset({len(tokens)}), arcs)
 
 
-def delimiter_inserter(
-    vocab: Sequence[str], delimiter: str, allow_initial: bool = False
-) -> Fst:
+def delimiter_inserter(vocab: Sequence[str], delimiter: str) -> Fst:
     """Copies tokens, optionally inserting one delimiter before each.
 
-    State 0 awaits the first token (initial delimiter suppressed unless
-    allowed), state 1 is the steady copying phase, state 2 has just
-    emitted a delimiter and must copy a token next.  Finals are 0 and 1:
+    State 0 awaits the first token (no delimiter before it), state 1 is
+    the steady copying phase, state 2 has just emitted a delimiter and
+    must copy a token next.  Finals are 0 and 1:
     a pending delimiter may not end the string.
     """
     arcs: list[tuple[int, str, str, int]] = []
@@ -53,8 +51,6 @@ def delimiter_inserter(
         for src in (0, 1, 2):
             arcs.append((src, tok, tok, 1))
     arcs.append((1, EPS, delimiter, 2))
-    if allow_initial:
-        arcs.append((0, EPS, delimiter, 2))
     return Fst(0, frozenset({0, 1}), arcs)
 
 
@@ -150,12 +146,10 @@ def trim(fst: Fst) -> Fst:
     )
 
 
-def composed_segmentation_fsa(
-    tokens: Sequence[str], delimiter: str, allow_initial: bool = False
-) -> Fst:
+def composed_segmentation_fsa(tokens: Sequence[str], delimiter: str) -> Fst:
     """The segmentation acceptor built via compose + project + trim."""
     a = line_acceptor(tokens)
-    t = delimiter_inserter(tokens, delimiter, allow_initial)
+    t = delimiter_inserter(tokens, delimiter)
     return trim(project_output(compose(a, t)))
 
 

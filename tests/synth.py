@@ -76,11 +76,9 @@ class TableScorer:
         self,
         rng: random.Random,
         n: int,
-        delimiter: str = DEFAULT_DELIMITER,
         low: float = 0.05,
         high: float = 0.95,
     ):
-        self.delimiter = delimiter
         self.n = n
         self.p = {
             (t, prev): rng.uniform(low, high)
@@ -95,7 +93,7 @@ class TableScorer:
 
     def score_symbol(self, hyp, symbol: str) -> float:
         t = hyp.position
-        if symbol == self.delimiter:
+        if symbol == DEFAULT_DELIMITER:
             return math.log(self.p[(t, self._prev(hyp))])
         if hyp.pending or t == 0:
             return 0.0

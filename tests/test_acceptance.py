@@ -102,10 +102,12 @@ def test_01_search_and_projection_outputs_always_valid(report):
         n = rng.randint(1, 30)
         ref = random_tokens(rng, n)
         m = rng.randint(0, 40)
-        text = " ".join(
-            DEFAULT_DELIMITER if rng.random() < 0.25 else rng.choice(VOCAB)
-            for _ in range(m)
-        )
+        text = ""
+        for _ in range(m):
+            sym = DEFAULT_DELIMITER if rng.random() < 0.25 else rng.choice(VOCAB)
+            # Some delimiters are glued to the symbol before them.
+            glued = DEFAULT_DELIMITER in (sym, text[-1:]) and rng.random() < 0.3
+            text += sym if glued or not text else " " + sym
         projected = list(project_boundaries(ref, text))
         projected[0] = SPLIT
         labels = SegmentationLabels(tuple(projected))
@@ -123,13 +125,12 @@ def test_01_search_and_projection_outputs_always_valid(report):
 class _ReplayScorer:
     """Prefers the delimiter exactly where a target labeling splits."""
 
-    def __init__(self, bits, delimiter=DEFAULT_DELIMITER):
+    def __init__(self, bits):
         self.bits = bits
-        self.delimiter = delimiter
 
     def score_symbol(self, hyp, sym):
         t = hyp.position
-        if sym == self.delimiter:
+        if sym == DEFAULT_DELIMITER:
             return 0.0 if self.bits[t] else -40.0
         if hyp.pending or t == 0:
             return 0.0

@@ -292,6 +292,15 @@ class TestProjection:
         got = project_boundaries(("a", "b"), f"a {D} x {D} y b")
         assert got == SegmentationLabels((CONTINUE, SPLIT))
 
+    @pytest.mark.parametrize(
+        "glued", [f"so{D} we went home", f"so {D}we went home", f"so{D}we{D}went home{D}"]
+    )
+    def test_glued_delimiter_projects_as_spaced(self, glued):
+        ref = ("so", "we", "went", "home")
+        spaced = glued.replace(D, f" {D} ")
+        assert project_boundaries(ref, glued) == project_boundaries(ref, spaced)
+        assert project_boundaries(ref, glued).split_positions() != ()
+
     def test_empty_reference(self):
         assert project_boundaries((), f"x {D} y") == SegmentationLabels(())
 

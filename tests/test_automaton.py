@@ -188,7 +188,7 @@ class TestSearch:
 
     def test_dead_end_state_rejected(self):
         a = build_automaton(toks(2))
-        dead = SegAutomaton(a.tokens, a.delimiter, a.start, a.final, ((), *a.rows[1:]))
+        dead = SegAutomaton(a.tokens, a.start, a.final, ((), *a.rows[1:]))
         with pytest.raises(ValueError, match="state 0 has no arcs and is not final"):
             constrained_search(dead, ConstantScorer(), GREEDY)
 

@@ -1,9 +1,12 @@
 """End-to-end command-line flows in temporary directories."""
 
+import errno
 import json
+import os
 import random
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from windowseg import cli, pipeline
 from windowseg.cli import _segment_overrides, build_parser, main
 from windowseg.config import PipelineConfig, load_config
 from windowseg.core import DEFAULT_DELIMITER
-from windowseg.dataio import read_labels_file, write_labels_file
+from windowseg.dataio import read_labels_file, write_files
 from windowseg.mock_endpoint import MockEndpoint, MockEndpointConfig
 from windowseg.segmenters.features import FeatureConfig, FeatureModel, save_model
 from windowseg.windowing import WindowConfig
@@ -33,6 +36,28 @@ def unwritable(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")
     return blocker / "out"
+
+
+def fail_nth_write(monkeypatch, n):
+    """Make the ``n``-th file write write half its data, then fail as a full disk."""
+    calls = []
+
+    def failing(original):
+        def write(self, data, *args, **kwargs):
+            calls.append(self)
+            if len(calls) == n:
+                original(self, data[: len(data) // 2], *args, **kwargs)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return original(self, data, *args, **kwargs)
+        return write
+
+    monkeypatch.setattr(Path, "write_text", failing(Path.write_text))
+    monkeypatch.setattr(Path, "write_bytes", failing(Path.write_bytes))
+
+
+def snapshot(directory):
+    """Every file under ``directory`` by name, with its bytes."""
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
 def assert_path_error(capsys, path):
@@ -122,6 +147,20 @@ class TestDeriveLabels:
         rc = main(["derive-labels", str(project / "raw" / "doc0.txt"), "--out-dir", str(out)])
         assert rc == 1
         assert_path_error(capsys, out)
+
+    def test_failed_write_leaves_earlier_outputs_whole(
+        self, project, tmp_path, monkeypatch, capsys
+    ):
+        inputs = [str(project / "raw" / f"doc{i}.txt") for i in range(3)]
+        out = tmp_path / "out"
+        assert main(["derive-labels", *inputs[:2], "--out-dir", str(out)]) == 0
+        before = snapshot(out)
+        capsys.readouterr()
+        fail_nth_write(monkeypatch, 2)
+        rc = main(["derive-labels", *inputs[1:], "--out-dir", str(out)])
+        assert rc == 1
+        assert snapshot(out) == before
+        assert_path_error(capsys, out / "doc2.txt")
 
 
 class TestTrain:
@@ -354,13 +393,13 @@ class TestSegment:
         inputs = sorted((project / "derived").glob("doc*.txt"))[:2]
         calls = []
 
-        def flaky_write(entries, path):
-            calls.append(path)
+        def flaky_write(files):
+            calls.append(files)
             if len(calls) == 2:
                 raise OSError("disk full")
-            write_labels_file(entries, path)
+            write_files(files)
 
-        monkeypatch.setattr(cli, "write_labels_file", flaky_write)
+        monkeypatch.setattr(cli, "write_files", flaky_write)
         out = tmp_path / "out"
         rc = main(["segment", *map(str, inputs), "--out-dir", str(out), "--segmenter", "fixed"])
         assert rc == 1
@@ -512,6 +551,37 @@ class TestSegment:
         assert rc == 1
         assert_path_error(capsys, bad)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "segmenter, endpoint",
+        [
+            ("fixed", None),
+            ("external", MockEndpointConfig(mode="echo")),
+            ("external", MockEndpointConfig(fail_all=True)),
+        ],
+        ids=["fixed", "external-echo", "external-fail-all"],
+    )
+    def test_delimiter_token_rejected_before_segmenting(
+        self, tmp_path, capsys, segmenter, endpoint
+    ):
+        bad = tmp_path / "doc.txt"
+        bad.write_text(f"hello a{DEFAULT_DELIMITER}b world again\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [
+            "segment", str(bad), "--out-dir", str(out), "--segmenter", segmenter,
+            "--no-normalize", "--endpoint-retries", "0",
+        ]
+        if endpoint is None:
+            rc = main(argv)
+        else:
+            # Exit 1, not the endpoint's 4 under --fail-all: no request is sent.
+            with MockEndpoint(endpoint) as ep:
+                rc = main(argv + ["--endpoint-url", ep.url])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: token contains the delimiter symbol: 'a{DEFAULT_DELIMITER}b'\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["endpoint_timeout", "endpoint_backoff"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -757,6 +827,24 @@ class TestOracle:
         assert rc == 1
         assert_path_error(capsys, bad)
         assert not out.exists()
+
+    def test_failed_write_leaves_existing_out_whole(
+        self, project, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "oracle.tsv"
+        out.write_text("old\t3\t1\n")
+        fail_nth_write(monkeypatch, 1)
+        rc = main(
+            [
+                "oracle",
+                "--references", str(project / "raw" / "doc0.txt"),
+                "--asr", str(project / "derived" / "doc0.txt"),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert snapshot(tmp_path) == {"oracle.tsv": b"old\t3\t1\n"}
+        assert_path_error(capsys, out)
 
     def test_unwritable_out_exit_1(self, project, tmp_path, capsys):
         out = unwritable(tmp_path) / "oracle.tsv"

@@ -107,7 +107,6 @@ class TestEncodeDecode:
         lab = SegmentationLabels((SPLIT, SPLIT))
         d = encode_delimited(t, lab)
         assert d.render() == f"a {DEFAULT_DELIMITER} b"
-        assert d.render(include_initial=True) == f"{DEFAULT_DELIMITER} a {DEFAULT_DELIMITER} b"
 
     def test_decode_coerces_position_zero(self):
         lab = decode_delimited("a b", ("a", "b"))
@@ -127,6 +126,11 @@ class TestEncodeDecode:
         r = decode_delimited(f"a b {DEFAULT_DELIMITER}", ("a", "b"))
         assert isinstance(r, Malformed)
         assert r.reason == "trailing delimiter"
+
+    def test_glued_delimiter_malformed(self):
+        r = decode_delimited(f"a{DEFAULT_DELIMITER} b", ("a", "b"))
+        assert isinstance(r, Malformed)
+        assert r.position == 0
 
     def test_token_mismatch_malformed(self):
         r = decode_delimited("a c", ("a", "b"))
@@ -153,6 +157,24 @@ class TestLenientParse:
     def test_drops_trailing(self):
         d = parse_delimited_lenient(f"a {DEFAULT_DELIMITER}")
         assert d.items == ((False, "a"),)
+
+    @pytest.mark.parametrize(
+        "glued, spaced",
+        [
+            ("so■ we went", "so ■ we went"),
+            ("so ■we went", "so ■ we went"),
+            ("so■we went", "so ■ we went"),
+            ("so■■ we■", "so ■ ■ we ■"),
+            ("■so ■", "■ so ■"),
+        ],
+    )
+    def test_splits_glued_delimiters(self, glued, spaced):
+        assert parse_delimited_lenient(glued) == parse_delimited_lenient(spaced)
+        assert parse_delimited_lenient(glued.split()) == parse_delimited_lenient(spaced)
+
+    def test_glued_delimiter_items(self):
+        d = parse_delimited_lenient(f"so{DEFAULT_DELIMITER} we went{DEFAULT_DELIMITER}home")
+        assert d.items == ((False, "so"), (True, "we"), (False, "went"), (True, "home"))
 
     def test_keeps_foreign_tokens(self):
         d = parse_delimited_lenient("x y z")

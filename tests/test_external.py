@@ -14,7 +14,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from synth import make_document
-from windowseg.core import CONTINUE, SPLIT, SegmentationLabels, Transcript, encode_delimited
+from windowseg.core import (
+    CONTINUE,
+    DEFAULT_DELIMITER as D,
+    SPLIT,
+    SegmentationLabels,
+    Transcript,
+    encode_delimited,
+)
 from windowseg.mock_endpoint import MockEndpoint, MockEndpointConfig, generate_response
 from windowseg.segmenters import (
     EndpointConfig,
@@ -127,6 +134,13 @@ class TestSegmentPaths:
         seg = ExternalSegmenter(make_client("http://x/")[0])
         seg.generate = lambda window, info=None: paraphrase
         assert seg.segment(TOKENS[:5]) == labels
+
+
+    def test_glued_delimiters_are_projected(self):
+        # A generator may glue the delimiter to a neighbouring word.
+        seg = ExternalSegmenter(make_client("http://x/")[0])
+        seg.generate = lambda window, info=None: f"tok0 tok1{D} tok2 tok3 {D}tok4"
+        assert seg.segment(TOKENS[:5]) == SegmentationLabels.from_split_positions(5, [2, 4])
 
 
 class TestRetries:
