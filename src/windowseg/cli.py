@@ -252,12 +252,20 @@ def cmd_derive_labels(args: argparse.Namespace) -> int:
         return code
     if len({p.stem for p in args.inputs}) != len(args.inputs):
         return _fail("duplicate document stems in inputs", EXIT_DATA)
+    labels_path = (args.out_dir / args.labels_name).resolve()
     rule = _rule(args.abbreviations)
     docs = []  # all derived before any is written, so a bad input writes nothing
     for path in args.inputs:
-        if (args.out_dir / f"{path.stem}.txt").resolve() == path.resolve():
+        output = (args.out_dir / f"{path.stem}.txt").resolve()
+        if output == path.resolve():
             return _fail(
                 f"refusing to overwrite input {path}; pick another --out-dir",
+                EXIT_DATA,
+            )
+        if output == labels_path:
+            return _fail(
+                f"--labels-name {args.labels_name} is the transcript output of {path}; "
+                "pick another name",
                 EXIT_DATA,
             )
         try:

@@ -45,7 +45,8 @@ CONTINUE = Decision.CONTINUE
 def _check_token(token: str) -> None:
     if not token:
         raise ValueError("tokens must be non-empty")
-    if any(ch.isspace() for ch in token):
+    # str.split() splits on exactly the characters str.isspace() accepts.
+    if token.split() != [token]:
         raise ValueError(f"token contains whitespace: {token!r}")
     if DEFAULT_DELIMITER in token:
         raise ValueError(f"token contains the delimiter symbol: {token!r}")

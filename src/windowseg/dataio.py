@@ -32,6 +32,10 @@ def write_files(files: Mapping[PathLike, Union[str, bytes, bytearray]]) -> None:
     text as UTF-8; only once all are written are they renamed into place.
     On failure the temporaries are removed and the exception propagates;
     an ``OSError`` names the target path, not its temporary.
+
+    The renames are not atomic as a batch: one that fails part way leaves
+    the renames before it done, so those targets hold their new content
+    and the rest their old.
     """
     staged: list[tuple[Path, Path]] = []
     target = None

@@ -8,14 +8,21 @@ log-likelihood of the decoded labeling, so greedy, beam, and exact search
 all optimize the same objective.
 
 The static part of each conditional is linear in hashed n-gram features,
-so a token table caches it per (token, context offset): a segmenter
-hashes each distinct token once, and every later window costs one table
-probe per token instead of re-hashing the n-grams of every position.
+so a token table caches it per (token, context offset), one row of a
+growing matrix per token type: a segmenter hashes each distinct token once
+(each of its n-grams once for all offsets), and every later window costs
+one dict probe per token and one row gather instead of re-hashing the
+n-grams of every position.  Rows are filled under a lock and read without
+one.  The history part is one weight per pattern of recent decisions,
+cached in the same table and shared by every window, so each search step
+costs one dict probe, one ``exp`` and one ``log1p``.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from math import exp, log1p
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,56 +41,75 @@ from .features import (
     PAD_LEFT,
     PAD_RIGHT,
     FeatureModel,
-    _softplus,
     bias_feature,
     history_bits,
     history_feature,
-    offset_ngram_ids,
+    offset_ngram_id_matrix,
     # Not called here: TokenTable reproduces it.  bench/spans.py wraps
     # this module's binding.
     static_features,  # noqa: F401
 )
 
+# Rows a new token table has room for; the matrix doubles when full.
+_FIRST_ROWS = 64
+
 
 class TokenTable:
     """Partial static logits of one model, cached per token type.
 
-    ``row(token)[j]`` is the summed weight of the n-gram ids
-    ``offset_ngram_ids`` gives ``token`` at context offset
-    ``j - context_radius``.  The static logit is linear in those features,
-    so the static logit of a position is the bias weight plus, for each
-    offset, one entry of the row of the token found there.  The pads are
-    rows like any other token, so a real token spelled ``<s>`` or ``</s>``
-    shares the pad's row, as it shares its features in ``static_features``.
+    Row ``i`` of one growing float64 matrix belongs to the token that
+    ``_index`` maps to ``i``; its entry ``j`` is the summed weight of the
+    n-gram ids the token has at context offset ``j - context_radius``
+    (``offset_ngram_id_matrix``).  The static logit is linear in those
+    features, so the static logit of a position is the bias weight plus,
+    for each offset, one entry of the row of the token found there.  The
+    pads are rows like any other token, so a real token spelled ``<s>`` or
+    ``</s>`` shares the pad's row, as it shares its features in
+    ``static_features``.
 
-    ``static_logits`` adds the entries in ascending offset order, so each
-    position's value depends on its ``2 * context_radius + 1`` context
-    tokens alone, not on which rows were filled before or by whom.
+    ``static_logits`` gathers a window's rows with one fancy index and adds
+    the entries in ascending offset order, so each position's value depends
+    on its ``2 * context_radius + 1`` context tokens alone, not on which rows
+    were filled before or by whom.
+
+    The weight of each history feature is cached in ``history_weights``,
+    keyed by the tuple of the decisions it encodes (see
+    ``CachedConditionals.logprobs``) and shared by every window.
 
     Rows and history weights are filled on first use and never change or
-    get evicted: about 230 bytes per token type at the default radius.
-    Threads may share a table; under the interpreter lock two threads
-    racing on one token only compute the same row twice.  The weights are
-    read when a row is filled, so a table must not outlive an in-place
-    change to ``model.weights``.
+    get evicted: 180-230 bytes per token type at the default radius
+    (measured with tracemalloc over 3,000 to 8,200 types), of which 88 are
+    the row and up to as much again is room left after the matrix doubled.
+    Threads may share a table.  A row is filled under a lock: the token is
+    looked up again, the row written (into a doubled matrix when the matrix
+    is full) and only then its index published, so a reader that finds an
+    index finds its row in the current matrix without taking the lock.  A
+    history weight needs no lock: threads racing on one store the same
+    value.  The weights are read when a row is filled, so a table must not
+    outlive an in-place change to ``model.weights``.
     """
 
     def __init__(self, model: FeatureModel):
         self.model = model
+        self.history_weights: dict[tuple, float] = {}
         self._bias = float(model.weights[bias_feature(model.config)])
-        self._rows: dict[str, np.ndarray] = {}
-        self._history: dict[str, float] = {}
+        self._matrix = np.empty((_FIRST_ROWS, 2 * model.config.context_radius + 1))
+        self._index: dict[str, int] = {}
+        self._lock = threading.Lock()
 
-    def row(self, token: str) -> np.ndarray:
-        got = self._rows.get(token)
-        if got is None:
-            cfg = self.model.config
-            w = self.model.weights
-            r = cfg.context_radius
-            got = np.array(
-                [w[offset_ngram_ids(cfg, token, d)].sum() for d in range(-r, r + 1)]
-            )
-            self._rows[token] = got
+    def _fill(self, token: str) -> int:
+        """The row index of ``token``, filling its row first if it has none."""
+        row = self.model.weights[offset_ngram_id_matrix(self.model.config, token)].sum(axis=1)
+        with self._lock:
+            got = self._index.get(token)
+            if got is None:
+                got = len(self._index)
+                if got == len(self._matrix):
+                    grown = np.empty((2 * got, self._matrix.shape[1]))
+                    grown[:got] = self._matrix
+                    self._matrix = grown
+                self._matrix[got] = row
+                self._index[token] = got
         return got
 
     def static_logits(self, tokens: Sequence[str]) -> list[float]:
@@ -93,17 +119,29 @@ class TokenTable:
             return []
         r = self.model.config.context_radius
         context = [PAD_LEFT] * r + list(tokens) + [PAD_RIGHT] * r
-        rows = np.stack([self.row(tok) for tok in context])
+        get = self._index.get
+        index = [get(tok) for tok in context]
+        if None in index:
+            index = [self._fill(tok) if i is None else i for tok, i in zip(context, index)]
+        # Read after every index is published, so every row is in it.
+        rows = self._matrix[index]
         total = np.full(n, self._bias)
         for j in range(2 * r + 1):
             total += rows[j:j + n, j]
         return total.tolist()
 
-    def history_weight(self, bits: str) -> float:
-        got = self._history.get(bits)
+    def history_weight(self, recent: tuple) -> float:
+        """The weight of the history feature of the decisions ``recent``.
+
+        ``recent`` holds the last ``history`` decisions, or all of them at a
+        position with fewer before it.
+        """
+        got = self.history_weights.get(recent)
         if got is None:
-            got = float(self.model.weights[history_feature(self.model.config, bits)])
-            self._history[bits] = got
+            cfg = self.model.config
+            bits = history_bits(recent, len(recent), cfg.history)
+            got = float(self.model.weights[history_feature(cfg, bits)])
+            self.history_weights[recent] = got
         return got
 
 
@@ -115,14 +153,13 @@ def _table_for(model: FeatureModel, table: Optional[TokenTable]) -> TokenTable:
 
 
 class CachedConditionals:
-    """Per-window cache of the model's conditionals.
+    """A window's conditionals: static logits plus a history weight.
 
-    Static logits come from the token table, one row probe per token of
-    the window and its pads; the decision history contributes one weight
-    looked up by its bit pattern.  Each position's log-probabilities are
-    cached under the last ``history`` decisions of its prefix, so a repeat
-    costs one slice and one dict probe, which keeps search over many
-    hypotheses cheap.
+    Static logits come from the token table, one row gather for the tokens
+    of the window and its pads; the decision history contributes one weight
+    from the table's ``history_weights``, which every window shares.  A
+    step costs one slice, one dict probe, one ``exp`` and one ``log1p``, so
+    there is no per-window cache to fill.
     Without a ``table`` (which must belong to ``model``) the window gets a
     fresh one of its own.
     """
@@ -135,23 +172,28 @@ class CachedConditionals:
         self._table = table if table is not None else TokenTable(model)
         self._static = self._table.static_logits(self.tokens)
         self._history = model.config.history
-        self._probs: dict[tuple[int, tuple], tuple[float, float]] = {}
+        self._weights = self._table.history_weights
 
     def logprobs(self, t: int, prefix: Sequence[object]) -> tuple[float, float]:
         """(log p(CONTINUE), log p(SPLIT)) at position ``t`` given ``prefix``.
 
-        Only ``prefix[t - history:t]`` is read; ``t`` in the cache key
-        stands for the padding of positions before the window start.
+        ``prefix`` must hold at least ``t`` decisions; only
+        ``prefix[t - history:t]`` is read.  Before position ``history`` the
+        key is shorter, and its length stands for the pads.  The values are
+        bit for bit ``(-_softplus(z), -_softplus(-z))``, sharing the one
+        ``exp`` and ``log1p`` the two calls would make.
         """
         start = t - self._history
-        key = (t, tuple(prefix[start if start > 0 else 0:t]))
-        got = self._probs.get(key)
-        if got is None:
-            bits = history_bits(prefix, t, self._history)
-            z = self._static[t] + self._table.history_weight(bits)
-            got = (-_softplus(z), -_softplus(-z))
-            self._probs[key] = got
-        return got
+        recent = tuple(prefix[start if start > 0 else 0:t])
+        w = self._weights.get(recent)
+        if w is None:
+            w = self._table.history_weight(recent)
+        z = self._static[t] + w
+        if z > 0:
+            e = log1p(exp(-z))
+            return (-(z + e), -e)
+        e = log1p(exp(z))
+        return (-e, -(-z + e))
 
     def sequence_logprob(self, labels: Sequence[object]) -> float:
         decisions = list(labels)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
@@ -101,6 +102,74 @@ def offset_ngram_ids(cfg: FeatureConfig, token: str, delta: int) -> list[int]:
         crc = _gram_key_crc(cfg.salt, delta, order)
         ids += [crc32(padded[s - order:s].encode("utf-8"), crc) % dims for s in range(order, ends)]
     return ids
+
+
+class _OffsetShifts:
+    """XOR constants that carry a gram's CRC over to the key of every offset.
+
+    CRC-32 is affine in its initial value: for a gram ``g`` of ``n`` bytes
+    and any initial values ``c`` and ``c0``,
+    ``crc32(g, c) == crc32(g, c0) ^ crc32(bytes(n), c) ^ crc32(bytes(n), c0)``.
+    With ``c0 = 0`` and ``c`` the CRC of the key prefix ``G{delta}:{order}:``,
+    the last two terms depend on (offset, order, ``n``) alone.  Column
+    ``slots[order, n]`` of ``matrix`` holds them for every offset, ascending;
+    a column is added the first time a gram of that order and byte length
+    is seen, under a lock, and its slot published only after the matrix
+    holding it.
+    """
+
+    def __init__(self, salt: int, radius: int):
+        self._salt = salt
+        self._radius = radius
+        self.slots: dict[tuple[int, int], int] = {}
+        self.matrix = np.zeros((2 * radius + 1, 0), dtype=np.uint32)
+        self._lock = threading.Lock()
+
+    def slot(self, order: int, n: int) -> int:
+        got = self.slots.get((order, n))
+        if got is not None:
+            return got
+        with self._lock:
+            got = self.slots.get((order, n))
+            if got is None:
+                zeros = bytes(n)
+                base = zlib.crc32(zeros)
+                r = self._radius
+                column = [[zlib.crc32(zeros, _gram_key_crc(self._salt, d, order)) ^ base]
+                          for d in range(-r, r + 1)]
+                self.matrix = np.hstack([self.matrix, np.array(column, dtype=np.uint32)])
+                got = self.slots[order, n] = self.matrix.shape[1] - 1
+        return got
+
+
+@lru_cache(maxsize=None)  # one entry per (salt, radius) in use
+def _offset_shifts(salt: int, radius: int) -> _OffsetShifts:
+    return _OffsetShifts(salt, radius)
+
+
+def offset_ngram_id_matrix(cfg: FeatureConfig, token: str) -> np.ndarray:
+    """``offset_ngram_ids`` of ``token`` at every context offset, one row each.
+
+    Row ``j`` equals ``offset_ngram_ids(cfg, token, j - cfg.context_radius)``
+    element for element.  Each gram is hashed once, from initial value 0,
+    and moved to every offset's key with one XOR (see ``_OffsetShifts``).
+    The array is C-contiguous, so numpy sums each row of weights it indexes
+    in the same order as it sums that row's ids alone, bit for bit; its
+    dtype is uint32, which holds every id of a valid ``hash_dims``.
+    """
+    shifts = _offset_shifts(cfg.salt, cfg.context_radius)
+    padded = "\x02" + token + "\x03"
+    crc32, ends = zlib.crc32, len(padded) + 1
+    crcs: list[int] = []
+    slots: list[int] = []
+    for order in cfg.ngram_orders:
+        for s in range(order, ends):
+            gram = padded[s - order:s].encode("utf-8")
+            crcs.append(crc32(gram))
+            slots.append(shifts.slot(order, len(gram)))
+    # take, unlike matrix[:, slots], returns rows contiguous in memory.
+    shifted = np.take(shifts.matrix, slots, axis=1) ^ np.array(crcs, dtype=np.uint32)
+    return shifted % np.uint32(cfg.hash_dims)
 
 
 def static_features(cfg: FeatureConfig, tokens: Sequence[str], t: int) -> dict[int, float]:
@@ -245,15 +314,41 @@ def _check_corpus(corpus: Corpus) -> None:
             )
 
 
-def _example_steps(cfg: FeatureConfig, transcript: Transcript, labels: SegmentationLabels):
-    """Precompute (ids, counts, y) per trainable position of one document."""
+def _example_steps(
+    cfg: FeatureConfig,
+    transcript: Transcript,
+    labels: SegmentationLabels,
+    token_ids: dict[str, np.ndarray],
+):
+    """Precompute (ids, counts, y) per trainable position of one document.
+
+    The features are those of ``step_features``: each distinct id once, in
+    the order its dict first meets it (bias, offsets ascending, history),
+    with its count, so ``ids`` and ``counts`` come out equal.  Each token's
+    ids at every offset are taken from ``token_ids``, filled from
+    ``offset_ngram_id_matrix`` on first use.
+    """
     steps = []
     decisions = labels.decisions
+    r = cfg.context_radius
+    bias = np.array([bias_feature(cfg)], dtype=np.uint32)
+    context = [PAD_LEFT] * r + list(transcript.tokens) + [PAD_RIGHT] * r
+    rows = []
+    for tok in context:
+        got = token_ids.get(tok)
+        if got is None:
+            got = token_ids[tok] = offset_ngram_id_matrix(cfg, tok)
+        rows.append(got)
     for t in range(1, len(transcript)):
-        feats = step_features(cfg, transcript.tokens, t, decisions)
-        ids = np.fromiter(feats.keys(), dtype=np.int64, count=len(feats))
-        counts = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
-        steps.append((ids, counts, 1.0 if decisions[t] is SPLIT else 0.0))
+        history = history_feature(cfg, history_bits(decisions, t, cfg.history))
+        merged = np.concatenate(
+            [bias, *[rows[t + j][j] for j in range(2 * r + 1)], np.array([history], np.uint32)]
+        )
+        # first_seen is each id's first position, so order is the dict's.
+        ids, first_seen, counts = np.unique(merged, return_index=True, return_counts=True)
+        order = np.argsort(first_seen)
+        steps.append((ids[order], counts[order].astype(np.float64),
+                      1.0 if decisions[t] is SPLIT else 0.0))
     return steps
 
 
@@ -286,7 +381,8 @@ def _mean_loss(
 
 def _corpus_steps(cfg: FeatureConfig, corpus: Corpus) -> Iterator[list]:
     _check_corpus(corpus)
-    return (_example_steps(cfg, transcript, labels) for transcript, labels in corpus)
+    token_ids: dict[str, np.ndarray] = {}
+    return (_example_steps(cfg, transcript, labels, token_ids) for transcript, labels in corpus)
 
 
 def evaluate_loss(model: FeatureModel, corpus: Corpus) -> float:

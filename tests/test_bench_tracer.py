@@ -1,0 +1,67 @@
+"""The benchmark's tracer still finds every library function it wraps.
+
+``bench/spans.py`` wraps library functions by name for a traced run and
+raises ``MissingTarget`` when one is renamed or removed.  Instrumenting
+and restoring here makes such drift fail the test suite, not only a
+traced benchmark run.
+"""
+
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+MODULES = (
+    "windowseg.segmenters.autoregressive",
+    "windowseg.segmenters.features",
+    "windowseg.segmenters.external",
+    "windowseg.pipeline",
+    "windowseg.align",
+    "windowseg.rules",
+    "requests",
+)
+
+
+def namespaces():
+    """Every module the tracer patches and every class it holds."""
+    for name in MODULES:
+        module = importlib.import_module(name)
+        yield name, module
+        for attr, value in vars(module).items():
+            if inspect.isclass(value):
+                yield f"{name}.{attr}", value
+
+
+def snapshot():
+    return {name: dict(vars(owner)) for name, owner in namespaces()}
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("spans")
+
+
+def test_instrument_finds_every_target_and_restore_undoes_it(spans):
+    import requests
+
+    from windowseg.segmenters import autoregressive, features
+
+    before = snapshot()
+    restore = spans.instrument(spans.Tracer())  # MissingTarget if one is gone
+    try:
+        assert autoregressive.static_features is not features.static_features
+        assert (autoregressive.CachedConditionals.logprobs
+                is not before["windowseg.segmenters.autoregressive.CachedConditionals"]["logprobs"])
+        assert requests.Session.post is not before["requests.Session"]["post"]
+    finally:
+        restore()
+    after = snapshot()
+    assert after.keys() == before.keys()
+    for name, attrs in before.items():
+        assert after[name].keys() == attrs.keys(), name
+        for attr, value in attrs.items():
+            assert after[name][attr] is value, f"{name}.{attr} not restored"

@@ -114,6 +114,20 @@ class TestDeriveLabels:
         assert rc == 1
         assert "refusing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["b.txt", "./b.txt"])
+    def test_labels_name_of_a_transcript_output_rejected(self, tmp_path, capsys, name):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("Alpha bravo. Charlie.\n")
+        b.write_text("Delta echo.\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "b.txt").write_text("kept\n")
+        rc = main(["derive-labels", str(a), str(b), "--out-dir", str(out), "--labels-name", name])
+        assert rc == 1
+        assert "--labels-name" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["b.txt"]
+        assert (out / "b.txt").read_text() == "kept\n"
+
     def test_missing_input(self, tmp_path, capsys):
         rc = main(["derive-labels", str(tmp_path / "ghost.txt"), "--out-dir", str(tmp_path)])
         assert rc == 2

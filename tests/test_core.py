@@ -46,6 +46,18 @@ class TestTranscript:
         with pytest.raises(ValueError):
             Transcript(("a b",))
 
+    def test_rejects_every_whitespace_character(self):
+        spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+        assert len(spaces) > 20
+        for space in spaces:
+            for token in (space, "a" + space, space + "b", "a" + space + "b"):
+                with pytest.raises(ValueError, match="whitespace"):
+                    Transcript(("ok", token))
+
+    def test_accepts_non_space_separators(self):
+        # Not whitespace to str.isspace(): zero-width space, word joiner, BOM.
+        assert Transcript(("a\u200bb", "c\u2060d", "\ufeffe")).tokens[0] == "a\u200bb"
+
     def test_rejects_delimiter_in_token(self):
         with pytest.raises(ValueError):
             Transcript(("a" + DEFAULT_DELIMITER,))

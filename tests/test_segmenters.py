@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import threading
 import time
 
 import numpy as np
@@ -28,8 +29,15 @@ from windowseg.segmenters import (
     rerank,
     train_feature_model,
 )
+from windowseg.segmenters import autoregressive
 from windowseg.segmenters.autoregressive import TokenTable
-from windowseg.segmenters.features import TrainConfig, static_features
+from windowseg.segmenters.features import (
+    TrainConfig,
+    _softplus,
+    offset_ngram_id_matrix,
+    offset_ngram_ids,
+    static_features,
+)
 from windowseg.windowing import WindowConfig, plan_windows, stitch
 
 CFG = FeatureConfig(hash_dims=2 ** 14, ngram_orders=(2, 3), context_radius=3, history=2)
@@ -315,10 +323,31 @@ class TestCachedConditionals:
                 assert cc.logprobs(t, prefix) == fresh
                 assert cc.logprobs(t, as_labels) == fresh
                 assert cc.logprobs(t, prefix + (1, 0, 1)) == fresh
-                # Flipping decisions older than the history hits the same entry.
+                # Flipping decisions older than the history changes nothing.
                 old = max(t - h, 0)
                 flipped = tuple(1 - d for d in prefix[:old]) + prefix[old:]
-                assert cc.logprobs(t, flipped) is cc.logprobs(t, prefix)
+                assert cc.logprobs(t, flipped) == cc.logprobs(t, prefix)
+
+    @pytest.mark.parametrize("z", [0.0, -0.0, 1e-300, -1e-300, 0.7, -0.7, 40.0, -40.0, 800.0,
+                                   -800.0, math.inf, -math.inf])
+    def test_one_exp_matches_two_softplus_calls(self, model, z):
+        table = TokenTable(model)
+        cc = CachedConditionals(model, ("aa", "bb"), table)
+        # A static logit of -0.0 plus a history weight of z is z exactly,
+        # signed zeros included.
+        cc._static = [0.0, -0.0]
+        table.history_weights[(SPLIT,)] = z
+        got = cc.logprobs(1, (SPLIT,))
+        want = (-_softplus(z), -_softplus(-z))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_history_weights_shared_across_windows(self, model):
+        table = TokenTable(model)
+        a = CachedConditionals(model, ("aa", "bb", "cc"), table)
+        b = CachedConditionals(model, ("dd", "ee"), table)
+        a.logprobs(2, (SPLIT, CONTINUE))
+        b.logprobs(1, (SPLIT,))
+        assert set(table.history_weights) == {(SPLIT, CONTINUE), (SPLIT,)}
 
 
 # Tokens that exercise the pads' spelling, non-ASCII text, the empty
@@ -356,6 +385,74 @@ class TestTokenTable:
             for t, value in enumerate(got):
                 want = canonical_static_logit(model, window, t)
                 assert abs(value - want) <= 1e-9, (window, t)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            CFG,
+            FeatureConfig(salt=0xDEADBEEF),
+            FeatureConfig(hash_dims=1_000_003, ngram_orders=(1, 5), context_radius=4, salt=17),
+            FeatureConfig(hash_dims=2 ** 32 - 1, ngram_orders=(2, 3), context_radius=0,
+                          salt=0xFFFFFFFF),
+        ],
+    )
+    def test_id_matrix_rows_are_the_offset_ids(self, cfg):
+        r = cfg.context_radius
+        for token in TABLE_VOCAB + ("a\x03b", "x" * 40, "ß∂" * 5):
+            ids = offset_ngram_id_matrix(cfg, token)
+            assert ids.shape[0] == 2 * r + 1
+            for j, row in enumerate(ids.tolist()):
+                assert row == offset_ngram_ids(cfg, token, j - r), (token, j)
+
+    def test_rows_are_the_per_offset_sums_bit_for_bit(self, model):
+        table = TokenTable(model)
+        table.static_logits(TABLE_VOCAB)
+        r = model.config.context_radius
+        for token, i in table._index.items():
+            want = [model.weights[offset_ngram_ids(model.config, token, d)].sum()
+                    for d in range(-r, r + 1)]
+            assert table._matrix[i].tobytes() == np.array(want).tobytes(), token
+
+    def test_threaded_fill_matches_serial_fill(self, model):
+        # Four times the first capacity, so the matrix grows while the
+        # threads fill it; several rounds, as a race shows only sometimes.
+        words = [f"{c}{i}" for i in range(autoregressive._FIRST_ROWS) for c in "abcd"]
+        windows = [words[i::7] for i in range(7)]
+        serial = TokenTable(model)
+        for window in windows:
+            serial.static_logits(window)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(8):
+                shared = TokenTable(model)
+                barrier = threading.Barrier(4)
+                errors = []
+
+                def fill(k):
+                    try:
+                        barrier.wait(timeout=30)
+                        for window in windows[k:] + windows[:k]:
+                            shared.static_logits(window)
+                    except Exception as exc:  # a thread's failure fails the test
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=fill, args=(k,)) for k in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert len(shared._index) == len(serial._index) == len(words) + 2
+                assert len(shared._matrix) > autoregressive._FIRST_ROWS
+                for token, i in serial._index.items():
+                    got = shared._matrix[shared._index[token]]
+                    assert got.tobytes() == serial._matrix[i].tobytes(), token
+        finally:
+            sys.setswitchinterval(interval)
+        for window in windows:
+            assert shared.static_logits(window) == serial.static_logits(window)
 
     def test_real_pad_tokens_share_pad_rows(self, model):
         table = TokenTable(model)
