@@ -32,23 +32,19 @@ from .core import (
     Decision,
     DelimitedText,
     Malformed,
-    Segment,
     SegmentationLabels,
     Transcript,
     decode_delimited,
     encode_delimited,
-    labels_to_segments,
     normalize_text,
     normalize_token,
     parse_delimited_lenient,
-    segments_to_labels,
 )
 from .eval import EvalReport, PairingError, boundary_f1, evaluate_corpus, format_report
 from .pipeline import (
     build_segmenter,
     render_segments,
     segment_tokens,
-    segment_transcript,
 )
 from .windowing import Window, WindowConfig, plan_windows, stitch
 
@@ -72,7 +68,6 @@ __all__ = [
     "SPLIT",
     "SearchStrategy",
     "SegAutomaton",
-    "Segment",
     "SegmentationLabels",
     "Transcript",
     "Window",
@@ -86,7 +81,6 @@ __all__ = [
     "encode_delimited",
     "evaluate_corpus",
     "format_report",
-    "labels_to_segments",
     "levenshtein_align",
     "load_config",
     "normalize_text",
@@ -98,8 +92,6 @@ __all__ = [
     "project_oracle",
     "render_segments",
     "segment_tokens",
-    "segment_transcript",
-    "segments_to_labels",
     "stitch",
     "validate",
 ]

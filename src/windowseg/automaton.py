@@ -17,11 +17,10 @@ only on its state and last ``h`` decisions, so exact search merges
 hypotheses sharing both, in O(w * 2^h) score calls.  A scorer without
 ``history`` may read the full prefix and is enumerated.
 
-A hypothesis links to the one it extends instead of copying its emitted
-symbols, so ``Hypothesis.emitted`` is rebuilt on demand (O(w) per read)
-and costs nothing for scorers that never read it.  Beam search ranks
-hypotheses by ``(-score, decisions + (1,) if pending else decisions)``:
-higher score first, ties toward fewer and later delimiters.
+A hypothesis carries its decisions and pending flag, which determine the
+symbols it emitted.  Beam search ranks hypotheses by
+``(-score, decisions + (1,) if pending else decisions)``: higher score
+first, ties toward fewer and later delimiters.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterator, Optional, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 from .core import CONTINUE, DEFAULT_DELIMITER, SPLIT, SegmentationLabels
 
@@ -50,26 +49,6 @@ class SegAutomaton:
     start: int
     final: int
     rows: tuple[tuple[Arc, ...], ...]
-
-    @property
-    def num_states(self) -> int:
-        return len(self.rows)
-
-    @property
-    def arcs(self) -> tuple[dict[str, int], ...]:
-        """``arcs[state][symbol] -> next state``, derived from ``rows``."""
-        return tuple({sym: nxt for sym, nxt, _ in row} for row in self.rows)
-
-    def enumerate_strings(self) -> Iterator[tuple[str, ...]]:
-        """All accepted symbol strings, in depth-first token-before-delimiter order."""
-        stack: list[tuple[int, tuple[str, ...]]] = [(self.start, ())]
-        while stack:
-            state, emitted = stack.pop()
-            if state == self.final:
-                yield emitted
-                continue
-            for sym, nxt, _ in reversed(self.rows[state]):
-                stack.append((nxt, emitted + (sym,)))
 
 
 def build_automaton(window_tokens: Sequence[str]) -> SegAutomaton:
@@ -141,10 +120,7 @@ class Hypothesis:
 
     ``decisions`` records the segmentation decision per consumed token
     (position 0 is always 1: its delimiter is implied); ``pending`` is
-    set between a delimiter and the token that completes it.  ``parent``
-    is the hypothesis this one extends by the arc labeled ``symbol`` (both
-    None at the start state), and ``emitted`` follows those links back, so
-    it costs O(w) per read.
+    set between a delimiter and the token that completes it.
 
     ``key`` is the beam ranking, computed once:
     ``(-score, decisions + (1,) if pending else decisions)``.  Higher score
@@ -153,7 +129,7 @@ class Hypothesis:
     treated as immutable: searches and scorers never assign to them.
     """
 
-    __slots__ = ("state", "score", "decisions", "pending", "parent", "symbol", "key")
+    __slots__ = ("state", "score", "decisions", "pending", "key")
 
     def __init__(
         self,
@@ -161,31 +137,17 @@ class Hypothesis:
         score: float,
         decisions: tuple[int, ...] = (),
         pending: bool = False,
-        parent: Optional["Hypothesis"] = None,
-        symbol: Optional[str] = None,
     ):
         self.state = state
         self.score = score
         self.decisions = decisions
         self.pending = pending
-        self.parent = parent
-        self.symbol = symbol
         self.key = (-score, decisions + (1,) if pending else decisions)
 
     @property
     def position(self) -> int:
         """Number of tokens consumed so far."""
         return len(self.decisions)
-
-    @property
-    def emitted(self) -> tuple[str, ...]:
-        """The symbols along the path from the start state."""
-        symbols = []
-        hyp = self
-        while hyp.parent is not None:
-            symbols.append(hyp.symbol)
-            hyp = hyp.parent
-        return tuple(reversed(symbols))
 
     def __repr__(self) -> str:
         return (
@@ -207,31 +169,10 @@ class SymbolScorer(Protocol):
         ...
 
 
-@dataclass
-class ConstantScorer:
-    """Assigns the same log-score to every symbol; useful as a tie-break probe."""
-
-    value: float = math.log(0.5)
-    history = 0
-
-    def score_symbol(self, hypothesis: Hypothesis, symbol: str) -> float:
-        return self.value
-
-
-@dataclass
-class FunctionScorer:
-    """Wraps a plain ``fn(emitted_prefix, symbol) -> log-score`` callable."""
-
-    fn: Callable[[tuple[str, ...], str], float]
-
-    def score_symbol(self, hypothesis: Hypothesis, symbol: str) -> float:
-        return self.fn(hypothesis.emitted, symbol)
-
-
 def _extend(hyp: Hypothesis, arc: Arc, step_score: float) -> Hypothesis:
-    symbol, nxt, is_delimiter = arc
+    _, nxt, is_delimiter = arc
     if is_delimiter:
-        return Hypothesis(nxt, hyp.score + step_score, hyp.decisions, True, hyp, symbol)
+        return Hypothesis(nxt, hyp.score + step_score, hyp.decisions, True)
     # Position 0 always opens a segment though no delimiter arc leads to
     # it; recording it as 1 keeps scorer decision histories
     # consistent with document-level labelings.  A pending hypothesis's
@@ -240,7 +181,7 @@ def _extend(hyp: Hypothesis, arc: Arc, step_score: float) -> Hypothesis:
         decisions = hyp.key[1]
     else:
         decisions = hyp.decisions + (0,) if hyp.decisions else (1,)
-    return Hypothesis(nxt, hyp.score + step_score, decisions, False, hyp, symbol)
+    return Hypothesis(nxt, hyp.score + step_score, decisions)
 
 
 def _nan_error(symbol: str, state: int) -> ValueError:

@@ -77,17 +77,22 @@ def _read_utf8(path: Path) -> str:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _missing_inputs(paths: Sequence[Path]) -> Optional[int]:
-    missing = [p for p in paths if not p.is_file()]
+def _missing_inputs(paths: Sequence[Optional[Path]]) -> Optional[int]:
+    """Exit 2 naming each path that is not a file; ``None`` entries are skipped."""
+    missing = [p for p in paths if p is not None and not p.is_file()]
     for p in missing:
         print(f"error: input not found: {p}", file=sys.stderr)
     return EXIT_MISSING_INPUT if missing else None
 
 
 def _rule(abbreviations: Optional[Path]) -> RulePunctuation:
+    """The punctuation rule; a ValueError naming the file if it is not UTF-8."""
     if abbreviations is None:
         return RulePunctuation()
-    return RulePunctuation(load_abbreviations(abbreviations))
+    try:
+        return RulePunctuation(load_abbreviations(abbreviations))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{abbreviations}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +227,15 @@ def cmd_train(args: argparse.Namespace) -> int:
             )
         except ValueError as exc:
             return _fail(str(exc), EXIT_BAD_CONFIG)
-    train_config = TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-        shuffle=not args.no_shuffle,
-    )
+    try:
+        train_config = TrainConfig(
+            epochs=args.epochs,
+            learning_rate=args.learning_rate,
+            seed=args.seed,
+            shuffle=not args.no_shuffle,
+        )
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_BAD_CONFIG)
     try:
         result = train_feature_model(corpus, feature_config, train_config, init=init)
     except ValueError as exc:
@@ -247,13 +255,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_derive_labels(args: argparse.Namespace) -> int:
-    code = _missing_inputs(args.inputs)
+    code = _missing_inputs([*args.inputs, args.abbreviations])
     if code is not None:
         return code
     if len({p.stem for p in args.inputs}) != len(args.inputs):
         return _fail("duplicate document stems in inputs", EXIT_DATA)
     labels_path = (args.out_dir / args.labels_name).resolve()
-    rule = _rule(args.abbreviations)
+    try:
+        rule = _rule(args.abbreviations)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_DATA)
     docs = []  # all derived before any is written, so a bad input writes nothing
     for path in args.inputs:
         output = (args.out_dir / f"{path.stem}.txt").resolve()
@@ -295,7 +306,7 @@ def cmd_derive_labels(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    code = _missing_inputs(list(args.references) + list(args.asr))
+    code = _missing_inputs([*args.references, *args.asr, args.abbreviations])
     if code is not None:
         return code
     refs = {p.stem: p for p in args.references}
@@ -306,7 +317,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if unpaired:
         return _fail("unpaired documents: " + ", ".join(unpaired), EXIT_UNPAIRED)
 
-    rule = _rule(args.abbreviations)
+    try:
+        rule = _rule(args.abbreviations)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_DATA)
     rows = []
     for stem in sorted(refs):
         try:

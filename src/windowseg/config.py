@@ -126,6 +126,10 @@ def load_config(
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}")
+        except OSError as exc:  # a directory, unreadable, ...
+            raise ConfigError(f"{path}: {exc.strerror or exc}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}")
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         flat.update(_flatten(raw))

@@ -158,21 +158,6 @@ class DelimitedText:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """Half-open token span [start, end)."""
-
-    start: int
-    end: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.start < self.end:
-            raise ValueError(f"invalid segment [{self.start}, {self.end})")
-
-    def __len__(self) -> int:
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
 class Malformed:
     """Decode failure: the candidate does not reproduce the reference tokens.
 
@@ -252,35 +237,6 @@ def parse_delimited_lenient(candidate: Union[str, Sequence[str]]) -> DelimitedTe
         items.append((pending, sym))
         pending = False
     return DelimitedText(tuple(items))
-
-
-def labels_to_segments(labels: SegmentationLabels) -> list[Segment]:
-    """Expand a document labeling into the segments it induces.
-
-    Requires the document convention: SPLIT at position 0 for non-empty
-    labelings, so the segments partition [0, n).
-    """
-    n = len(labels)
-    if n == 0:
-        return []
-    if labels[0] is not SPLIT:
-        raise ValueError("document labeling must have SPLIT at position 0")
-    starts = list(labels.split_positions())
-    bounds = starts + [n]
-    return [Segment(bounds[i], bounds[i + 1]) for i in range(len(starts))]
-
-
-def segments_to_labels(segments: Sequence[Segment], n: int) -> SegmentationLabels:
-    """Inverse of :func:`labels_to_segments`; segments must partition [0, n)."""
-    ordered = sorted(segments, key=lambda s: s.start)
-    cursor = 0
-    for seg in ordered:
-        if seg.start != cursor:
-            raise ValueError(f"segments do not partition [0, {n}): gap/overlap at {seg.start}")
-        cursor = seg.end
-    if cursor != n:
-        raise ValueError(f"segments cover [0, {cursor}) but n = {n}")
-    return SegmentationLabels.from_split_positions(n, (s.start for s in ordered))
 
 
 def normalize_token(token: str) -> str:

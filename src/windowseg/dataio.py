@@ -67,10 +67,6 @@ def format_transcript(transcript: Transcript) -> str:
     return transcript.text() + "\n"
 
 
-def write_transcript(transcript: Transcript, path: PathLike) -> None:
-    write_files({path: format_transcript(transcript)})
-
-
 def _int_field(path: PathLike, lineno: int, what: str, field: str) -> int:
     try:
         return int(field)
@@ -123,15 +119,3 @@ def format_labels(entries: LabelsEntries) -> str:
         )
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def write_labels_file(entries: LabelsEntries, path: PathLike) -> None:
-    write_files({path: format_labels(entries)})
-
-
-def labels_entry(
-    transcript: Transcript, labels: SegmentationLabels
-) -> tuple[str, SegmentationLabels]:
-    """A labels-file row for one document, validating the pairing."""
-    if len(labels) != len(transcript):
-        raise ValueError("labels length does not match transcript")
-    return transcript.source_id, labels

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .automaton import parse_strategy
 from .config import PipelineConfig
-from .core import SPLIT, SegmentationLabels, Transcript
+from .core import SPLIT, SegmentationLabels
 from .segmenters import (
     AutoregressiveSegmenter,
     EndpointConfig,
@@ -87,15 +87,6 @@ def segment_tokens(
         with ThreadPoolExecutor(max_workers=count) as pool:
             results = list(pool.map(run, windows))
     return stitch(windows, results)
-
-
-def segment_transcript(
-    transcript: Transcript,
-    segmenter: WindowSegmenter,
-    window: WindowConfig = WindowConfig(),
-    workers: int = 1,
-) -> SegmentationLabels:
-    return segment_tokens(transcript.tokens, segmenter, window, workers)
 
 
 def render_segments(

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .core import CONTINUE, SPLIT, Decision, SegmentationLabels, Transcript, normalize_token
 
@@ -87,24 +87,3 @@ class RulePunctuation:
             raise ValueError("no tokens survive normalization")
         return Transcript(tuple(tokens)), SegmentationLabels(tuple(decisions))
 
-    def segment_text(self, punctuated_text: str) -> list[list[str]]:
-        """Sentences as normalized token lists; convenience over derive_labels."""
-        transcript, labels = self.derive_labels(punctuated_text)
-        sentences: list[list[str]] = []
-        for tok, dec in zip(transcript.tokens, labels):
-            if dec is SPLIT:
-                sentences.append([])
-            sentences[-1].append(tok)
-        return sentences
-
-
-def derive_labels(
-    punctuated_text: str, abbreviations: Optional[Iterable[str]] = None
-) -> tuple[Transcript, SegmentationLabels]:
-    """Module-level convenience wrapper over RulePunctuation.derive_labels."""
-    rule = (
-        RulePunctuation()
-        if abbreviations is None
-        else RulePunctuation(frozenset(a.lower() for a in abbreviations))
-    )
-    return rule.derive_labels(punctuated_text)

@@ -1,11 +1,10 @@
 """Window segmenters: fixed-length, rule-based, featurized, and remote."""
 
-from ..rules import RulePunctuation, derive_labels, load_abbreviations
+from ..rules import RulePunctuation, load_abbreviations
 from .autoregressive import (
     AutoregressiveSegmenter,
     CachedConditionals,
     FeatureModelReranker,
-    FeatureStepScorer,
 )
 from .base import (
     FixedLengthSegmenter,
@@ -41,7 +40,6 @@ __all__ = [
     "FeatureConfig",
     "FeatureModel",
     "FeatureModelReranker",
-    "FeatureStepScorer",
     "FixedLengthSegmenter",
     "NBestList",
     "ReplaySegmenter",
@@ -51,7 +49,6 @@ __all__ = [
     "TrainResult",
     "WindowInfo",
     "WindowSegmenter",
-    "derive_labels",
     "evaluate_loss",
     "load_abbreviations",
     "load_model",

@@ -153,7 +153,7 @@ def _table_for(model: FeatureModel, table: Optional[TokenTable]) -> TokenTable:
 
 
 class CachedConditionals:
-    """A window's conditionals: static logits plus a history weight.
+    """A window's conditionals, and the symbol scorer search follows.
 
     Static logits come from the token table, one row gather for the tokens
     of the window and its pads; the decision history contributes one weight
@@ -162,6 +162,16 @@ class CachedConditionals:
     there is no per-window cache to fill.
     Without a ``table`` (which must belong to ``model``) the window gets a
     fresh one of its own.
+
+    As a symbol scorer, delimiter arcs score log p(SPLIT) at the upcoming
+    position; plain token arcs score log p(CONTINUE) unless they complete a
+    delimiter detour or sit at position 0, both of which are structural
+    (probability one, score zero).  ``history`` is the model's, so exact
+    search merges hypotheses that share their last ``history`` decisions.
+    Search scores a hypothesis's token arc and then its delimiter arc, so
+    the scorer keeps the last hypothesis's conditionals and answers the
+    second arc without a lookup.  It is built per window and so never
+    shared between threads.
     """
 
     def __init__(
@@ -169,10 +179,12 @@ class CachedConditionals:
     ):
         self.model = model
         self.tokens = tuple(tokens)
+        self.history = model.config.history
         self._table = table if table is not None else TokenTable(model)
         self._static = self._table.static_logits(self.tokens)
-        self._history = model.config.history
         self._weights = self._table.history_weights
+        self._last: Optional[Hypothesis] = None
+        self._last_probs = (0.0, 0.0)
 
     def logprobs(self, t: int, prefix: Sequence[object]) -> tuple[float, float]:
         """(log p(CONTINUE), log p(SPLIT)) at position ``t`` given ``prefix``.
@@ -183,7 +195,7 @@ class CachedConditionals:
         bit for bit ``(-_softplus(z), -_softplus(-z))``, sharing the one
         ``exp`` and ``log1p`` the two calls would make.
         """
-        start = t - self._history
+        start = t - self.history
         recent = tuple(prefix[start if start > 0 else 0:t])
         w = self._weights.get(recent)
         if w is None:
@@ -194,6 +206,17 @@ class CachedConditionals:
             return (-(z + e), -e)
         e = log1p(exp(z))
         return (-e, -(-z + e))
+
+    def score_symbol(self, hypothesis: Hypothesis, symbol: str) -> float:
+        split = symbol == DEFAULT_DELIMITER
+        if not split and (hypothesis.pending or not hypothesis.decisions):
+            return 0.0
+        # Holding the hypothesis keeps its id from being reused.  The lookup
+        # goes through the method, so a wrapper on the class sees each one.
+        if hypothesis is not self._last:
+            self._last = hypothesis
+            self._last_probs = self.logprobs(len(hypothesis.decisions), hypothesis.decisions)
+        return self._last_probs[split]
 
     def sequence_logprob(self, labels: Sequence[object]) -> float:
         decisions = list(labels)
@@ -210,44 +233,6 @@ class CachedConditionals:
 
 def _is_split(d: object) -> bool:
     return d is SPLIT or d == 1
-
-
-class FeatureStepScorer:
-    """Adapts a feature model to the automaton's symbol-scoring interface.
-
-    Delimiter arcs score log p(SPLIT) at the upcoming position; plain
-    token arcs score log p(CONTINUE) unless they complete a delimiter
-    detour or sit at position 0, both of which are structural (probability
-    one, score zero).
-
-    Search scores a hypothesis's token arc and then its delimiter arc, so
-    the scorer keeps the last hypothesis's conditionals and answers the
-    second arc without a lookup.  It is built per window and so never
-    shared between threads.
-    """
-
-    def __init__(
-        self,
-        model: FeatureModel,
-        tokens: Sequence[str],
-        table: Optional[TokenTable] = None,
-    ):
-        self.history = model.config.history
-        self.conditionals = CachedConditionals(model, tokens, table)
-        self._last: Optional[Hypothesis] = None
-        self._last_probs = (0.0, 0.0)
-
-    def score_symbol(self, hypothesis: Hypothesis, symbol: str) -> float:
-        split = symbol == DEFAULT_DELIMITER
-        if not split and (hypothesis.pending or not hypothesis.decisions):
-            return 0.0
-        # Holding the hypothesis keeps its id from being reused.
-        if hypothesis is not self._last:
-            self._last = hypothesis
-            self._last_probs = self.conditionals.logprobs(
-                len(hypothesis.decisions), hypothesis.decisions
-            )
-        return self._last_probs[split]
 
 
 @dataclass
@@ -268,10 +253,10 @@ class AutoregressiveSegmenter:
             raise ValueError("no model loaded")
         return self.model
 
-    def scorer(self, window: Sequence[str]) -> FeatureStepScorer:
+    def scorer(self, window: Sequence[str]) -> CachedConditionals:
         model = self._model()
         self._table = table = _table_for(model, self._table)
-        return FeatureStepScorer(model, window, table)
+        return CachedConditionals(model, window, table)
 
     def segment(
         self, window: Sequence[str], info: WindowInfo = WindowInfo()

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core import CONTINUE, SPLIT, Decision, SegmentationLabels, Transcript
+from ..core import SPLIT, SegmentationLabels, Transcript
 from ..dataio import write_files
 
 PAD_LEFT = "<s>"
@@ -193,15 +193,6 @@ def history_feature(cfg: FeatureConfig, bits: str) -> int:
     return _hash(cfg, "H" + bits)
 
 
-def step_features(
-    cfg: FeatureConfig, tokens: Sequence[str], t: int, prefix: Sequence[object]
-) -> dict[int, float]:
-    feats = static_features(cfg, tokens, t)
-    fid = history_feature(cfg, history_bits(prefix, t, cfg.history))
-    feats[fid] = feats.get(fid, 0.0) + 1.0
-    return feats
-
-
 def _softplus(x: float) -> float:
     if x > 0:
         return x + math.log1p(math.exp(-x))
@@ -237,46 +228,6 @@ class FeatureModel:
     def copy(self) -> "FeatureModel":
         return FeatureModel(self.config, self.weights.copy())
 
-    def _logit(self, feats: dict[int, float]) -> float:
-        ids = np.fromiter(feats.keys(), dtype=np.int64, count=len(feats))
-        counts = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
-        return float(self.weights[ids] @ counts)
-
-    def split_logit(self, tokens: Sequence[str], t: int, prefix: Sequence[object]) -> float:
-        """Log-odds of SPLIT at position ``t`` given the decision prefix."""
-        if not 0 <= t < len(tokens):
-            raise ValueError(f"position {t} outside window of {len(tokens)} tokens")
-        return self._logit(step_features(self.config, tokens, t, prefix))
-
-    def score_step(
-        self, tokens: Sequence[str], t: int, prefix: Sequence[object]
-    ) -> dict[Decision, float]:
-        """Locally normalized log-distribution over the decision at ``t``.
-
-        exp of the two scores sums to one.  The pipeline never consults
-        position 0 (a segment opens there structurally); for consistency
-        the raw conditional is returned anyway.
-        """
-        z = self.split_logit(tokens, t, prefix)
-        return {SPLIT: -_softplus(-z), CONTINUE: -_softplus(z)}
-
-    def sequence_logprob(
-        self, tokens: Sequence[str], labels: Union[SegmentationLabels, Sequence[Decision]]
-    ) -> float:
-        """Log-likelihood of a labeling: sum over positions 1..n-1.
-
-        Position 0 is structural and contributes nothing, matching the
-        path scores produced by constrained search.
-        """
-        decisions = list(labels)
-        if len(decisions) != len(tokens):
-            raise ValueError(f"labels length {len(decisions)} != window length {len(tokens)}")
-        total = 0.0
-        for t in range(1, len(tokens)):
-            z = self.split_logit(tokens, t, decisions[:t])
-            total += -_softplus(-z) if decisions[t] is SPLIT else -_softplus(z)
-        return total
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -290,8 +241,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # also rejects NaN
+            raise ValueError("learning_rate must be positive and finite")
 
 
 @dataclass
@@ -322,10 +273,11 @@ def _example_steps(
 ):
     """Precompute (ids, counts, y) per trainable position of one document.
 
-    The features are those of ``step_features``: each distinct id once, in
-    the order its dict first meets it (bias, offsets ascending, history),
-    with its count, so ``ids`` and ``counts`` come out equal.  Each token's
-    ids at every offset are taken from ``token_ids``, filled from
+    The features are ``static_features`` plus the history feature, merged
+    as one dict would merge them: each distinct id once, in the order the
+    dict first meets it (bias, offsets ascending, history), with its count,
+    so ``ids`` and ``counts`` come out equal to its keys and values.  Each
+    token's ids at every offset are taken from ``token_ids``, filled from
     ``offset_ngram_id_matrix`` on first use.
     """
     steps = []
@@ -362,8 +314,8 @@ def _mean_loss(
     total = 0.0
     count = 0
     for steps in documents:
-        # Summed per document first, as FeatureModel.sequence_logprob sums,
-        # so the mean equals -sum(sequence_logprob) / positions bit for bit.
+        # Summed per document first, as a document's log-likelihood sums,
+        # so the mean equals -sum(log-likelihoods) / positions bit for bit.
         doc_loss = 0.0
         for ids, counts, y in steps:
             z = float(weights[ids] @ counts)

@@ -58,10 +58,6 @@ class Window:
     def slice(self, tokens: Sequence[str]) -> tuple[str, ...]:
         return tuple(tokens[self.start : self.end])
 
-    def local_adopt_range(self) -> range:
-        """Adopted positions in window-local coordinates."""
-        return range(self.adopt_start - self.start, self.adopt_end - self.start)
-
 
 def plan_windows(n: int, cfg: WindowConfig) -> list[Window]:
     """Plan windows covering ``n`` tokens.

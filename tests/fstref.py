@@ -4,7 +4,8 @@ The production automaton is built directly in closed form.  Here we take
 the long way around: a straight-line acceptor for the window composed
 with a one-state-per-phase delimiter-insertion transducer, then output
 projection and trimming.  Tests compare the two constructions by graph
-isomorphism and by language equality.
+isomorphism and by language equality, reading the production acceptor
+through the views at the end of this module.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
+
+from windowseg.automaton import SegAutomaton
 
 EPS = ""
 
@@ -214,3 +217,27 @@ def isomorphic(
     # Both machines trim: every state reachable, so the pairing must cover
     # all states on both sides for a true isomorphism.
     return len(pair) == len(a_arcs) and len(set(pair.values())) == len(b_arcs)
+
+
+# Views of the production acceptor, derived from its arc table ``rows``.
+
+
+def num_states(a: SegAutomaton) -> int:
+    return len(a.rows)
+
+
+def arcs(a: SegAutomaton) -> tuple[dict[str, int], ...]:
+    """``arcs(a)[state][symbol] -> next state``."""
+    return tuple({sym: nxt for sym, nxt, _ in row} for row in a.rows)
+
+
+def enumerate_strings(a: SegAutomaton) -> Iterator[tuple[str, ...]]:
+    """All accepted symbol strings, in depth-first token-before-delimiter order."""
+    stack: list[tuple[int, tuple[str, ...]]] = [(a.start, ())]
+    while stack:
+        state, emitted = stack.pop()
+        if state == a.final:
+            yield emitted
+            continue
+        for sym, nxt, _ in reversed(a.rows[state]):
+            stack.append((nxt, emitted + (sym,)))

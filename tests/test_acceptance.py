@@ -14,12 +14,12 @@ import zlib
 import numpy as np
 import pytest
 
+from reference import FunctionScorer, score_step
 from synth import MIDDLE, STARTERS, TERMINALS, all_labelings, make_corpus
 from windowseg.align import levenshtein_align, project_boundaries, project_oracle
 from windowseg.automaton import (
     EXACT,
     GREEDY,
-    FunctionScorer,
     beam,
     build_automaton,
     constrained_search,
@@ -37,10 +37,10 @@ from windowseg.eval import boundary_f1, evaluate_corpus
 from windowseg.pipeline import segment_tokens
 from windowseg.segmenters import (
     AutoregressiveSegmenter,
+    CachedConditionals,
     FeatureConfig,
     FeatureModel,
     FeatureModelReranker,
-    FeatureStepScorer,
     FixedLengthSegmenter,
     TrainConfig,
     rerank,
@@ -93,7 +93,7 @@ def test_01_search_and_projection_outputs_always_valid(report):
             return -(h % 1000) / 250.0
 
         strategy = rng.choice((GREEDY, beam(2), beam(5)))
-        results = constrained_search(build_automaton(tokens), FunctionScorer(fn), strategy)
+        results = constrained_search(build_automaton(tokens), FunctionScorer(tokens, fn), strategy)
         for labels, _ in results:
             total += 1
             valid += well_formed(labels, tokens)
@@ -164,7 +164,7 @@ def test_02_constrained_decoding_agrees_with_projection(report):
 
 
 def _enumeration_argmax(model: FeatureModel, tokens) -> tuple[SegmentationLabels, float]:
-    """Argmax over all labelings, scoring with the model's public conditionals.
+    """Argmax over all labelings, scoring with the reference conditionals.
 
     Conditionals depend on the position and the last ``history`` decisions
     only, so they are cached on that key; ties (measure zero for random
@@ -176,7 +176,7 @@ def _enumeration_argmax(model: FeatureModel, tokens) -> tuple[SegmentationLabels
     def cond(t: int, prefix_bits: tuple) -> dict:
         key = (t, prefix_bits[max(0, t - h):])
         if key not in cache:
-            cache[key] = model.score_step(tokens, t, prefix_bits)
+            cache[key] = score_step(model, tokens, t, prefix_bits)
         return cache[key]
 
     best_key, best = None, None
@@ -212,7 +212,7 @@ def test_03_exact_search_is_optimal_and_beam_nearly_so(report):
         tokens = random_tokens(rng, rng.randint(1, 12))
 
         a = build_automaton(tokens)
-        scorer = FeatureStepScorer(model, tokens)
+        scorer = CachedConditionals(model, tokens)
         exact_labels, exact_score = constrained_search(a, scorer, EXACT)[0]
         brute_labels, brute_score = _enumeration_argmax(model, tokens)
 
@@ -452,7 +452,7 @@ def test_10_acceptor_language_size_and_structure(report):
         return tuple(f"t{i}" for i in range(w))
 
     counts_ok = all(
-        sum(1 for _ in build_automaton(toks(w)).enumerate_strings()) == 2 ** (w - 1)
+        sum(1 for _ in fstref.enumerate_strings(build_automaton(toks(w)))) == 2 ** (w - 1)
         for w in range(1, 11)
     )
 
@@ -462,7 +462,7 @@ def test_10_acceptor_language_size_and_structure(report):
         composed = fstref.composed_segmentation_fsa(toks(w), DEFAULT_DELIMITER)
         iso_ok = iso_ok and fstref.isomorphic(
             direct.start,
-            {i: dict(direct.arcs[i]) for i in range(direct.num_states)},
+            dict(enumerate(fstref.arcs(direct))),
             frozenset({direct.final}),
             composed.start,
             fstref.deterministic_arcs(composed),

@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fstref
+from reference import ConstantScorer, FunctionScorer
 from synth import TableScorer, all_labelings, brute_force_best
 from windowseg.automaton import (
     EXACT,
     GREEDY,
-    ConstantScorer,
-    FunctionScorer,
     SegAutomaton,
     SearchStrategy,
     beam,
@@ -55,13 +54,13 @@ class TestBuild:
     def test_empty_window(self):
         a = build_automaton(())
         assert a.start == a.final == 0
-        assert list(a.enumerate_strings()) == [()]
+        assert list(fstref.enumerate_strings(a)) == [()]
 
     def test_state_count(self):
         # w+1 main states plus one detour per permitted delimiter slot.
         for w in range(1, 8):
             a = build_automaton(toks(w))
-            assert a.num_states == 2 * w
+            assert fstref.num_states(a) == 2 * w
 
     def test_delimiter_collision_rejected(self):
         with pytest.raises(ValueError):
@@ -71,7 +70,7 @@ class TestBuild:
 
     def test_repeated_tokens_fine(self):
         a = build_automaton(("a", "a", "a"))
-        assert len(list(a.enumerate_strings())) == 4
+        assert len(list(fstref.enumerate_strings(a))) == 4
 
     @pytest.mark.parametrize("window", [(), ("a",), ("a", "a", "b"), toks(9)])
     def test_arc_order_is_token_then_delimiter(self, window):
@@ -81,26 +80,26 @@ class TestBuild:
     def test_arcs_view_matches_rows(self):
         d = DEFAULT_DELIMITER
         a = build_automaton(("a", "b", "c"))
-        assert a.arcs == ({"a": 1}, {"b": 2, d: 4}, {"c": 3, d: 5}, {}, {"b": 2}, {"c": 3})
+        assert fstref.arcs(a) == ({"a": 1}, {"b": 2, d: 4}, {"c": 3, d: 5}, {}, {"b": 2}, {"c": 3})
 
 
 class TestLanguage:
     def test_cardinality(self):
         for w in range(1, 8):
             a = build_automaton(toks(w))
-            assert len(set(a.enumerate_strings())) == 2 ** (w - 1)
+            assert len(set(fstref.enumerate_strings(a))) == 2 ** (w - 1)
 
     def test_every_string_wellformed(self):
         for w in range(0, 7):
             a = build_automaton(toks(w))
-            for s in a.enumerate_strings():
+            for s in fstref.enumerate_strings(a):
                 labels = decode_delimited(s, toks(w))
                 assert isinstance(labels, SegmentationLabels)
 
     def test_language_is_all_labelings(self):
         w = 5
         a = build_automaton(toks(w))
-        got = {decode_delimited(s, toks(w)) for s in a.enumerate_strings()}
+        got = {decode_delimited(s, toks(w)) for s in fstref.enumerate_strings(a)}
         assert got == set(all_labelings(w))
 
 
@@ -111,7 +110,7 @@ class TestComposeProject:
         composed = fstref.composed_segmentation_fsa(toks(w), DEFAULT_DELIMITER)
         assert fstref.isomorphic(
             direct.start,
-            {i: dict(direct.arcs[i]) for i in range(direct.num_states)},
+            dict(enumerate(fstref.arcs(direct))),
             frozenset({direct.final}),
             composed.start,
             fstref.deterministic_arcs(composed),
@@ -120,7 +119,7 @@ class TestComposeProject:
 
     def test_language_equality(self):
         w = 5
-        direct = set(build_automaton(toks(w)).enumerate_strings())
+        direct = set(fstref.enumerate_strings(build_automaton(toks(w))))
         composed = fstref.composed_segmentation_fsa(toks(w), DEFAULT_DELIMITER)
         assert set(fstref.accepted_strings(composed)) == direct
 
@@ -129,7 +128,7 @@ class TestComposeProject:
         composed = fstref.composed_segmentation_fsa(("t0", "t2", "t1"), DEFAULT_DELIMITER)
         assert not fstref.isomorphic(
             direct.start,
-            {i: dict(direct.arcs[i]) for i in range(direct.num_states)},
+            dict(enumerate(fstref.arcs(direct))),
             frozenset({direct.final}),
             composed.start,
             fstref.deterministic_arcs(composed),
@@ -173,7 +172,7 @@ class TestSearch:
     def test_nan_score_names_symbol_and_state(self, strat):
         a = build_automaton(toks(4))
         nan_split = FunctionScorer(
-            lambda prefix, sym: math.nan if sym == DEFAULT_DELIMITER else -0.5
+            toks(4), lambda prefix, sym: math.nan if sym == DEFAULT_DELIMITER else -0.5
         )
         with pytest.raises(ValueError, match=f"NaN for '{DEFAULT_DELIMITER}' at state 1"):
             constrained_search(a, nan_split, strat)
@@ -181,7 +180,7 @@ class TestSearch:
     @pytest.mark.parametrize("strat", [GREEDY, beam(1), beam(4), EXACT])
     def test_all_arcs_minus_inf_take_token_arcs(self, strat):
         a = build_automaton(toks(4))
-        hopeless = FunctionScorer(lambda prefix, sym: -math.inf)
+        hopeless = FunctionScorer(toks(4), lambda prefix, sym: -math.inf)
         labels, score = constrained_search(a, hopeless, strat)[0]
         assert labels == SegmentationLabels((SPLIT, CONTINUE, CONTINUE, CONTINUE))
         assert score == -math.inf
@@ -201,7 +200,7 @@ class TestSearch:
             return -0.1 * len(emitted) - (0.3 if sym == DEFAULT_DELIMITER else 0.0)
 
         for strat in (GREEDY, beam(4)):
-            constrained_search(a, FunctionScorer(fn), strat)
+            constrained_search(a, FunctionScorer(toks(6), fn), strat)
         assert () in seen
         for emitted in seen:
             words = [s for s in emitted if s != DEFAULT_DELIMITER]
@@ -292,7 +291,7 @@ class TestSearch:
         rng = random.Random(seed)
         n = rng.randint(0, 12)
         a = build_automaton(toks(n))
-        fn = FunctionScorer(lambda prefix, sym: rng_free(prefix, sym, seed))
+        fn = FunctionScorer(toks(n), lambda prefix, sym: rng_free(prefix, sym, seed))
         for strat in (GREEDY, beam(3)):
             first = constrained_search(a, fn, strat)
             again = constrained_search(a, fn, strat)

@@ -3,7 +3,9 @@
 ``bench/spans.py`` wraps library functions by name for a traced run and
 raises ``MissingTarget`` when one is renamed or removed.  Instrumenting
 and restoring here makes such drift fail the test suite, not only a
-traced benchmark run.
+traced benchmark run.  A wrapped function the library stops calling
+would still be found but read zero, so the scorer's counters are also
+checked on one decoded window.
 """
 
 import importlib
@@ -65,3 +67,20 @@ def test_instrument_finds_every_target_and_restore_undoes_it(spans):
         assert after[name].keys() == attrs.keys(), name
         for attr, value in attrs.items():
             assert after[name][attr] is value, f"{name}.{attr} not restored"
+
+
+def test_decoding_a_window_counts_scorer_calls(spans):
+    # The conditionals count only while the scorer calls its own
+    # ``logprobs``, and the counter keys a weak dictionary on the scorer.
+    from windowseg.segmenters import AutoregressiveSegmenter, FeatureConfig, FeatureModel
+
+    segmenter = AutoregressiveSegmenter(FeatureModel.zeros(FeatureConfig(hash_dims=64)))
+    tracer = spans.Tracer()
+    restore = spans.instrument(tracer)
+    try:
+        segmenter.segment([f"t{i}" for i in range(8)])
+    finally:
+        restore()
+    counts = tracer.counts
+    assert counts["autoregressive.logprobs_calls"] > 0
+    assert counts["automaton.score_calls"] > 0

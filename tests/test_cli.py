@@ -133,6 +133,25 @@ class TestDeriveLabels:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_missing_abbreviations_exit_2(self, project, tmp_path, capsys):
+        ghost = tmp_path / "ghost.txt"
+        out = tmp_path / "out"
+        rc = main(["derive-labels", str(project / "raw" / "doc0.txt"), "--out-dir", str(out),
+                   "--abbreviations", str(ghost)])
+        assert rc == 2
+        assert f"error: input not found: {ghost}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_abbreviations_exit_1(self, project, tmp_path, capsys):
+        bad = tmp_path / "abbrev.txt"
+        bad.write_bytes(b"mr.\n\xff.\n")
+        out = tmp_path / "out"
+        rc = main(["derive-labels", str(project / "raw" / "doc0.txt"), "--out-dir", str(out),
+                   "--abbreviations", str(bad)])
+        assert rc == 1
+        assert_path_error(capsys, bad)
+        assert not out.exists()
+
     def test_duplicate_stems_rejected_before_writing(self, tmp_path, capsys):
         inputs = []
         for sub, text in (("a", "Alpha bravo. Charlie.\n"), ("b", "Delta echo.\n")):
@@ -232,6 +251,27 @@ class TestTrain:
             ]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", "-1"), ("--learning-rate", "0"), ("--learning-rate", "-0.5"),
+        ("--learning-rate", "nan"), ("--learning-rate", "inf"),
+    ])
+    def test_bad_hyperparameters_exit_3(self, project, tmp_path, capsys, flag, value):
+        derived = project / "derived"
+        rc = main(
+            [
+                "train", str(derived / "doc0.txt"),
+                "--labels", str(derived / "labels.tsv"),
+                "--out", str(tmp_path / "m.bin"),
+                "--hash-dims", "1024", "--orders", "2", "--radius", "1",
+                flag, value,
+            ]
+        )
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert "epoch" not in captured.out
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_out_exit_1(self, project, tmp_path, capsys):
         derived = project / "derived"
@@ -511,6 +551,24 @@ class TestSegment:
         )
         assert rc == 3
         assert "model_path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["non-utf8", "directory"])
+    def test_unreadable_config_exit_3(self, project, tmp_path, capsys, kind):
+        config = tmp_path / "config.json"
+        if kind == "directory":
+            config.mkdir()
+        else:
+            config.write_bytes(b'{"segmenter": "fixed\xff"}\n')
+        rc = main(
+            [
+                "segment", str(project / "derived" / "doc0.txt"),
+                "--out-dir", str(tmp_path / "out"),
+                "--config", str(config),
+            ]
+        )
+        assert rc == 3
+        assert_path_error(capsys, config)
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_model_weights_exit_3(self, project, tmp_path, capsys):
         cfg = FeatureConfig(hash_dims=64, ngram_orders=(2,), context_radius=1, history=1)
@@ -836,6 +894,39 @@ class TestOracle:
                 "--references", str(inputs["references"]),
                 "--asr", str(inputs["asr"]),
                 "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert_path_error(capsys, bad)
+        assert not out.exists()
+
+    def test_missing_abbreviations_exit_2(self, project, tmp_path, capsys):
+        ghost = tmp_path / "ghost.txt"
+        out = tmp_path / "o.tsv"
+        rc = main(
+            [
+                "oracle",
+                "--references", str(project / "raw" / "doc0.txt"),
+                "--asr", str(project / "derived" / "doc0.txt"),
+                "--out", str(out),
+                "--abbreviations", str(ghost),
+            ]
+        )
+        assert rc == 2
+        assert f"error: input not found: {ghost}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_abbreviations_exit_1(self, project, tmp_path, capsys):
+        bad = tmp_path / "abbrev.txt"
+        bad.write_bytes(b"mr.\n\xff.\n")
+        out = tmp_path / "o.tsv"
+        rc = main(
+            [
+                "oracle",
+                "--references", str(project / "raw" / "doc0.txt"),
+                "--asr", str(project / "derived" / "doc0.txt"),
+                "--out", str(out),
+                "--abbreviations", str(bad),
             ]
         )
         assert rc == 1

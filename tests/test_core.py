@@ -10,16 +10,13 @@ from windowseg.core import (
     SPLIT,
     DelimitedText,
     Malformed,
-    Segment,
     SegmentationLabels,
     Transcript,
     decode_delimited,
     encode_delimited,
-    labels_to_segments,
     normalize_text,
     normalize_token,
     parse_delimited_lenient,
-    segments_to_labels,
 )
 
 tokens_st = st.lists(
@@ -202,38 +199,6 @@ class TestLenientParse:
         strict = decode_delimited(rendered, t)
         got = tuple(SPLIT if (f or i == 0) else CONTINUE for i, (f, _) in enumerate(lenient.items))
         assert SegmentationLabels(got) == strict
-
-
-class TestSegments:
-    def test_partition(self):
-        lab = SegmentationLabels((SPLIT, CONTINUE, SPLIT, CONTINUE))
-        assert labels_to_segments(lab) == [Segment(0, 2), Segment(2, 4)]
-
-    def test_requires_initial_split(self):
-        with pytest.raises(ValueError):
-            labels_to_segments(SegmentationLabels((CONTINUE,)))
-
-    def test_empty(self):
-        assert labels_to_segments(SegmentationLabels(())) == []
-
-    @given(st.integers(0, 20), st.data())
-    def test_bijection(self, n, data):
-        lab = doc_labels(n, data)
-        segs = labels_to_segments(lab)
-        assert segments_to_labels(segs, n) == lab
-        assert sum(len(s) for s in segs) == n
-
-    def test_gap_rejected(self):
-        with pytest.raises(ValueError):
-            segments_to_labels([Segment(0, 1), Segment(2, 3)], 3)
-
-    def test_short_cover_rejected(self):
-        with pytest.raises(ValueError):
-            segments_to_labels([Segment(0, 1)], 3)
-
-    def test_segment_validation(self):
-        with pytest.raises(ValueError):
-            Segment(2, 2)
 
 
 class TestNormalize:

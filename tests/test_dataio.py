@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from synth import make_corpus
 from windowseg.core import SegmentationLabels, Transcript
 from windowseg.dataio import (
-    labels_entry,
+    format_labels,
+    format_transcript,
     read_labels_file,
     read_transcript,
-    write_labels_file,
-    write_transcript,
+    write_files,
 )
 
 token = st.text(
@@ -25,7 +25,7 @@ class TestTranscriptFiles:
     def test_round_trip(self, tmp_path):
         t = Transcript(("hello", "there", "friend"), "greet")
         path = tmp_path / "greet.txt"
-        write_transcript(t, path)
+        write_files({path: format_transcript(t)})
         assert path.read_text() == "hello there friend\n"
         assert read_transcript(path) == t
 
@@ -49,7 +49,7 @@ class TestTranscriptFiles:
     def test_random_round_trip(self, tmp_path_factory, tokens):
         path = tmp_path_factory.mktemp("t") / "doc.txt"
         t = Transcript(tuple(tokens), "doc")
-        write_transcript(t, path)
+        write_files({path: format_transcript(t)})
         assert read_transcript(path) == t
 
 
@@ -61,17 +61,17 @@ class TestLabelsFiles:
             "c": SegmentationLabels(()),
         }
         path = tmp_path / "labels.tsv"
-        write_labels_file(entries, path)
+        write_files({path: format_labels(entries)})
         assert read_labels_file(path) == entries
 
     def test_file_shape(self, tmp_path):
         path = tmp_path / "labels.tsv"
-        write_labels_file([("d", SegmentationLabels.from_split_positions(4, [1, 3]))], path)
+        write_files({path: format_labels([("d", SegmentationLabels.from_split_positions(4, [1, 3]))])})
         assert path.read_text() == "d\t4\t1,3\n"
 
     def test_empty_entries(self, tmp_path):
         path = tmp_path / "labels.tsv"
-        write_labels_file({}, path)
+        write_files({path: format_labels({})})
         assert path.read_text() == ""
         assert read_labels_file(path) == {}
 
@@ -114,18 +114,6 @@ class TestLabelsFiles:
 
         corpus = make_corpus(random.Random(0), 5, n_sentences=(2, 4))
         path = tmp_path / "labels.tsv"
-        write_labels_file([labels_entry(t, l) for t, l in corpus], path)
+        write_files({path: format_labels([(t.source_id, l) for t, l in corpus])})
         got = read_labels_file(path)
         assert got == {t.source_id: l for t, l in corpus}
-
-
-class TestLabelsEntry:
-    def test_validates_pairing(self):
-        t = Transcript(("a", "b"), "doc")
-        with pytest.raises(ValueError):
-            labels_entry(t, SegmentationLabels.from_split_positions(3, []))
-
-    def test_returns_row(self):
-        t = Transcript(("a", "b"), "doc")
-        l = SegmentationLabels.from_split_positions(2, [1])
-        assert labels_entry(t, l) == ("doc", l)

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from reference import score_step, sequence_logprob, split_logit, step_features
 from synth import make_corpus
 from windowseg.core import CONTINUE, SPLIT, SegmentationLabels, Transcript
 from windowseg.segmenters.features import (
@@ -23,7 +24,6 @@ from windowseg.segmenters.features import (
     offset_ngram_ids,
     save_model,
     static_features,
-    step_features,
     train_feature_model,
 )
 
@@ -69,8 +69,9 @@ class TestConfig:
     def test_train_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+        for rate in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=rate)
 
 
 class TestFeatures:
@@ -160,7 +161,7 @@ class TestModel:
         m = FeatureModel(SMALL, rng_weights(rng, SMALL))
         toks = ("aa", "bb", "cc", "dd")
         for t in range(1, 4):
-            scores = m.score_step(toks, t, (SPLIT, CONTINUE, CONTINUE)[:t])
+            scores = score_step(m, toks, t, (SPLIT, CONTINUE, CONTINUE)[:t])
             assert math.isclose(math.exp(scores[SPLIT]) + math.exp(scores[CONTINUE]), 1.0)
 
     def test_sequence_logprob_is_sum_of_steps(self):
@@ -170,13 +171,13 @@ class TestModel:
         labels = SegmentationLabels((SPLIT, CONTINUE, SPLIT, CONTINUE, CONTINUE))
         total = 0.0
         for t in range(1, 5):
-            total += m.score_step(toks, t, labels.decisions[:t])[labels[t]]
-        assert math.isclose(m.sequence_logprob(toks, labels), total)
+            total += score_step(m, toks, t, labels.decisions[:t])[labels[t]]
+        assert math.isclose(sequence_logprob(m, toks, labels), total)
 
     def test_split_logit_bounds(self):
         m = FeatureModel.zeros(SMALL)
         with pytest.raises(ValueError):
-            m.split_logit(("aa",), 1, (SPLIT,))
+            split_logit(m, ("aa",), 1, (SPLIT,))
 
     def test_copy_is_independent(self):
         m = FeatureModel.zeros(SMALL)
@@ -197,7 +198,7 @@ class TestGradient:
             model = FeatureModel(SMALL, rng_weights(rng, SMALL))
             loss, grad = loss_gradient(model, corpus)
             positions = sum(len(t) - 1 for t, _ in corpus)
-            reference = -sum(model.sequence_logprob(t.tokens, lb) for t, lb in corpus) / positions
+            reference = -sum(sequence_logprob(model, t.tokens, lb) for t, lb in corpus) / positions
             assert math.isclose(loss, reference)
             assert evaluate_loss(model, corpus) == loss
             touched = np.nonzero(grad)[0]

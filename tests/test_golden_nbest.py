@@ -22,12 +22,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import ConstantScorer, FunctionScorer
 from synth import make_document
 from windowseg.automaton import (
     EXACT,
     GREEDY,
-    ConstantScorer,
-    FunctionScorer,
     beam,
     build_automaton,
     constrained_search,
@@ -35,9 +34,9 @@ from windowseg.automaton import (
 from windowseg.core import DEFAULT_DELIMITER, SPLIT
 from windowseg.segmenters import (
     AutoregressiveSegmenter,
+    CachedConditionals,
     FeatureConfig,
     FeatureModel,
-    FeatureStepScorer,
     train_feature_model,
 )
 from windowseg.segmenters.features import TrainConfig
@@ -49,7 +48,7 @@ STRATEGIES = {
 }
 
 
-def _prefix_scorer(seed: int) -> FunctionScorer:
+def _prefix_scorer(tokens, seed: int) -> FunctionScorer:
     """Reads the whole emitted prefix; every arc score is a log-probability <= 0."""
 
     def fn(emitted, sym):
@@ -57,7 +56,7 @@ def _prefix_scorer(seed: int) -> FunctionScorer:
         p = 0.05 + 0.9 * (h % 10007) / 10007
         return math.log(p) if sym == DEFAULT_DELIMITER else math.log1p(-p)
 
-    return FunctionScorer(fn)
+    return FunctionScorer(tokens, fn)
 
 
 def _encode(results) -> list[str]:
@@ -80,7 +79,7 @@ def compute_cases() -> dict[str, list[str]]:
     zeros = FeatureModel.zeros(CFG)
     for w in range(1, 12):
         tokens = [f"t{i}" for i in range(w)]
-        cases.update(_run(f"zeros/w{w}", tokens, lambda t: FeatureStepScorer(zeros, t)))
+        cases.update(_run(f"zeros/w{w}", tokens, lambda t: CachedConditionals(zeros, t)))
         cases.update(_run(f"const/w{w}", tokens, lambda t: ConstantScorer()))
 
     rng = random.Random(7)
@@ -96,7 +95,7 @@ def compute_cases() -> dict[str, list[str]]:
         for tag, model in (("trained", trained), ("noisy", noisy)):
             seg = AutoregressiveSegmenter(model)
             cases.update(_run(f"{tag}/{i}", tokens, seg.scorer))
-        cases.update(_run(f"prefix/{i}", tokens, lambda t, i=i: _prefix_scorer(i)))
+        cases.update(_run(f"prefix/{i}", tokens, lambda t, i=i: _prefix_scorer(t, i)))
     return cases
 
 

@@ -14,7 +14,6 @@ from windowseg.pipeline import (
     build_segmenter,
     render_segments,
     segment_tokens,
-    segment_transcript,
 )
 from windowseg.segmenters import FixedLengthSegmenter, ReplaySegmenter, WindowInfo
 from windowseg.windowing import WindowConfig
@@ -57,7 +56,7 @@ class TestSegmentTokens:
     def test_replay_round_trips_through_windows(self):
         rng = random.Random(1)
         doc, labels = make_document(rng, "d")
-        got = segment_transcript(doc, ReplaySegmenter(labels), WindowConfig(40, 5, 5))
+        got = segment_tokens(doc.tokens, ReplaySegmenter(labels), WindowConfig(40, 5, 5))
         assert got == labels
 
     def test_single_window_document(self):

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from windowseg.core import CONTINUE, SPLIT, SegmentationLabels
-from windowseg.rules import RulePunctuation, derive_labels, load_abbreviations
+from windowseg.rules import RulePunctuation, load_abbreviations
 
 
 @pytest.fixture(scope="module")
@@ -89,16 +89,6 @@ class TestDeriveLabels:
             return
         assert len(t) == len(labels)
         assert labels[0] is SPLIT
-
-    def test_segment_text(self, rule):
-        got = rule.segment_text("One two. Three.")
-        assert got == [["one", "two"], ["three"]]
-
-    def test_module_level_wrapper(self):
-        t, labels = derive_labels("Aaa bbb. Ccc.", abbreviations=["bbb."])
-        assert labels.split_positions() == (0,)
-        t, labels = derive_labels("Aaa bbb. Ccc.")
-        assert labels.split_positions() == (0, 2)
 
 
 class TestAbbreviationData:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import logit, score_step, sequence_logprob
 from synth import make_document
 from windowseg.automaton import EXACT, GREEDY, beam, build_automaton, constrained_search
 from windowseg.core import CONTINUE, SPLIT, SegmentationLabels
@@ -21,7 +22,6 @@ from windowseg.segmenters import (
     FeatureConfig,
     FeatureModel,
     FeatureModelReranker,
-    FeatureStepScorer,
     FixedLengthSegmenter,
     NBestList,
     ReplaySegmenter,
@@ -167,10 +167,10 @@ class TestAutoregressive:
         doc, _ = make_document(rng, "x", n_sentences=(2, 3))
         tokens = doc.tokens
         a = build_automaton(tokens)
-        scorer = FeatureStepScorer(model, tokens)
+        scorer = CachedConditionals(model, tokens)
         for strat in (GREEDY, EXACT, beam(5)):
             for labels, score in constrained_search(a, scorer, strat):
-                want = scorer.conditionals.sequence_logprob(labels.decisions)
+                want = scorer.sequence_logprob(labels.decisions)
                 assert score == want  # bit-exact: same cached conditionals
 
     def test_one_conditional_lookup_per_hypothesis(self, model, monkeypatch):
@@ -185,7 +185,7 @@ class TestAutoregressive:
 
         monkeypatch.setattr(CachedConditionals, "logprobs", counting)
         tokens = tuple(f"w{i % 7}" for i in range(30))
-        constrained_search(build_automaton(tokens), FeatureStepScorer(model, tokens), GREEDY)
+        constrained_search(build_automaton(tokens), CachedConditionals(model, tokens), GREEDY)
         assert calls == list(range(1, 30))
 
     def test_exact_beats_greedy(self, model):
@@ -193,7 +193,7 @@ class TestAutoregressive:
         doc, _ = make_document(rng, "x", n_sentences=(3, 4))
         tokens = doc.tokens
         a = build_automaton(tokens)
-        scorer = FeatureStepScorer(model, tokens)
+        scorer = CachedConditionals(model, tokens)
         g = constrained_search(a, scorer, GREEDY)[0][1]
         e = constrained_search(a, scorer, EXACT)[0][1]
         assert e >= g
@@ -206,7 +206,7 @@ class TestAutoregressive:
         tokens = [f"t{i}" for i in range(w)]
         t0 = time.perf_counter()
         (labels, score), = constrained_search(
-            build_automaton(tokens), FeatureStepScorer(zeros, tokens), EXACT
+            build_automaton(tokens), CachedConditionals(zeros, tokens), EXACT
         )
         assert time.perf_counter() - t0 < 1.0
         assert labels == SegmentationLabels((SPLIT,) + (CONTINUE,) * (w - 1))
@@ -230,7 +230,7 @@ class TestAutoregressive:
         doc, _ = make_document(rng, "x", n_sentences=(2, 3))
         exact_seg = AutoregressiveSegmenter(model, strategy=EXACT)
         tokens = doc.tokens
-        scorer = FeatureStepScorer(model, tokens)
+        scorer = CachedConditionals(model, tokens)
         want = constrained_search(build_automaton(tokens), scorer, EXACT)[0][0]
         assert exact_seg.segment(tokens) == want
 
@@ -290,7 +290,7 @@ class TestCachedConditionals:
         cc = CachedConditionals(model, doc.tokens)
         for t in range(1, len(doc)):
             lc, ls = cc.logprobs(t, labels.decisions[:t])
-            want = model.score_step(doc.tokens, t, labels.decisions[:t])
+            want = score_step(model, doc.tokens, t, labels.decisions[:t])
             assert math.isclose(ls, want[SPLIT], rel_tol=0, abs_tol=1e-9)
             assert math.isclose(lc, want[CONTINUE], rel_tol=0, abs_tol=1e-9)
 
@@ -300,7 +300,7 @@ class TestCachedConditionals:
         cc = CachedConditionals(model, doc.tokens)
         assert math.isclose(
             cc.sequence_logprob(labels.decisions),
-            model.sequence_logprob(doc.tokens, labels),
+            sequence_logprob(model, doc.tokens, labels),
             rel_tol=0,
             abs_tol=1e-9,
         )
@@ -356,10 +356,7 @@ TABLE_VOCAB = ("aa", "b", "", "<s>", "</s>", "é", "naïve", "日本語", "aaaa"
 
 
 def canonical_static_logit(model, tokens, t):
-    feats = static_features(model.config, tokens, t)
-    ids = np.fromiter(feats.keys(), dtype=np.int64, count=len(feats))
-    counts = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
-    return float(model.weights[ids] @ counts)
+    return logit(model, static_features(model.config, tokens, t))
 
 
 class TestTokenTable:
