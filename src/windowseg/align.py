@@ -11,6 +11,7 @@ onto ASR output.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -90,9 +91,6 @@ def _tokens(side: Union[Transcript, Sequence[str]]) -> tuple[str, ...]:
     return side.tokens if isinstance(side, Transcript) else tuple(side)
 
 
-# Pass 1 widens the band this many diagonals past the ones between the
-# corners; an alignment within it needs no second pass.
-_BAND_SLACK = 64
 # Distance held by cells outside the band; large enough that no real
 # distance or neighbour check can equal it, small enough that +1 stays int32.
 _FAR = np.iinfo(np.int32).max // 2
@@ -132,6 +130,107 @@ def _band_distances(ref_ids: np.ndarray, gen_ids: np.ndarray, dlo: int, dhi: int
     return band
 
 
+# How the match walk resyncs after a mismatch.  A skip of cost 1 may land
+# on one matching token; a skip of cost 2 to ``_NEAR_SKIP`` must land on a
+# run of two, and these are tried one by one: at most about
+# (_NEAR_SKIP + 1)^2 comparisons per mismatch.  Longer skips are looked up
+# in n-gram indexes of the generated side, in tiers of (largest cost, run
+# length), the last without a limit: at most 64 lookups per mismatch in
+# the first tier, and at most the skip's cost in the last.  About cost^2
+# skips compete, so longer skips need longer runs, or a chance match
+# inside an inserted or deleted block would pull the walk off the true
+# diagonal.
+_NEAR_SKIP = 8
+_FAR_TIERS = ((64, 4), (None, 8))
+
+
+def _near_skip(
+    ref_ids: Sequence[int], gen_ids: Sequence[int], i: int, j: int
+) -> Optional[tuple[int, int]]:
+    """The cheapest skip from ``(i, j)`` of cost at most ``_NEAR_SKIP``, or None.
+
+    Of the skips of one cost, the one nearest the diagonal wins.
+    """
+    m, n = len(ref_ids), len(gen_ids)
+    for c in range(1, min(_NEAR_SKIP, max(m - i, n - j)) + 1):
+        run = 1 if c == 1 else 2
+        for off in range(c + 1):
+            for a, b in ((c, c - off), (c - off, c)):
+                if (
+                    i + a + run <= m
+                    and j + b + run <= n
+                    and ref_ids[i + a : i + a + run] == gen_ids[j + b : j + b + run]
+                ):
+                    return a, b
+    return None
+
+
+def _far_skip(
+    ref_ids: Sequence[int],
+    gen_ids: Sequence[int],
+    i: int,
+    j: int,
+    indexes: dict[int, dict[tuple[int, ...], list[int]]],
+) -> tuple[int, int]:
+    """The cheapest skip from ``(i, j)`` a tier of ``_FAR_TIERS`` allows.
+
+    Skips all that is left when none does.  For each ``a`` the reference's
+    n-gram at ``i + a`` is looked up in the index of the generated side's
+    n-gram positions (``indexes`` caches one per run length), and the
+    first position at or after ``j`` gives the cheapest ``b``.  The lookups
+    stop once ``a`` reaches the cost of the cheapest skip found.
+    """
+    m, n = len(ref_ids), len(gen_ids)
+    rest = max(m - i, n - j)
+    for limit, run in _FAR_TIERS:
+        bound = rest if limit is None else min(rest, limit + 1)
+        skip = None
+        a = 0
+        while a < bound and i + a + run <= m:
+            index = indexes.get(run)
+            if index is None:
+                index = indexes[run] = {}
+                for k in range(n - run + 1):
+                    index.setdefault(tuple(gen_ids[k : k + run]), []).append(k)
+            found = index.get(tuple(ref_ids[i + a : i + a + run]))
+            if found:
+                k = bisect_left(found, j)
+                if k < len(found) and max(a, found[k] - j) < bound:
+                    bound = max(a, found[k] - j)
+                    skip = (a, found[k] - j)
+            a += 1
+        if skip is not None:
+            return skip
+    return m - i, n - j
+
+
+def _walk_cost(ref_ids: Sequence[int], gen_ids: Sequence[int]) -> int:
+    """The cost ``U`` of a cheap monotone alignment, so ``U >= D``.
+
+    The walk follows matches along the diagonal.  At a mismatch at
+    ``(i, j)`` it resyncs by skipping ``a`` reference and ``b`` generated
+    tokens, which costs ``max(a, b)`` (substitutions, then insertions or
+    deletions): the cheapest skip onto a run of matching tokens as long as
+    its cost asks (``_near_skip``, then ``_far_skip``).  With no resync the
+    rest costs ``max(m - i, n - j)``, and the walk never reports more than
+    ``max(m, n)``, the cost of substituting along the diagonal.  A walk of
+    cost ``U`` does O(m + n + U) work and needs no cap on a skip's length.
+    """
+    m, n = len(ref_ids), len(gen_ids)
+    i = j = cost = 0
+    indexes: dict[int, dict[tuple[int, ...], list[int]]] = {}
+    while i < m and j < n:
+        if ref_ids[i] == gen_ids[j]:
+            i += 1
+            j += 1
+            continue
+        skip = _near_skip(ref_ids, gen_ids, i, j) or _far_skip(ref_ids, gen_ids, i, j, indexes)
+        cost += max(skip)
+        i += skip[0]
+        j += skip[1]
+    return min(cost + (m - i) + (n - j), max(m, n))
+
+
 def levenshtein_align(
     reference: Union[Transcript, Sequence[str]],
     generated: Union[Transcript, Sequence[str]],
@@ -142,39 +241,34 @@ def levenshtein_align(
     then INSERT, which keeps delimiters anchored to lexical matches and
     makes the output deterministic.  Either side may be empty.
 
-    The DP fills only a band of diagonals ``d = j - i`` (Ukkonen 1985),
-    in at most two passes.  With ``delta = n - m``, pass 1 covers
-    ``[min(0, delta) - K, max(0, delta) + K]`` (``K = _BAND_SLACK``,
-    clipped to the matrix); its cost ``U`` bounds the true distance
-    ``D`` from above.  A cell on an optimal path has
+    The DP fills one band of diagonals ``d = j - i`` (Ukkonen 1985).
+    With ``delta = n - m``, the match walk (``_walk_cost``) gives the cost
+    ``U`` of one valid alignment, so ``U`` bounds the true distance ``D``
+    from above.  A cell on an optimal path has
     ``|d| + |delta - d| <= D <= U``, so all optimal paths lie within
-    ``(U - |delta|) // 2`` diagonals of the corners' ones.  When the band
-    holds that region, every cell on an optimal path holds its true
-    distance, and a neighbour that passes a traceback check lies on an
-    optimal path (band cells only overestimate, and off-band cells hold
-    a sentinel), so the links equal the full matrix's, not just the cost.
-    Otherwise pass 2 runs on exactly that region, which is exact by the
-    same argument.  Time and memory are O(m * (D + |m - n|)); unrelated
-    inputs (D near max(m, n)) still cost O(m * n).  Window-sized inputs
-    fit in the clipped pass-1 band, which is then the whole matrix.
+    ``(U - |delta|) // 2`` diagonals of the corners' ones, and the band is
+    exactly that region, clipped to the matrix.  Every cell on an optimal
+    path then holds its true distance, and a neighbour that passes a
+    traceback check lies on an optimal path (band cells only overestimate,
+    and off-band cells hold a sentinel), so the links equal the full
+    matrix's, not just the cost, for any ``U >= D``.  Time and memory are
+    O(m * (U + |m - n|)); on ASR-like copies ``U`` is within a few percent
+    of ``D``, and unrelated inputs (``D`` near max(m, n)) still cost
+    O(m * n).
     """
     ref = _tokens(reference)
     gen = _tokens(generated)
     m, n = len(ref), len(gen)
     ids: dict[str, int] = {}
-    ref_ids = np.fromiter((ids.setdefault(t, len(ids)) for t in ref), dtype=np.int64, count=m)
-    gen_ids = np.fromiter((ids.setdefault(t, len(ids)) for t in gen), dtype=np.int64, count=n)
+    ref_ids = [ids.setdefault(t, len(ids)) for t in ref]
+    gen_ids = [ids.setdefault(t, len(ids)) for t in gen]
 
     delta = n - m
-    low, high = min(0, delta), max(0, delta)
-    dlo, dhi = max(-m, low - _BAND_SLACK), min(n, high + _BAND_SLACK)
-    band = _band_distances(ref_ids, gen_ids, dlo, dhi)
-    reach = (int(band[m, delta - dlo]) - abs(delta)) // 2
-    need_lo, need_hi = max(-m, low - reach), min(n, high + reach)
-    if need_lo < dlo or need_hi > dhi:
-        del band
-        dlo, dhi = need_lo, need_hi
-        band = _band_distances(ref_ids, gen_ids, dlo, dhi)
+    reach = (_walk_cost(ref_ids, gen_ids) - abs(delta)) // 2
+    dlo, dhi = max(-m, min(0, delta) - reach), min(n, max(0, delta) + reach)
+    band = _band_distances(
+        np.array(ref_ids, dtype=np.int64), np.array(gen_ids, dtype=np.int64), dlo, dhi
+    )
 
     links: list[Link] = []
     i, j = m, n

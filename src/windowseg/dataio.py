@@ -75,9 +75,17 @@ def _int_field(path: PathLike, lineno: int, what: str, field: str) -> int:
 
 
 def read_labels_file(path: PathLike) -> dict[str, SegmentationLabels]:
-    """Map source_id to its full labeling (SPLIT at 0 implied)."""
+    """Map source_id to its full labeling (SPLIT at 0 implied).
+
+    A malformed line, or a file that is not UTF-8, is a ValueError naming
+    ``path``.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     out: dict[str, SegmentationLabels] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")

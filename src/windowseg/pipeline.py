@@ -27,13 +27,32 @@ from .segmenters import (
 )
 from .windowing import WindowConfig, plan_windows, stitch
 
+# Most score calls exact search may make per window: a model of history h
+# makes about w * 2^min(h, w - 1) for a w-token window.  2^16 allows
+# h <= 10 at the default w = 40, a few tenths of a second per window;
+# h = 20 would take minutes.
+EXACT_SCORE_CALLS_LIMIT = 2**16
+
 
 def build_segmenter(cfg: PipelineConfig) -> WindowSegmenter:
-    """Construct the configured window segmenter; validate() the config first."""
+    """Construct the configured window segmenter; validate() the config first.
+
+    Refuses (ValueError) exact search with a model whose history makes
+    it cost more than ``EXACT_SCORE_CALLS_LIMIT`` score calls per window.
+    """
     if cfg.segmenter == "fixed":
         return FixedLengthSegmenter(cfg.segment_len)
     if cfg.segmenter == "autoregressive":
-        return AutoregressiveSegmenter(load_model(cfg.model_path), parse_strategy(cfg.strategy))
+        model = load_model(cfg.model_path)
+        strategy = parse_strategy(cfg.strategy)
+        w, h = cfg.window.size, model.config.history
+        if strategy.kind == "exact" and w * 2 ** min(h, w - 1) > EXACT_SCORE_CALLS_LIMIT:
+            raise ValueError(
+                f"exact search with a history-{h} model makes about {w}*2^{min(h, w - 1)} "
+                f"score calls per {w}-token window, over the limit of "
+                f"{EXACT_SCORE_CALLS_LIMIT}; use beam:K or a model with a shorter history"
+            )
+        return AutoregressiveSegmenter(model, strategy)
     if cfg.segmenter == "external":
         fallback: Optional[WindowSegmenter] = None
         if cfg.endpoint_fallback == "fixed":

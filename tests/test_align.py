@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 import tracemalloc
 from unittest import mock
 
@@ -96,6 +97,14 @@ def small_alphabet_pairs(draw):
     return draw(side), draw(side)
 
 
+def walk_cost(a, b):
+    """The match walk's cost on two token sequences."""
+    ids = {}
+    return align._walk_cost(
+        [ids.setdefault(t, len(ids)) for t in a], [ids.setdefault(t, len(ids)) for t in b]
+    )
+
+
 def synth_pair(seed, sentences, rate):
     rng = random.Random(seed)
     ref, _ = make_document(rng, "pair", n_sentences=(sentences, sentences))
@@ -173,14 +182,22 @@ class TestLevenshtein:
 class TestBandedLinks:
     """The banded DP returns the full matrix's links, not just its cost."""
 
-    # Slack 0-2 makes the first band fail the exactness test on most
-    # pairs, so those cases run the second pass.
-    @pytest.mark.parametrize("slack", [0, 1, 2, align._BAND_SLACK])
+    # The band is exact for any bound U >= D.  Patch the walk to return
+    # U = D + extra, clipped to max(m, n): 0 is the tightest band, and
+    # 64 always clips, so the band is the whole matrix.
+    @pytest.mark.parametrize("extra", [0, 1, 2, 8, 64])
     @given(pair=small_alphabet_pairs())
-    def test_tie_heavy(self, slack, pair):
+    def test_tie_heavy(self, extra, pair):
         a, b = pair
-        with mock.patch.object(align, "_BAND_SLACK", slack):
+        bound = min(dp_distance(a, b) + extra, max(len(a), len(b)))
+        with mock.patch.object(align, "_walk_cost", lambda ref_ids, gen_ids: bound):
             assert levenshtein_align(a, b) == full_matrix_alignment(a, b)
+
+    @given(pair=small_alphabet_pairs())
+    def test_walk_bounds_distance(self, pair):
+        a, b = pair
+        assert dp_distance(a, b) <= walk_cost(a, b) <= max(len(a), len(b))
+        assert levenshtein_align(a, b) == full_matrix_alignment(a, b)
 
     @given(st.lists(st.sampled_from("ab"), max_size=30))
     def test_empty_sides(self, a):
@@ -204,26 +221,31 @@ class TestBandedLinks:
         assert levenshtein_align(short, long) == full_matrix_alignment(short, long)
         assert levenshtein_align(long, short) == full_matrix_alignment(long, short)
 
-    def test_second_pass_runs_when_needed(self):
-        calls = []
-        real = align._band_distances
+    def test_one_band_sized_from_the_walk(self):
+        bands, bounds = [], []
+        real_band, real_walk = align._band_distances, align._walk_cost
 
-        def counting(ref_ids, gen_ids, dlo, dhi):
-            calls.append((dlo, dhi))
-            return real(ref_ids, gen_ids, dlo, dhi)
+        def band(ref_ids, gen_ids, dlo, dhi):
+            bands.append((dlo, dhi))
+            return real_band(ref_ids, gen_ids, dlo, dhi)
+
+        def walk(ref_ids, gen_ids):
+            bounds.append(real_walk(ref_ids, gen_ids))
+            return bounds[-1]
 
         rng = random.Random(3)
         a = [rng.choice("ab") for _ in range(300)]
         b = [rng.choice("bc") for _ in range(280)]
-        with mock.patch.object(align, "_band_distances", counting):
+        with mock.patch.object(align, "_band_distances", band), \
+                mock.patch.object(align, "_walk_cost", walk):
             got = levenshtein_align(a, b)
-            assert len(calls) == 2
-            # The second band holds every diagonal an optimal path can use.
-            reach = (got.total_cost - 20) // 2
-            assert calls[1] == (max(-300, -20 - reach), min(280, reach))
-            calls.clear()
+            assert len(bands) == len(bounds) == 1
+            # The band holds every diagonal a path of cost <= U can use.
+            reach = (bounds[0] - 20) // 2
+            assert bands[0] == (max(-300, -20 - reach), min(280, reach))
+            bands.clear()
             assert levenshtein_align(a, a).total_cost == 0
-            assert len(calls) == 1
+            assert bands == [(0, 0)]
         assert got == full_matrix_alignment(a, b)
 
     def test_golden_long_pair(self):
@@ -247,6 +269,68 @@ class TestBandedLinks:
             tracemalloc.stop()
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
+    @pytest.mark.parametrize("side", ["generated", "reference"])
+    def test_walk_resyncs_across_an_inserted_block(self, side):
+        # 1,500 tokens of another document, inserted mid-way into one side.
+        # On this 22-word vocabulary the block holds chance matches of every
+        # short run; a walk that resyncs on one drifts off the diagonal and
+        # sizes a band of about 2.7 * D.
+        ref, gen = synth_pair(11, 920, 0.05)
+        block, _ = make_document(random.Random(12), "block", n_sentences=(240, 240))
+        if side == "generated":
+            gen = gen[: len(gen) // 2] + list(block.tokens[:1500]) + gen[len(gen) // 2 :]
+        else:
+            ref = ref[: len(ref) // 2] + block.tokens[:1500] + ref[len(ref) // 2 :]
+        tracemalloc.start()
+        try:
+            dist = levenshtein_align(ref, gen).total_cost
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert walk_cost(ref, gen) < 1.05 * dist
+        # The band for U = D holds (len(ref) + 1) * (D + 2) int32 cells.
+        limit = 1.1 * 4 * (len(ref) + 1) * (dist + 2)
+        assert peak < limit, f"peak {peak / 2**20:.1f} MB, limit {limit / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize("order", ["disjoint", "reversed", "swapped"])
+    def test_walk_is_fast_without_shared_bigrams(self, order):
+        ref = [f"w{k}" for k in range(10_000)]
+        if order == "disjoint":
+            gen = [f"v{k}" for k in range(10_000)]
+        elif order == "reversed":
+            gen = ref[::-1]
+        else:  # each pair of neighbours swapped
+            gen = [ref[k ^ 1] for k in range(10_000)]
+        t0 = time.perf_counter()
+        cost = walk_cost(ref, gen)
+        assert time.perf_counter() - t0 < 1.0
+        assert cost <= 10_000
+
+    def test_walk_work_on_a_garbage_tail_is_bounded(self):
+        # Reads of the id lists count the walk's work, and the clock counts
+        # what reads miss.  A walk that scanned every skip up to a fixed cap
+        # of a few hundred, past the window's end, takes about a second.
+        class Counted(list):
+            reads = 0
+
+            def __getitem__(self, key):
+                Counted.reads += 1
+                return super().__getitem__(key)
+
+        rng = random.Random(9)
+        t0 = time.perf_counter()
+        for _ in range(50):
+            ref, _ = make_document(rng, "w", n_sentences=(8, 8))
+            ref = ref.tokens[:40]
+            gen = corrupt_tokens(rng, ref[:20], 0.15) + [f"junk{k}" for k in range(20)]
+            ids: dict = {}
+            ref_ids = Counted(ids.setdefault(t, len(ids)) for t in ref)
+            gen_ids = Counted(ids.setdefault(t, len(ids)) for t in gen)
+            Counted.reads = 0
+            cost = align._walk_cost(ref_ids, gen_ids)
+            assert dp_distance(ref, gen) <= cost <= len(gen)
+            assert Counted.reads < 10 * (len(ref) + len(gen))
+        assert time.perf_counter() - t0 < 0.5
 
 @st.composite
 def labeled_windows(draw):

@@ -324,6 +324,20 @@ class TestTrain:
         assert rc == 1
         assert_path_error(capsys, cut)
 
+    def test_non_utf8_labels_exit_1(self, project, tmp_path, capsys):
+        bad = tmp_path / "labels.tsv"
+        bad.write_bytes(b"doc0\t3\t\xff\n")
+        rc = main(
+            [
+                "train", str(project / "derived" / "doc0.txt"),
+                "--labels", str(bad),
+                "--out", str(tmp_path / "m.bin"),
+            ]
+        )
+        assert rc == 1
+        assert_path_error(capsys, bad)
+        assert not (tmp_path / "m.bin").exists()
+
     def test_non_utf8_transcript_exit_1(self, project, tmp_path, capsys):
         bad = tmp_path / "doc0.txt"
         bad.write_bytes(b"alpha \xff bravo\n")
@@ -441,6 +455,23 @@ class TestSegment:
         assert time.perf_counter() - t0 < 10.0
         assert len(read_labels_file(out / "long.labels.tsv")["long"]) == len(tokens)
 
+    def test_exact_strategy_refuses_a_long_history_model_exit_3(self, project, tmp_path, capsys):
+        # Exact search would make about 40 * 2^20 score calls per window.
+        cfg = FeatureConfig(hash_dims=64, ngram_orders=(2,), context_radius=1, history=20)
+        save_model(FeatureModel(cfg, np.zeros(cfg.hash_dims)), tmp_path / "h20.bin")
+        t0 = time.perf_counter()
+        rc = main(
+            [
+                "segment", str(project / "derived" / "doc0.txt"),
+                "--out-dir", str(tmp_path / "out"),
+                "--model", str(tmp_path / "h20.bin"), "--strategy", "exact",
+            ]
+        )
+        assert rc == 3
+        assert time.perf_counter() - t0 < 1.0
+        assert "exact search with a history-20 model" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_failed_write_leaves_earlier_documents_whole(
         self, project, tmp_path, monkeypatch, capsys
     ):
@@ -525,6 +556,21 @@ class TestSegment:
             ]
         )
         assert rc == 1
+
+    def test_non_utf8_replay_labels_exit_3(self, project, tmp_path, capsys):
+        bad = tmp_path / "labels.tsv"
+        bad.write_bytes(b"doc0\t3\t\xff\n")
+        rc = main(
+            [
+                "segment", str(project / "derived" / "doc0.txt"),
+                "--out-dir", str(tmp_path / "out"),
+                "--segmenter", "replay",
+                "--replay-labels", str(bad),
+            ]
+        )
+        assert rc == 3
+        assert_path_error(capsys, bad)
+        assert not (tmp_path / "out").exists()
 
     def test_fixed_needs_no_model(self, project, tmp_path):
         derived = project / "derived"
@@ -1004,6 +1050,19 @@ class TestEval:
         )
         assert rc == 5
 
+
+    def test_non_utf8_labels_exit_1(self, project, tmp_path, capsys):
+        bad = tmp_path / "labels.tsv"
+        bad.write_bytes(b"doc0\t3\t\xff\n")
+        rc = main(
+            [
+                "eval",
+                "--predicted", str(bad),
+                "--reference", str(project / "derived" / "labels.tsv"),
+            ]
+        )
+        assert rc == 1
+        assert_path_error(capsys, bad)
 
 class TestMockEndpointCommand:
     def test_bad_flags_exit_before_serving(self, capsys):

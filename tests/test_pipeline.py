@@ -96,6 +96,30 @@ class TestBuildSegmenter:
         assert seg.model.config.hash_dims == 64
 
 
+    @pytest.mark.parametrize(
+        "history, size, refused", [(10, 40, False), (11, 40, True), (20, 8, False), (20, 14, True)]
+    )
+    def test_exact_search_cost_guard(self, tmp_path, history, size, refused):
+        # w * 2^min(h, w - 1) score calls against a limit of 2^16.
+        from windowseg.segmenters import FeatureConfig, FeatureModel, save_model
+
+        path = tmp_path / "m.bin"
+        save_model(FeatureModel.zeros(FeatureConfig(hash_dims=64, history=history)), path)
+        cfg = PipelineConfig(
+            segmenter="autoregressive", model_path=str(path), strategy="exact",
+            window=WindowConfig(size, 1, 1),
+        )
+        if refused:
+            with pytest.raises(ValueError, match="exact search"):
+                build_segmenter(cfg)
+        else:
+            assert build_segmenter(cfg).model.config.history == history
+        cfg = PipelineConfig(
+            segmenter="autoregressive", model_path=str(path), strategy="beam:4",
+            window=WindowConfig(size, 1, 1),
+        )
+        build_segmenter(cfg)
+
 class TestRenderSegments:
     def test_basic(self):
         labels = SegmentationLabels((SPLIT, CONTINUE, SPLIT, CONTINUE))
