@@ -314,17 +314,14 @@ def project_boundaries(
     alignment = levenshtein_align(ref, gen_tokens)
     ref_of_gen = alignment.ref_index_of_gen()
 
-    # next_aligned[j]: first aligned reference index at generated position >= j.
-    next_aligned: list[Optional[int]] = [None] * (len(gen_tokens) + 1)
-    for j in range(len(gen_tokens) - 1, -1, -1):
-        next_aligned[j] = ref_of_gen[j] if ref_of_gen[j] is not None else next_aligned[j + 1]
-
+    # Backward, so ``target`` is the first aligned reference index at or
+    # after each generated position.
     decisions: list[Decision] = [CONTINUE] * len(ref)
-    for j, (has_delim, _) in enumerate(generated.items):
-        if not has_delim:
-            continue
-        target = next_aligned[j]
-        if target is not None:
+    target: Optional[int] = None
+    for (has_delim, _), aligned in zip(reversed(generated.items), reversed(ref_of_gen)):
+        if aligned is not None:
+            target = aligned
+        if has_delim and target is not None:
             decisions[target] = SPLIT
     return SegmentationLabels(tuple(decisions))
 

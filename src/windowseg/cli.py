@@ -430,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoint-timeout", type=float, default=None)
     p.add_argument("--endpoint-retries", type=int, default=None)
     p.add_argument("--endpoint-backoff", type=float, default=None)
-    p.add_argument("--endpoint-concurrency", type=int, default=None)
     p.add_argument("--endpoint-fallback", choices=FALLBACK_KINDS, default=None)
     p.add_argument(
         "--normalize",
@@ -442,7 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="window threads; 0 = auto: 1 for local segmenters, one per CPU for external",
+        help=(
+            "window threads, which also bound the external segmenter's requests in "
+            "flight; 0 = auto: 1 for local segmenters, one per CPU up to 4 for external "
+            "(its projection is CPU-bound, so more threads than CPUs only add latency)"
+        ),
     )
     p.set_defaults(func=cmd_segment)
 

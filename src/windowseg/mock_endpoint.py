@@ -142,6 +142,8 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - http.server API name
         try:
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:  # rfile.read(-1) would wait for EOF, not answer
+                raise ValueError("negative Content-Length")
             data = json.loads(self.rfile.read(length).decode("utf-8"))
             text = data["text"]
             if not isinstance(text, str):

@@ -62,7 +62,6 @@ def build_segmenter(cfg: PipelineConfig) -> WindowSegmenter:
             timeout=cfg.endpoint_timeout,
             max_retries=cfg.endpoint_retries,
             backoff=cfg.endpoint_backoff,
-            concurrency=cfg.endpoint_concurrency,
         )
         return ExternalSegmenter(endpoint, fallback)
     if cfg.segmenter == "replay":

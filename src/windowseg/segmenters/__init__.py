@@ -1,6 +1,5 @@
-"""Window segmenters: fixed-length, rule-based, featurized, and remote."""
+"""Window segmenters: fixed-length, replayed, featurized, and remote."""
 
-from ..rules import RulePunctuation, load_abbreviations
 from .autoregressive import (
     AutoregressiveSegmenter,
     CachedConditionals,
@@ -43,14 +42,12 @@ __all__ = [
     "FixedLengthSegmenter",
     "NBestList",
     "ReplaySegmenter",
-    "RulePunctuation",
     "SequenceScorer",
     "TrainConfig",
     "TrainResult",
     "WindowInfo",
     "WindowSegmenter",
     "evaluate_loss",
-    "load_abbreviations",
     "load_model",
     "loss_gradient",
     "rerank",

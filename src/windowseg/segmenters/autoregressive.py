@@ -245,7 +245,6 @@ class AutoregressiveSegmenter:
 
     model: Optional[FeatureModel]
     strategy: SearchStrategy = GREEDY
-    name: str = "autoregressive"
     _table: Optional[TokenTable] = field(default=None, init=False, repr=False, compare=False)
 
     def _model(self) -> FeatureModel:
@@ -277,7 +276,7 @@ class AutoregressiveSegmenter:
         strat = strategy or beam(k)
         a = build_automaton(window)
         results = constrained_search(a, self.scorer(window), strat)
-        return NBestList(tuple(results[:k]), self.name)
+        return NBestList(tuple(results[:k]), "autoregressive")
 
 
 @dataclass

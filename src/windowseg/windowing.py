@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CONTINUE, SPLIT, Decision, SegmentationLabels
+from .core import SPLIT, Decision, SegmentationLabels
 
 
 @dataclass(frozen=True)
@@ -92,20 +92,14 @@ def stitch(windows: Sequence[Window], window_labels: Sequence[SegmentationLabels
         raise ValueError("one label sequence required per window")
     if not windows:
         return SegmentationLabels(())
-    n = windows[-1].adopt_end
-    decisions: list[Decision | None] = [None] * n
-    cursor = 0
+    decisions: list[Decision] = []
     for win, labels in zip(windows, window_labels):
         if len(labels) != len(win):
             raise ValueError(
                 f"window {win} expects {len(win)} decisions, got {len(labels)}"
             )
-        if win.adopt_start != cursor:
+        if win.adopt_start != len(decisions):
             raise ValueError("adopted spans do not tile the transcript")
-        for t in range(win.adopt_start, win.adopt_end):
-            decisions[t] = labels[t - win.start]
-        cursor = win.adopt_end
-    if cursor != n or any(d is None for d in decisions):
-        raise ValueError("adopted spans do not cover the transcript")
+        decisions.extend(labels.decisions[win.adopt_start - win.start : win.adopt_end - win.start])
     decisions[0] = SPLIT
-    return SegmentationLabels(tuple(d if d is not None else CONTINUE for d in decisions))
+    return SegmentationLabels(tuple(decisions))

@@ -836,7 +836,7 @@ class TestSegment:
         assert f"implies constraint {implied}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key", ["seed", "abbreviations_path"])
+    @pytest.mark.parametrize("key", ["seed", "abbreviations_path", "endpoint_concurrency"])
     def test_removed_config_key_exit_3(self, project, tmp_path, capsys, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"segmenter": "fixed", key: 1}))
@@ -876,7 +876,6 @@ class TestSegment:
             "endpoint_timeout": (["--endpoint-timeout", "2.5"], 2.5),
             "endpoint_retries": (["--endpoint-retries", "7"], 7),
             "endpoint_backoff": (["--endpoint-backoff", "0.5"], 0.5),
-            "endpoint_concurrency": (["--endpoint-concurrency", "2"], 2),
             "endpoint_fallback": (["--endpoint-fallback", "fixed"], "fixed"),
             "normalize": (["--no-normalize"], False),
             "workers": (["--workers", "3"], 3),
@@ -1077,7 +1076,7 @@ class TestUsage:
             main([])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag", ["--seed", "--abbreviations"])
+    @pytest.mark.parametrize("flag", ["--seed", "--abbreviations", "--endpoint-concurrency"])
     def test_removed_segment_flags(self, flag):
         with pytest.raises(SystemExit) as exc:
             main(["segment", "x.txt", "--segmenter", "fixed", flag, "1"])

@@ -32,11 +32,12 @@ class TestWorkers:
         assert PipelineConfig(segmenter=kind).workers == 1
 
     def test_auto_is_one_thread_per_cpu_for_external(self, monkeypatch):
-        assert load_config(None, {"segmenter": "external"}).workers == (os.cpu_count() or 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert load_config(None, {"segmenter": "external", "workers": 0}).workers == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert PipelineConfig(segmenter="external").workers == 1
+        # Up to 4: the window threads are the only bound on requests in flight.
+        for cpus, auto in ((None, 1), (1, 1), (3, 3), (16, 4)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert load_config(None, {"segmenter": "external"}).workers == auto
+            assert load_config(None, {"segmenter": "external", "workers": 0}).workers == auto
+            assert PipelineConfig(segmenter="external").workers == auto
 
     @pytest.mark.parametrize("kind", ["autoregressive", "fixed", "replay", "external"])
     @pytest.mark.parametrize("workers", [1, 4])
@@ -136,7 +137,6 @@ class TestValidate:
             (dict(endpoint_timeout=0.0), "endpoint_timeout"),
             (dict(endpoint_retries=-1), "endpoint_retries"),
             (dict(endpoint_backoff=-0.1), "endpoint_backoff"),
-            (dict(endpoint_concurrency=0), "endpoint_concurrency"),
             (dict(workers=-1), "workers"),
         ],
     )

@@ -22,7 +22,9 @@ from windowseg.core import (
     Transcript,
     encode_delimited,
 )
+from windowseg import mock_endpoint
 from windowseg.mock_endpoint import MockEndpoint, MockEndpointConfig, generate_response
+from windowseg.pipeline import segment_tokens
 from windowseg.segmenters import (
     EndpointConfig,
     EndpointError,
@@ -30,6 +32,7 @@ from windowseg.segmenters import (
     ExternalSegmenter,
     FixedLengthSegmenter,
 )
+from windowseg.windowing import WindowConfig, plan_windows
 
 TOKENS = tuple(f"tok{i}" for i in range(20))
 
@@ -77,8 +80,6 @@ class TestEndpointConfig:
             EndpointConfig("http://x/", timeout=0)
         with pytest.raises(ValueError):
             EndpointConfig("http://x/", max_retries=-1)
-        with pytest.raises(ValueError):
-            EndpointConfig("http://x/", concurrency=0)
 
     @pytest.mark.parametrize("key", ["timeout", "backoff"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -344,6 +345,14 @@ class TestConnections:
         with pytest.raises(EndpointError):
             seg.generate(TOKENS[:3])
 
+    @pytest.mark.parametrize("length", [b"-1", b"abc"])
+    def test_mock_answers_a_bad_content_length_with_400(self, length):
+        # read(-1) would wait for EOF, which a keep-alive client never sends.
+        with MockEndpoint() as ep:
+            with socket.create_connection(ep._server.server_address[:2], timeout=1) as sock:
+                sock.sendall(b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: " + length + b"\r\n\r\n")
+                assert sock.recv(64).startswith(b"HTTP/1.1 400 ")
+
     def test_mock_keeps_alive_without_nagle_stall(self):
         # Under the Nagle/delayed-ACK stall each exchange takes ~40 ms.
         body = json.dumps({"text": " ".join(TOKENS)}).encode()
@@ -370,9 +379,33 @@ class TestConcurrency:
         rng = random.Random(1)
         windows = [make_document(rng, f"w{i}", n_sentences=(1, 2))[0].tokens for i in range(8)]
         with MockEndpoint(config) as ep:
-            cfg, sleep = make_client(ep.url, concurrency=3)
+            cfg, sleep = make_client(ep.url)
             seg = ExternalSegmenter(cfg, sleep=sleep)
             serial = [seg.segment(w) for w in windows]
             with ThreadPoolExecutor(max_workers=4) as pool:
                 parallel = list(pool.map(seg.segment, windows))
         assert parallel == serial
+
+    def test_window_threads_bound_requests_in_flight(self, monkeypatch):
+        lock = threading.Lock()
+        in_flight = [0, 0]  # now, peak
+
+        def slow_response(config, text):
+            with lock:
+                in_flight[0] += 1
+                in_flight[1] = max(in_flight)
+            time.sleep(0.02)
+            with lock:
+                in_flight[0] -= 1
+            return generate_response(config, text)
+
+        monkeypatch.setattr(mock_endpoint, "generate_response", slow_response)
+        tokens = [f"tok{i}" for i in range(400)]
+        window = WindowConfig(40, 5, 5)
+        assert len(plan_windows(len(tokens), window)) >= 12
+        with MockEndpoint(MockEndpointConfig(mode="rule")) as ep:
+            seg = ExternalSegmenter(EndpointConfig(ep.url))
+            labels = segment_tokens(tokens, seg, window, workers=3)
+        assert len(labels) == len(tokens)
+        assert in_flight == [0, 3]
+        assert len(seg._idle) <= 3
