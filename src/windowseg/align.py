@@ -7,6 +7,11 @@ delimiter be carried over to the reference position of the token it
 precedes, so boundary annotations survive imperfect copies.  The same
 projection moves punctuation-derived boundaries from reference transcripts
 onto ASR output.
+
+The alignment is computed on a band of diagonals sized from a cheap upper
+bound on the distance (Ukkonen 1985), column by column with bit-parallel
+edit distance (Myers 1999, JACM 46(3); banded form after Hyyrö 2003,
+Nordic J. Computing 10(1)): a band cell costs two bits.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from .core import (
     CONTINUE,
@@ -91,43 +94,66 @@ def _tokens(side: Union[Transcript, Sequence[str]]) -> tuple[str, ...]:
     return side.tokens if isinstance(side, Transcript) else tuple(side)
 
 
-# Distance held by cells outside the band; large enough that no real
-# distance or neighbour check can equal it, small enough that +1 stays int32.
-_FAR = np.iinfo(np.int32).max // 2
+def _band_columns(
+    ref_ids: Sequence[int], gen_ids: Sequence[int], dlo: int, dhi: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Edit distances on the diagonals ``dlo <= j - i <= dhi``, as bit columns.
 
-
-def _band_distances(ref_ids: np.ndarray, gen_ids: np.ndarray, dlo: int, dhi: int) -> np.ndarray:
-    """Edit distances ``D[i][j]`` on the diagonals ``dlo <= j - i <= dhi``.
-
-    Cell ``(i, j)`` is stored at ``band[i, j - i - dlo]``.  Cells off the
-    matrix hold ``_FAR``, as does one extra last column, so a reader may
-    look one diagonal to the right of any band cell unchecked.  A band
-    cell counts only paths inside the band, so it is an upper bound on
-    the true distance.  Requires ``dlo <= min(0, n - m)`` and
+    Column ``j`` covers rows ``top = max(1, j - dhi)`` to
+    ``min(m, j - dlo)``.  It is returned as ``above[j]``, the value of cell
+    ``(top - 1, j)``, and two ints whose bit ``k`` is set where the value
+    rises (``vp[j]``) or falls (``vn[j]``) by one from row ``top + k - 1``
+    to row ``top + k``, so a column of ``h`` rows costs at most ``2h``
+    bits.  Each column follows from the last by Hyyrö's step of Myers'
+    bit-parallel recurrence (Myers 1999; Hyyrö 2003) with a +1 carry-in
+    at the top: cell ``(top - 1, j)`` is taken as one insertion after
+    ``(top - 1, j - 1)``, which is exact at row 0.  A row entering at the
+    bottom is taken as one deletion after the row above it.  Every value
+    is therefore the cost of a real path, and no more than the best path
+    inside the band: an upper bound on the true distance, exact on every
+    optimal path the band holds.  Requires ``dlo <= min(0, n - m)`` and
     ``dhi >= max(0, n - m)``, so every row holds at least one cell.
     """
     m, n = len(ref_ids), len(gen_ids)
-    width = dhi - dlo + 1
-    band = np.full((m + 1, width + 1), _FAR, dtype=np.int32)
-    steps = np.arange(width, dtype=np.int32)
-    top = min(n, dhi) + 1
-    band[0, -dlo : top - dlo] = steps[:top]
-    # Row-by-row DP; the in-row left-to-right dependency D[i][j-1]+1 is a
-    # running minimum of candidate[k'] - k' plus k, which vectorizes.
-    for i in range(1, m + 1):
-        jlo, jhi = max(0, i + dlo), min(n, i + dhi)
-        klo, size = jlo - i - dlo, jhi - jlo + 1
-        prev = band[i - 1]
-        cand = np.empty(size, dtype=np.int32)
-        first = 1 if jlo == 0 else 0
-        if first:
-            cand[0] = i  # column 0 is the boundary D[i][0] = i
-        cand[first:] = np.minimum(
-            prev[klo + first : klo + size] + (gen_ids[jlo + first - 1 : jhi] != ref_ids[i - 1]),
-            prev[klo + first + 1 : klo + size + 1] + 1,
-        )
-        band[i, klo : klo + size] = np.minimum.accumulate(cand - steps[:size]) + steps[:size]
-    return band
+    # One match mask per distinct reference token, bit 0 at its first row.
+    first: dict[int, int] = {}
+    masks: dict[int, int] = {}
+    for row, tid in enumerate(ref_ids, 1):
+        masks[tid] = masks.get(tid, 0) | 1 << (row - first.setdefault(tid, row))
+    top, height = 1, min(m, -dlo)
+    a, vp, vn = 0, (1 << height) - 1, 0
+    above, vps, vns = [a], [vp], [vn]
+    for j in range(1, n + 1):
+        if j - dhi > top:  # the top row leaves: fold its delta into the anchor
+            a += (vp & 1) - (vn & 1)
+            vp >>= 1
+            vn >>= 1
+            top += 1
+            height -= 1
+        if top + height <= min(m, j - dlo):  # a row enters at the bottom
+            vp |= 1 << height
+            height += 1
+        a += 1  # the cell above the top: one insertion after its left neighbour
+        full = (1 << height) - 1
+        tid = gen_ids[j - 1]
+        shift = first.get(tid, m + 1) - top
+        if shift >= height:  # the token first occurs below the column
+            eq = 0
+        elif shift >= 0:
+            eq = masks[tid] << shift & full
+        else:
+            eq = masks[tid] >> -shift & full
+        # Hyyrö's step; ``full ^ x`` stands for ``~x`` on the column's rows,
+        # since bitwise operations on negative ints are slow.
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        ph = (vn | full ^ (xh | vp)) << 1 | 1
+        vn = ph & xv
+        vp = ((vp & xh) << 1 | full ^ (xv | ph)) & full
+        above.append(a)
+        vps.append(vp)
+        vns.append(vn)
+    return above, vps, vns
 
 
 # How the match walk resyncs after a mismatch.  A skip of cost 1 may land
@@ -247,14 +273,21 @@ def levenshtein_align(
     from above.  A cell on an optimal path has
     ``|d| + |delta - d| <= D <= U``, so all optimal paths lie within
     ``(U - |delta|) // 2`` diagonals of the corners' ones, and the band is
-    exactly that region, clipped to the matrix.  Every cell on an optimal
-    path then holds its true distance, and a neighbour that passes a
-    traceback check lies on an optimal path (band cells only overestimate,
-    and off-band cells hold a sentinel), so the links equal the full
-    matrix's, not just the cost, for any ``U >= D``.  Time and memory are
-    O(m * (U + |m - n|)); on ASR-like copies ``U`` is within a few percent
-    of ``D``, and unrelated inputs (``D`` near max(m, n)) still cost
-    O(m * n).
+    exactly that region, clipped to the matrix.  The band is computed in
+    bit-parallel columns (``_band_columns``; Myers 1999, Hyyrö 2003), in
+    which every value is the cost of a real path, at most the band's best.
+    Every cell on an optimal path then holds its true distance, and a
+    neighbour that passes a traceback check lies on an optimal path (a
+    value only overestimates), so the links equal the full matrix's, not
+    just the cost, for any ``U >= D``.
+
+    Memory is at most two bits per band cell, about
+    ``n * (U + |m - n|) / 4`` bytes, plus one match mask per distinct
+    reference token, one bit per row from its first occurrence to its
+    last.  Time is ``n`` column steps on ints of the band's height, plus a
+    traceback that reads one cell per link.  On ASR-like copies ``U`` is
+    within a few percent of ``D``; unrelated inputs (``D`` near
+    max(m, n)) still take O(m * n) bits.
     """
     ref = _tokens(reference)
     gen = _tokens(generated)
@@ -266,29 +299,36 @@ def levenshtein_align(
     delta = n - m
     reach = (_walk_cost(ref_ids, gen_ids) - abs(delta)) // 2
     dlo, dhi = max(-m, min(0, delta) - reach), min(n, max(0, delta) + reach)
-    band = _band_distances(
-        np.array(ref_ids, dtype=np.int64), np.array(gen_ids, dtype=np.int64), dlo, dhi
-    )
+    above, vps, vns = _band_columns(ref_ids, gen_ids, dlo, dhi)
 
+    def cell(i: int, j: int) -> int:
+        """``D(i, j)``, for ``i`` from the row above column ``j``'s top down."""
+        low = (1 << (i - max(0, j - dhi - 1))) - 1
+        return above[j] + (vps[j] & low).bit_count() - (vns[j] & low).bit_count()
+
+    # The traceback stays on optimal paths, where every value is exact, so
+    # it carries ``here = D(i, j)`` along and reads one diagonal cell a step.
     links: list[Link] = []
     i, j = m, n
+    here = total = cell(m, n)
     while i > 0 or j > 0:
-        k = j - i - dlo
-        here = band[i, k]
-        if i > 0 and j > 0 and ref[i - 1] == gen[j - 1] and band[i - 1, k] == here:
-            links.append(Link(MATCH, i - 1, j - 1))
-            i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and ref[i - 1] != gen[j - 1] and band[i - 1, k] + 1 == here:
-            links.append(Link(SUBST, i - 1, j - 1))
-            i, j = i - 1, j - 1
-        elif i > 0 and band[i - 1, k + 1] + 1 == here:
+        if i > 0 and j > 0:
+            diag = cell(i - 1, j - 1)
+            same = ref[i - 1] == gen[j - 1]
+            if diag + (not same) == here:
+                links.append(Link(MATCH if same else SUBST, i - 1, j - 1))
+                i, j, here = i - 1, j - 1, diag
+                continue
+        # D(i - 1, j) + 1 == D(i, j): the value rises into row i.
+        if i > 0 and vps[j] >> (i - max(1, j - dhi)) & 1:
             links.append(Link(DELETE, i - 1, None))
             i -= 1
         else:
             links.append(Link(INSERT, None, j - 1))
             j -= 1
+        here -= 1
     links.reverse()
-    return Alignment(tuple(links), int(band[m, delta - dlo]))
+    return Alignment(tuple(links), total)
 
 
 def project_boundaries(

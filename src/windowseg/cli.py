@@ -26,10 +26,11 @@ from .config import (
     _SCALAR_KEYS,
     _WINDOW_KEYS,
     ConfigError,
+    PipelineConfig,
     load_config,
     validate,
 )
-from .core import Transcript, normalize_text
+from .core import SegmentationLabels, Transcript, normalize_text
 from .dataio import (
     format_labels,
     format_transcript,
@@ -43,6 +44,7 @@ from .pipeline import build_segmenter, render_segments, segment_tokens
 from .rules import RulePunctuation, load_abbreviations
 from .segmenters import (
     EndpointError,
+    ExternalSegmenter,
     FeatureConfig,
     ReplaySegmenter,
     TrainConfig,
@@ -129,6 +131,20 @@ def cmd_segment(args: argparse.Namespace) -> int:
     except ValueError as exc:  # corrupt model or labels file
         return _fail(str(exc), EXIT_BAD_CONFIG)
 
+    try:
+        return _segment_inputs(args, cfg, segmenter, replay_map)
+    finally:
+        if isinstance(segmenter, ExternalSegmenter):
+            segmenter.close()
+
+
+def _segment_inputs(
+    args: argparse.Namespace,
+    cfg: PipelineConfig,
+    segmenter: Optional[WindowSegmenter],
+    replay_map: Optional[dict[str, SegmentationLabels]],
+) -> int:
+    """Segment and write each input in turn; the first failure ends the run."""
     for path in args.inputs:
         try:
             text = _read_utf8(path)

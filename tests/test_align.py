@@ -223,7 +223,7 @@ class TestBandedLinks:
 
     def test_one_band_sized_from_the_walk(self):
         bands, bounds = [], []
-        real_band, real_walk = align._band_distances, align._walk_cost
+        real_band, real_walk = align._band_columns, align._walk_cost
 
         def band(ref_ids, gen_ids, dlo, dhi):
             bands.append((dlo, dhi))
@@ -236,7 +236,7 @@ class TestBandedLinks:
         rng = random.Random(3)
         a = [rng.choice("ab") for _ in range(300)]
         b = [rng.choice("bc") for _ in range(280)]
-        with mock.patch.object(align, "_band_distances", band), \
+        with mock.patch.object(align, "_band_columns", band), \
                 mock.patch.object(align, "_walk_cost", walk):
             got = levenshtein_align(a, b)
             assert len(bands) == len(bounds) == 1
@@ -268,6 +268,35 @@ class TestBandedLinks:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_unrelated_sides_take_two_bits_per_band_cell(self):
+        # D = max(m, n), so the band spans 8,001 diagonals and 48M cells:
+        # 256 MB as the int32 band was stored, 12 MB at two bits a cell.
+        ref = [f"r{k}" for k in range(8000)]
+        gen = [f"g{k}" for k in range(8000)]
+        tracemalloc.start()
+        try:
+            cost = levenshtein_align(ref, gen).total_cost
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cost == 8000
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_match_masks_follow_token_spans(self):
+        # A mask per distinct token indexed from row 1 would hold about
+        # 30,000^2 / 2 bits (56 MB); from each token's first row, one bit.
+        rng = random.Random(5)
+        ref = [f"w{k}" for k in range(30_000)]
+        gen = [f"x{k}" if rng.random() < 0.02 else t for k, t in enumerate(ref)]
+        tracemalloc.start()
+        try:
+            cost = levenshtein_align(ref, gen).total_cost
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cost == sum(a != b for a, b in zip(ref, gen))
+        assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     @pytest.mark.parametrize("side", ["generated", "reference"])
     def test_walk_resyncs_across_an_inserted_block(self, side):

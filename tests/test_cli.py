@@ -18,6 +18,7 @@ from windowseg.config import PipelineConfig, load_config
 from windowseg.core import DEFAULT_DELIMITER
 from windowseg.dataio import read_labels_file, write_files
 from windowseg.mock_endpoint import MockEndpoint, MockEndpointConfig
+from windowseg.segmenters import ExternalSegmenter
 from windowseg.segmenters.features import FeatureConfig, FeatureModel, save_model
 from windowseg.windowing import WindowConfig
 
@@ -798,6 +799,39 @@ class TestSegment:
         # endpoint emitted inside adopted regions lands on a multiple of 6
         # relative to its window start; just check shape and validity here.
         assert labels.split_positions()[0] == 0
+
+    @pytest.mark.parametrize(
+        "endpoint, text, code",
+        [
+            (MockEndpointConfig(mode="rule", period=3), "a b c d e f g", 0),
+            (MockEndpointConfig(fail_all=True), "a b c d e f g", 4),
+            (MockEndpointConfig(mode="rule"), f"a b{DEFAULT_DELIMITER}c d", 1),
+        ],
+        ids=["written", "endpoint-failure", "bad-token"],
+    )
+    def test_external_segmenter_closed_on_every_exit(
+        self, tmp_path, monkeypatch, endpoint, text, code
+    ):
+        closed = []
+        real_close = ExternalSegmenter.close
+
+        def close(seg):
+            closed.append(seg)
+            real_close(seg)
+
+        monkeypatch.setattr(ExternalSegmenter, "close", close)
+        doc = tmp_path / "doc.txt"
+        doc.write_text(text + "\n", encoding="utf-8")
+        with MockEndpoint(endpoint) as ep:
+            rc = main(
+                [
+                    "segment", str(doc), "--out-dir", str(tmp_path / "out"),
+                    "--segmenter", "external", "--endpoint-url", ep.url,
+                    "--endpoint-retries", "0", "--no-normalize",
+                ]
+            )
+        assert rc == code
+        assert len(closed) == 1 and closed[0]._idle == []
 
     def test_external_needs_no_constraint(self, project, tmp_path):
         with MockEndpoint(MockEndpointConfig(mode="rule", period=6)) as ep:

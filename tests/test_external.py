@@ -9,6 +9,7 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -97,15 +98,15 @@ class TestSegmentPaths:
     def test_rule_mode_decodes_strictly(self):
         with MockEndpoint(MockEndpointConfig(mode="rule", period=4)) as ep:
             cfg, sleep = make_client(ep.url)
-            seg = ExternalSegmenter(cfg, sleep=sleep)
-            labels = seg.segment(TOKENS[:10])
+            with closing(ExternalSegmenter(cfg, sleep=sleep)) as seg:
+                labels = seg.segment(TOKENS[:10])
         assert labels.split_positions() == (0, 4, 8)
 
     def test_echo_mode_yields_single_segment(self):
         with MockEndpoint(MockEndpointConfig(mode="echo")) as ep:
             cfg, sleep = make_client(ep.url)
-            seg = ExternalSegmenter(cfg, sleep=sleep)
-            labels = seg.segment(TOKENS[:6])
+            with closing(ExternalSegmenter(cfg, sleep=sleep)) as seg:
+                labels = seg.segment(TOKENS[:6])
         assert labels.split_positions() == (0,)
 
     def test_corrupt_mode_still_valid_and_deterministic(self):
@@ -114,17 +115,17 @@ class TestSegmentPaths:
         doc, _ = make_document(rng, "d", n_sentences=(3, 4))
         with MockEndpoint(config) as ep:
             cfg, sleep = make_client(ep.url)
-            seg = ExternalSegmenter(cfg, sleep=sleep)
-            first = seg.segment(doc.tokens)
-            second = seg.segment(doc.tokens)
+            with closing(ExternalSegmenter(cfg, sleep=sleep)) as seg:
+                first = seg.segment(doc.tokens)
+                second = seg.segment(doc.tokens)
         assert first == second
         assert len(first) == len(doc)
         assert first[0] is SPLIT
 
     def test_empty_window_skips_network(self):
         cfg, sleep = make_client("http://127.0.0.1:1/")  # nothing listens here
-        seg = ExternalSegmenter(cfg, sleep=sleep)
-        assert seg.segment(()) == SegmentationLabels(())
+        with closing(ExternalSegmenter(cfg, sleep=sleep)) as seg:
+            assert seg.segment(()) == SegmentationLabels(())
 
     def test_projection_recovers_boundaries_from_paraphrase(self):
         # A response that renames tokens but keeps delimiters in place
@@ -132,16 +133,16 @@ class TestSegmentPaths:
         labels = SegmentationLabels((SPLIT, CONTINUE, SPLIT, CONTINUE, CONTINUE))
         rendered = encode_delimited(Transcript(TOKENS[:5]), labels).render()
         paraphrase = rendered.replace("tok3", "tokX") + " uh"
-        seg = ExternalSegmenter(make_client("http://x/")[0])
-        seg.generate = lambda window, info=None: paraphrase
-        assert seg.segment(TOKENS[:5]) == labels
+        with closing(ExternalSegmenter(make_client("http://x/")[0])) as seg:
+            seg.generate = lambda window, info=None: paraphrase
+            assert seg.segment(TOKENS[:5]) == labels
 
 
     def test_glued_delimiters_are_projected(self):
         # A generator may glue the delimiter to a neighbouring word.
-        seg = ExternalSegmenter(make_client("http://x/")[0])
-        seg.generate = lambda window, info=None: f"tok0 tok1{D} tok2 tok3 {D}tok4"
-        assert seg.segment(TOKENS[:5]) == SegmentationLabels.from_split_positions(5, [2, 4])
+        with closing(ExternalSegmenter(make_client("http://x/")[0])) as seg:
+            seg.generate = lambda window, info=None: f"tok0 tok1{D} tok2 tok3 {D}tok4"
+            assert seg.segment(TOKENS[:5]) == SegmentationLabels.from_split_positions(5, [2, 4])
 
 
 class TestRetries:
@@ -149,32 +150,34 @@ class TestRetries:
         sleeps = []
         with MockEndpoint(MockEndpointConfig(mode="rule", period=5, fail_first=2)) as ep:
             cfg, sleep = make_client(ep.url, sleeps=sleeps, max_retries=3, backoff=0.5)
-            seg = ExternalSegmenter(cfg, sleep=sleep)
-            labels = seg.segment(TOKENS[:10])
+            with closing(ExternalSegmenter(cfg, sleep=sleep)) as seg:
+                labels = seg.segment(TOKENS[:10])
         assert labels.split_positions() == (0, 5)
         assert sleeps == [0.5, 1.0]  # exponential backoff, one per failure
 
     def test_exhausted_budget_raises_with_attempt_count(self):
         with MockEndpoint(MockEndpointConfig(fail_all=True)) as ep:
             cfg, sleep = make_client(ep.url, max_retries=2)
-            seg = ExternalSegmenter(cfg, sleep=sleep)
-            with pytest.raises(EndpointError) as exc:
-                seg.segment(TOKENS[:4])
+            with closing(ExternalSegmenter(cfg, sleep=sleep)) as seg:
+                with pytest.raises(EndpointError) as exc:
+                    seg.segment(TOKENS[:4])
         assert exc.value.attempts == 3
         assert exc.value.url == cfg.url
 
     def test_fallback_takes_over(self):
         with MockEndpoint(MockEndpointConfig(fail_all=True)) as ep:
             cfg, sleep = make_client(ep.url, max_retries=0)
-            seg = ExternalSegmenter(cfg, fallback=FixedLengthSegmenter(2), sleep=sleep)
-            labels = seg.segment(TOKENS[:5])
+            with closing(
+                ExternalSegmenter(cfg, fallback=FixedLengthSegmenter(2), sleep=sleep)
+            ) as seg:
+                labels = seg.segment(TOKENS[:5])
         assert labels.split_positions() == (0, 2, 4)
 
     def test_unreachable_host_raises(self):
         cfg, sleep = make_client("http://127.0.0.1:1/", max_retries=1, timeout=0.5)
-        seg = ExternalSegmenter(cfg, sleep=sleep)
-        with pytest.raises(EndpointError):
-            seg.segment(TOKENS[:3])
+        with closing(ExternalSegmenter(cfg, sleep=sleep)) as seg:
+            with pytest.raises(EndpointError):
+                seg.segment(TOKENS[:3])
 
 
 class ScriptedServer:
@@ -232,17 +235,19 @@ class ScriptedServer:
         self._server.server_close()
 
 
+@contextmanager
 def scripted(server, **kw):
+    """A segmenter for ``server`` and the backoffs it slept, closed on exit."""
     sleeps = []
     cfg, sleep = make_client(server.url, sleeps=sleeps, max_retries=3, **kw)
-    return ExternalSegmenter(cfg, sleep=sleep), sleeps
+    with closing(ExternalSegmenter(cfg, sleep=sleep)) as seg:
+        yield seg, sleeps
 
 
 class TestClientErrors:
     @pytest.mark.parametrize("status", [400, 401, 404, 422])
     def test_client_error_is_final(self, status):
-        with ScriptedServer(status) as server:
-            seg, sleeps = scripted(server)
+        with ScriptedServer(status) as server, scripted(server) as (seg, sleeps):
             with pytest.raises(EndpointError) as exc:
                 seg.generate(TOKENS[:3])
         assert server.calls == 1
@@ -253,8 +258,7 @@ class TestClientErrors:
 
     @pytest.mark.parametrize("status", [408, 429, 500, 503])
     def test_retryable_status_uses_the_budget(self, status):
-        with ScriptedServer(status) as server:
-            seg, sleeps = scripted(server)
+        with ScriptedServer(status) as server, scripted(server) as (seg, sleeps):
             with pytest.raises(EndpointError) as exc:
                 seg.generate(TOKENS[:3])
         assert server.calls == 4
@@ -263,23 +267,20 @@ class TestClientErrors:
         assert len(sleeps) == 3
 
     def test_retry_then_success(self):
-        with ScriptedServer(429, 503, 200) as server:
-            seg, sleeps = scripted(server)
+        with ScriptedServer(429, 503, 200) as server, scripted(server) as (seg, sleeps):
             assert seg.generate(TOKENS[:3]) == "tok0 tok1 tok2"
         assert server.calls == 3
         assert sleeps == [0.01, 0.02]
 
     def test_client_error_after_retries_stops_there(self):
-        with ScriptedServer(503, 404) as server:
-            seg, sleeps = scripted(server)
+        with ScriptedServer(503, 404) as server, scripted(server) as (seg, sleeps):
             with pytest.raises(EndpointError) as exc:
                 seg.generate(TOKENS[:3])
         assert server.calls == 2
         assert exc.value.attempts == 2
 
     def test_client_error_goes_to_fallback(self):
-        with ScriptedServer(400) as server:
-            seg, sleeps = scripted(server)
+        with ScriptedServer(400) as server, scripted(server) as (seg, sleeps):
             seg.fallback = FixedLengthSegmenter(2)
             assert seg.segment(TOKENS[:5]).split_positions() == (0, 2, 4)
         assert server.calls == 1
@@ -289,23 +290,32 @@ class TestClientErrors:
 class TestConnections:
     def test_query_string_reaches_the_server(self):
         with ScriptedServer() as server:
-            seg = ExternalSegmenter(EndpointConfig(server.url + "gen?q=1"))
-            assert seg.generate(TOKENS[:3]) == "tok0 tok1 tok2"
+            with closing(ExternalSegmenter(EndpointConfig(server.url + "gen?q=1"))) as seg:
+                assert seg.generate(TOKENS[:3]) == "tok0 tok1 tok2"
         assert server.paths == ["/gen?q=1"]
 
     def test_windows_share_one_connection(self):
-        with ScriptedServer() as server:
-            seg, _ = scripted(server)
+        with ScriptedServer() as server, scripted(server) as (seg, _):
             for _ in range(3):
                 seg.generate(TOKENS[:3])
             assert server.closed.acquire(timeout=0.2) is False
         assert server.calls == 3
 
+    def test_close_ends_idle_connections(self):
+        with ScriptedServer() as server, scripted(server) as (seg, _):
+            seg.generate(TOKENS[:3])
+            assert len(seg._idle) == 1
+            seg.close()
+            assert seg._idle == []
+            assert server.closed.acquire(timeout=5)
+            # Still usable: the next request opens a new connection.
+            assert seg.generate(TOKENS[:3]) == "tok0 tok1 tok2"
+        assert server.calls == 2
+
     def test_stale_keep_alive_reconnects_without_retrying(self):
         # The server closes every connection after its response although it
         # advertised keep-alive; reusing it would fail and cost a backoff.
-        with ScriptedServer(close_each=True) as server:
-            seg, sleeps = scripted(server)
+        with ScriptedServer(close_each=True) as server, scripted(server) as (seg, sleeps):
             for _ in range(3):
                 assert seg.generate(TOKENS[:3]) == "tok0 tok1 tok2"
                 assert server.closed.acquire(timeout=5)
@@ -315,8 +325,7 @@ class TestConnections:
     def test_idle_check_takes_descriptors_past_fd_setsize(self):
         # select.select raises ValueError for a descriptor >= FD_SETSIZE
         # (1024), which would cost every window a retry.
-        with ScriptedServer() as server:
-            seg, sleeps = scripted(server)
+        with ScriptedServer() as server, scripted(server) as (seg, sleeps):
             seg.generate(TOKENS[:3])
             conn = seg._idle[0]
             high = socket.socket(fileno=fcntl.fcntl(conn.sock.fileno(), fcntl.F_DUPFD, 1500))
@@ -328,8 +337,7 @@ class TestConnections:
         assert sleeps == []
 
     def test_http10_server_closes_each_connection(self):
-        with ScriptedServer(protocol="HTTP/1.0") as server:
-            seg, sleeps = scripted(server)
+        with ScriptedServer(protocol="HTTP/1.0") as server, scripted(server) as (seg, sleeps):
             for _ in range(3):
                 assert seg.generate(TOKENS[:3]) == "tok0 tok1 tok2"
         assert server.calls == 3
@@ -339,11 +347,11 @@ class TestConnections:
     def test_stopped_mock_ends_kept_alive_connections(self):
         ep = MockEndpoint(MockEndpointConfig(mode="echo")).start()
         cfg, sleep = make_client(ep.url, max_retries=0, timeout=1)
-        seg = ExternalSegmenter(cfg, sleep=sleep)
-        assert seg.generate(TOKENS[:3]) == "tok0 tok1 tok2"
-        ep.stop()
-        with pytest.raises(EndpointError):
-            seg.generate(TOKENS[:3])
+        with closing(ExternalSegmenter(cfg, sleep=sleep)) as seg:
+            assert seg.generate(TOKENS[:3]) == "tok0 tok1 tok2"
+            ep.stop()
+            with pytest.raises(EndpointError):
+                seg.generate(TOKENS[:3])
 
     @pytest.mark.parametrize("length", [b"-1", b"abc"])
     def test_mock_answers_a_bad_content_length_with_400(self, length):
@@ -380,10 +388,10 @@ class TestConcurrency:
         windows = [make_document(rng, f"w{i}", n_sentences=(1, 2))[0].tokens for i in range(8)]
         with MockEndpoint(config) as ep:
             cfg, sleep = make_client(ep.url)
-            seg = ExternalSegmenter(cfg, sleep=sleep)
-            serial = [seg.segment(w) for w in windows]
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                parallel = list(pool.map(seg.segment, windows))
+            with closing(ExternalSegmenter(cfg, sleep=sleep)) as seg:
+                serial = [seg.segment(w) for w in windows]
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    parallel = list(pool.map(seg.segment, windows))
         assert parallel == serial
 
     def test_window_threads_bound_requests_in_flight(self, monkeypatch):
@@ -404,8 +412,8 @@ class TestConcurrency:
         window = WindowConfig(40, 5, 5)
         assert len(plan_windows(len(tokens), window)) >= 12
         with MockEndpoint(MockEndpointConfig(mode="rule")) as ep:
-            seg = ExternalSegmenter(EndpointConfig(ep.url))
-            labels = segment_tokens(tokens, seg, window, workers=3)
+            with closing(ExternalSegmenter(EndpointConfig(ep.url))) as seg:
+                labels = segment_tokens(tokens, seg, window, workers=3)
+                assert len(seg._idle) <= 3
         assert len(labels) == len(tokens)
         assert in_flight == [0, 3]
-        assert len(seg._idle) <= 3
