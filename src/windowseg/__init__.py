@@ -6,13 +6,7 @@ constrained decoder or an edit-distance projection, and stitches the
 adopted spans back into a single document labeling.
 """
 
-from .align import (
-    Alignment,
-    Link,
-    levenshtein_align,
-    project_boundaries,
-    project_oracle,
-)
+from .align import Alignment, levenshtein_align, project_boundaries, project_oracle
 from .automaton import (
     EXACT,
     GREEDY,
@@ -61,7 +55,6 @@ __all__ = [
     "EvalReport",
     "GREEDY",
     "Hypothesis",
-    "Link",
     "Malformed",
     "PairingError",
     "PipelineConfig",

@@ -11,7 +11,9 @@ onto ASR output.
 The alignment is computed on a band of diagonals sized from a cheap upper
 bound on the distance (Ukkonen 1985), column by column with bit-parallel
 edit distance (Myers 1999, JACM 46(3); banded form after Hyyrö 2003,
-Nordic J. Computing 10(1)): a band cell costs two bits.
+Nordic J. Computing 10(1)): a band cell costs two bits.  The traceback
+records only what the projection reads: the reference index of each
+generated token.
 """
 
 from __future__ import annotations
@@ -27,67 +29,23 @@ from .core import (
     DelimitedText,
     SegmentationLabels,
     Transcript,
+    encode_delimited,
     parse_delimited_lenient,
 )
 from .rules import RulePunctuation
 
-MATCH = "match"
-SUBST = "subst"
-INSERT = "insert"
-DELETE = "delete"
-
-
-@dataclass(frozen=True)
-class Link:
-    """One edit operation: ``ref`` and/or ``gen`` give the aligned indices.
-
-    MATCH and SUBST carry both indices, DELETE only ``ref`` (a reference
-    token with no generated counterpart), INSERT only ``gen``.
-    """
-
-    op: str
-    ref: Optional[int]
-    gen: Optional[int]
-
-    def __post_init__(self) -> None:
-        if self.op not in (MATCH, SUBST, INSERT, DELETE):
-            raise ValueError(f"unknown op {self.op!r}")
-        if (self.ref is None) != (self.op == INSERT):
-            raise ValueError(f"{self.op} link must carry ref={'None' if self.op == INSERT else 'an index'}")
-        if (self.gen is None) != (self.op == DELETE):
-            raise ValueError(f"{self.op} link must carry gen={'None' if self.op == DELETE else 'an index'}")
-
 
 @dataclass(frozen=True)
 class Alignment:
-    """A monotone alignment between a reference and a generated sequence."""
+    """A monotone alignment between a reference and a generated sequence.
 
-    links: tuple[Link, ...]
+    ``ref_of_gen`` has one entry per generated token: the reference index
+    it is aligned to (a match or a substitution), or None for an inserted
+    token.  Reference tokens no entry names are deleted.
+    """
+
+    ref_of_gen: tuple[Optional[int], ...]
     total_cost: int
-
-    def __post_init__(self) -> None:
-        refs = [l.ref for l in self.links if l.ref is not None]
-        gens = [l.gen for l in self.links if l.gen is not None]
-        if refs != list(range(len(refs))) or gens != list(range(len(gens))):
-            raise ValueError("links must cover each side exactly once, in order")
-        if self.total_cost != sum(1 for l in self.links if l.op != MATCH):
-            raise ValueError("total_cost must equal the number of non-MATCH links")
-
-    @property
-    def ref_len(self) -> int:
-        return sum(1 for l in self.links if l.ref is not None)
-
-    @property
-    def gen_len(self) -> int:
-        return sum(1 for l in self.links if l.gen is not None)
-
-    def ref_index_of_gen(self) -> list[Optional[int]]:
-        """For each generated position, the aligned reference index (None for INSERT)."""
-        out: list[Optional[int]] = [None] * self.gen_len
-        for link in self.links:
-            if link.gen is not None and link.ref is not None:
-                out[link.gen] = link.ref
-        return out
 
 
 def _tokens(side: Union[Transcript, Sequence[str]]) -> tuple[str, ...]:
@@ -263,9 +221,12 @@ def levenshtein_align(
 ) -> Alignment:
     """Optimal monotone alignment under unit costs.
 
-    Ties are broken per cell preferring MATCH, then SUBST, then DELETE,
-    then INSERT, which keeps delimiters anchored to lexical matches and
-    makes the output deterministic.  Either side may be empty.
+    Returns the distance and, for each generated token, the reference
+    index it is aligned to (None for an insertion).  Ties are broken per
+    cell preferring the diagonal step (a match or a substitution), then a
+    deletion, then an insertion, which keeps delimiters anchored to
+    lexical matches and makes the output deterministic.  Either side may
+    be empty.
 
     The DP fills one band of diagonals ``d = j - i`` (Ukkonen 1985).
     With ``delta = n - m``, the match walk (``_walk_cost``) gives the cost
@@ -278,14 +239,14 @@ def levenshtein_align(
     which every value is the cost of a real path, at most the band's best.
     Every cell on an optimal path then holds its true distance, and a
     neighbour that passes a traceback check lies on an optimal path (a
-    value only overestimates), so the links equal the full matrix's, not
-    just the cost, for any ``U >= D``.
+    value only overestimates), so ``ref_of_gen`` equals the full matrix's,
+    not just the cost, for any ``U >= D``.
 
     Memory is at most two bits per band cell, about
     ``n * (U + |m - n|) / 4`` bytes, plus one match mask per distinct
     reference token, one bit per row from its first occurrence to its
     last.  Time is ``n`` column steps on ints of the band's height, plus a
-    traceback that reads one cell per link.  On ASR-like copies ``U`` is
+    traceback that reads one cell per step.  On ASR-like copies ``U`` is
     within a few percent of ``D``; unrelated inputs (``D`` near
     max(m, n)) still take O(m * n) bits.
     """
@@ -308,27 +269,24 @@ def levenshtein_align(
 
     # The traceback stays on optimal paths, where every value is exact, so
     # it carries ``here = D(i, j)`` along and reads one diagonal cell a step.
-    links: list[Link] = []
+    # Once a side is used up, the rest of the path is all insertions or
+    # all deletions, and neither records anything.
+    ref_of_gen: list[Optional[int]] = [None] * n
     i, j = m, n
     here = total = cell(m, n)
-    while i > 0 or j > 0:
-        if i > 0 and j > 0:
-            diag = cell(i - 1, j - 1)
-            same = ref[i - 1] == gen[j - 1]
-            if diag + (not same) == here:
-                links.append(Link(MATCH if same else SUBST, i - 1, j - 1))
-                i, j, here = i - 1, j - 1, diag
-                continue
-        # D(i - 1, j) + 1 == D(i, j): the value rises into row i.
-        if i > 0 and vps[j] >> (i - max(1, j - dhi)) & 1:
-            links.append(Link(DELETE, i - 1, None))
+    while i > 0 and j > 0:
+        diag = cell(i - 1, j - 1)
+        if diag + (ref_ids[i - 1] != gen_ids[j - 1]) == here:
+            ref_of_gen[j - 1] = i - 1
+            i, j, here = i - 1, j - 1, diag
+            continue
+        # D(i - 1, j) + 1 == D(i, j): the value rises into row i, a deletion.
+        if vps[j] >> (i - max(1, j - dhi)) & 1:
             i -= 1
         else:
-            links.append(Link(INSERT, None, j - 1))
             j -= 1
         here -= 1
-    links.reverse()
-    return Alignment(tuple(links), total)
+    return Alignment(tuple(ref_of_gen), total)
 
 
 def project_boundaries(
@@ -351,8 +309,7 @@ def project_boundaries(
     if not ref:
         return SegmentationLabels(())
     gen_tokens = generated.tokens()
-    alignment = levenshtein_align(ref, gen_tokens)
-    ref_of_gen = alignment.ref_index_of_gen()
+    ref_of_gen = levenshtein_align(ref, gen_tokens).ref_of_gen
 
     # Backward, so ``target`` is the first aligned reference index at or
     # after each generated position.
@@ -381,9 +338,7 @@ def project_oracle(
     if not asr_tokens:
         return SegmentationLabels(())
     transcript, labels = (rule or RulePunctuation()).derive_labels(reference_punctuated)
-    flagged = DelimitedText(
-        tuple((labels[i] is SPLIT, tok) for i, tok in enumerate(transcript.tokens))
-    )
+    flagged = encode_delimited(transcript, labels)
     projected = list(project_boundaries(asr_tokens, flagged).decisions)
     projected[0] = SPLIT
     return SegmentationLabels(tuple(projected))

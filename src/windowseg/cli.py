@@ -345,6 +345,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             return _fail(str(exc), EXIT_DATA)
         tokens = normalize_text(asr_text) if args.normalize else asr_text.split()
         try:
+            Transcript(tokens)  # core's token rule: no token holds the delimiter
+        except ValueError as exc:
+            return _fail(f"{asrs[stem]}: {exc}", EXIT_DATA)
+        try:
             labels = project_oracle(reference, tokens, rule)
         except ValueError as exc:
             return _fail(f"{stem}: {exc}", EXIT_DATA)

@@ -84,3 +84,25 @@ def test_decoding_a_window_counts_scorer_calls(spans):
     counts = tracer.counts
     assert counts["autoregressive.logprobs_calls"] > 0
     assert counts["automaton.score_calls"] > 0
+
+
+def test_oracle_projection_records_the_alignment(spans):
+    # ``spans`` reads ``total_cost`` off every alignment and re-runs the
+    # largest one for its memory peak; projection must go through the
+    # wrapped ``levenshtein_align`` for either to read more than zero.
+    from windowseg.align import levenshtein_align, project_oracle
+    from windowseg.core import normalize_text
+
+    reference = "The cat sat down. The dog stood up. Birds flew away."
+    ref_tokens = normalize_text(reference)
+    asr = ["the", "cat", "sad", "down", "the", "dog", "up", "birds", "flew", "away"]
+    tracer = spans.Tracer()
+    restore = spans.instrument(tracer)
+    try:
+        project_oracle(reference, asr)
+    finally:
+        restore()
+    assert tracer.values["align.cost"] == [levenshtein_align(asr, ref_tokens).total_cost]
+    table = tracer.layer_table()
+    assert "align.levenshtein" in table and "align.project" in table
+    assert tracer.alignment_peak_mb() > 0

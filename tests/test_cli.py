@@ -979,6 +979,27 @@ class TestOracle:
         assert_path_error(capsys, bad)
         assert not out.exists()
 
+    def test_delimiter_token_in_unnormalized_asr_exit_1(self, tmp_path, capsys):
+        ref = tmp_path / "refs" / "d.txt"
+        asr = tmp_path / "asr" / "d.txt"
+        ref.parent.mkdir()
+        asr.parent.mkdir()
+        ref.write_text("Hello world. This is it.\n", encoding="utf-8")
+        asr.write_text(f"hello {DEFAULT_DELIMITER} world this is it\n", encoding="utf-8")
+        out = tmp_path / "o.tsv"
+        rc = main(
+            [
+                "oracle",
+                "--references", str(ref),
+                "--asr", str(asr),
+                "--out", str(out),
+                "--no-normalize",
+            ]
+        )
+        assert rc == 1
+        assert_path_error(capsys, asr)
+        assert not out.exists()
+
     def test_missing_abbreviations_exit_2(self, project, tmp_path, capsys):
         ghost = tmp_path / "ghost.txt"
         out = tmp_path / "o.tsv"
