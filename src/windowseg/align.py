@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence, Union
 
 from .core import (
@@ -73,14 +74,19 @@ def _band_columns(
     ``dhi >= max(0, n - m)``, so every row holds at least one cell.
     """
     m, n = len(ref_ids), len(gen_ids)
-    # One match mask per distinct reference token, bit 0 at its first row.
-    first: dict[int, int] = {}
-    masks: dict[int, int] = {}
+    # One match mask per token id, bit 0 at its first reference row; a
+    # token the reference lacks has its first row below the matrix.
+    size = max(max(ref_ids, default=-1), max(gen_ids, default=-1)) + 1
+    first = [m + 1] * size
+    masks = [0] * size
     for row, tid in enumerate(ref_ids, 1):
-        masks[tid] = masks.get(tid, 0) | 1 << (row - first.setdefault(tid, row))
+        if first[tid] > m:
+            first[tid] = row
+        masks[tid] |= 1 << (row - first[tid])
     top, height = 1, min(m, -dlo)
     a, vp, vn = 0, (1 << height) - 1, 0
     above, vps, vns = [a], [vp], [vn]
+    add_above, add_vp, add_vn = above.append, vps.append, vns.append
     for j in range(1, n + 1):
         if j - dhi > top:  # the top row leaves: fold its delta into the anchor
             a += (vp & 1) - (vn & 1)
@@ -88,13 +94,13 @@ def _band_columns(
             vn >>= 1
             top += 1
             height -= 1
-        if top + height <= min(m, j - dlo):  # a row enters at the bottom
+        if top + height <= m and top + height <= j - dlo:  # a row enters at the bottom
             vp |= 1 << height
             height += 1
         a += 1  # the cell above the top: one insertion after its left neighbour
         full = (1 << height) - 1
         tid = gen_ids[j - 1]
-        shift = first.get(tid, m + 1) - top
+        shift = first[tid] - top
         if shift >= height:  # the token first occurs below the column
             eq = 0
         elif shift >= 0:
@@ -108,9 +114,9 @@ def _band_columns(
         ph = (vn | full ^ (xh | vp)) << 1 | 1
         vn = ph & xv
         vp = ((vp & xh) << 1 | full ^ (xv | ph)) & full
-        above.append(a)
-        vps.append(vp)
-        vns.append(vn)
+        add_above(a)
+        add_vp(vp)
+        add_vn(vn)
     return above, vps, vns
 
 
@@ -246,9 +252,9 @@ def levenshtein_align(
     ``n * (U + |m - n|) / 4`` bytes, plus one match mask per distinct
     reference token, one bit per row from its first occurrence to its
     last.  Time is ``n`` column steps on ints of the band's height, plus a
-    traceback that reads one cell per step.  On ASR-like copies ``U`` is
-    within a few percent of ``D``; unrelated inputs (``D`` near
-    max(m, n)) still take O(m * n) bits.
+    traceback that reads one cell per non-matching step.  On ASR-like
+    copies ``U`` is within a few percent of ``D``; unrelated inputs (``D``
+    near max(m, n)) still take O(m * n) bits.
     """
     ref = _tokens(reference)
     gen = _tokens(generated)
@@ -268,15 +274,23 @@ def levenshtein_align(
         return above[j] + (vps[j] & low).bit_count() - (vns[j] & low).bit_count()
 
     # The traceback stays on optimal paths, where every value is exact, so
-    # it carries ``here = D(i, j)`` along and reads one diagonal cell a step.
-    # Once a side is used up, the rest of the path is all insertions or
-    # all deletions, and neither records anything.
+    # it carries ``here = D(i, j)`` along and reads one diagonal cell per
+    # non-matching step.  A match keeps ``here``: D(i - 1, j - 1) = D(i, j),
+    # since neighbouring cells differ by at most one, so the diagonal is on
+    # an optimal path and the band holds it.  Once a side is used up, the
+    # rest of the path is all insertions or all deletions, and neither
+    # records anything.
     ref_of_gen: list[Optional[int]] = [None] * n
     i, j = m, n
     here = total = cell(m, n)
     while i > 0 and j > 0:
+        if ref_ids[i - 1] == gen_ids[j - 1]:
+            i -= 1
+            j -= 1
+            ref_of_gen[j] = i
+            continue
         diag = cell(i - 1, j - 1)
-        if diag + (ref_ids[i - 1] != gen_ids[j - 1]) == here:
+        if diag + 1 == here:
             ref_of_gen[j - 1] = i - 1
             i, j, here = i - 1, j - 1, diag
             continue
@@ -323,6 +337,13 @@ def project_boundaries(
     return SegmentationLabels(tuple(decisions))
 
 
+@cache
+def _default_rule() -> RulePunctuation:
+    """The rule with the packaged abbreviations, read once.  It is frozen,
+    so every caller and thread may share it."""
+    return RulePunctuation()
+
+
 def project_oracle(
     reference_punctuated: str,
     asr: Union[Transcript, Sequence[str]],
@@ -337,7 +358,7 @@ def project_oracle(
     asr_tokens = _tokens(asr)
     if not asr_tokens:
         return SegmentationLabels(())
-    transcript, labels = (rule or RulePunctuation()).derive_labels(reference_punctuated)
+    transcript, labels = (rule or _default_rule()).derive_labels(reference_punctuated)
     flagged = encode_delimited(transcript, labels)
     projected = list(project_boundaries(asr_tokens, flagged).decisions)
     projected[0] = SPLIT

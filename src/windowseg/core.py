@@ -52,6 +52,19 @@ def _check_token(token: str) -> None:
         raise ValueError(f"token contains the delimiter symbol: {token!r}")
 
 
+def _check_tokens(tokens: Sequence[str]) -> None:
+    """``_check_token`` on every token, in one pass when all of them pass.
+
+    Tokens are non-empty and free of whitespace exactly when splitting
+    their space-joined text gives them back.  Otherwise the loop names the
+    first bad token.
+    """
+    joined = " ".join(tokens)
+    if joined.split() != list(tokens) or DEFAULT_DELIMITER in joined:
+        for tok in tokens:
+            _check_token(tok)
+
+
 @dataclass(frozen=True)
 class Transcript:
     """An ordered sequence of word tokens with an opaque source identifier."""
@@ -61,8 +74,7 @@ class Transcript:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
-        for tok in self.tokens:
-            _check_token(tok)
+        _check_tokens(self.tokens)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -133,8 +145,14 @@ class DelimitedText:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", tuple((bool(d), t) for d, t in self.items))
-        for _, tok in self.items:
-            _check_token(tok)
+        _check_tokens([tok for _, tok in self.items])
+
+    @classmethod
+    def _prechecked(cls, items: tuple[tuple[bool, str], ...]) -> "DelimitedText":
+        """Wrap ``(bool, token)`` items whose tokens passed ``_check_token``."""
+        text = object.__new__(cls)
+        object.__setattr__(text, "items", items)
+        return text
 
     def __len__(self) -> int:
         return len(self.items)
@@ -175,8 +193,9 @@ def encode_delimited(transcript: Transcript, labels: SegmentationLabels) -> Deli
         raise ValueError(
             f"labels length {len(labels)} != transcript length {len(transcript)}"
         )
-    return DelimitedText(
-        tuple((labels[i] is SPLIT, tok) for i, tok in enumerate(transcript.tokens))
+    # A Transcript's tokens were checked when it was built.
+    return DelimitedText._prechecked(
+        tuple(zip([d is SPLIT for d in labels.decisions], transcript.tokens))
     )
 
 
@@ -244,11 +263,18 @@ def normalize_token(token: str) -> str:
     return token.lower().translate(_PUNCT_TABLE)
 
 
+def _normalize_tokens(raws: Sequence[str]) -> list[str]:
+    """``[normalize_token(r) for r in raws]`` for whitespace-free tokens, in one pass.
+
+    The tokens are normalized as one newline-joined text.  A newline is
+    neither cased nor case-ignorable, so lowercasing a final sigma reads
+    the same context in the text as in its token alone.
+    """
+    if not raws:
+        return []
+    return "\n".join(raws).lower().translate(_PUNCT_TABLE).split("\n")
+
+
 def normalize_text(text: str) -> list[str]:
     """Lowercase, strip punctuation, and drop tokens that become empty."""
-    out = []
-    for raw in text.split():
-        tok = normalize_token(raw)
-        if tok:
-            out.append(tok)
-    return out
+    return [tok for tok in _normalize_tokens(text.split()) if tok]

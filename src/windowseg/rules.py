@@ -14,12 +14,15 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
 
-from .core import CONTINUE, SPLIT, Decision, SegmentationLabels, Transcript, normalize_token
+from .core import CONTINUE, SPLIT, Decision, SegmentationLabels, Transcript, _normalize_tokens
 
 TERMINAL_MARKS = frozenset(".?!")
 
 # Closing quotes/brackets that may trail a terminal mark ('end."' or 'end.)').
 _CLOSERS = "\"')]}’”»"
+
+# The last characters a terminal token can end in.
+_TERMINAL_ENDS = TERMINAL_MARKS | frozenset(_CLOSERS)
 
 _SINGLE_INITIAL = re.compile(r"^[a-z]\.$")
 
@@ -75,13 +78,13 @@ class RulePunctuation:
         tokens: list[str] = []
         decisions: list[Decision] = []
         pending = True  # position 0 always opens a segment
-        for raw in punctuated_text.split():
-            norm = normalize_token(raw)
+        raws = punctuated_text.split()
+        for raw, norm in zip(raws, _normalize_tokens(raws)):
             if norm:
                 decisions.append(SPLIT if pending else CONTINUE)
                 tokens.append(norm)
                 pending = False
-            if self.is_terminal(raw):
+            if raw[-1] in _TERMINAL_ENDS and self.is_terminal(raw):
                 pending = True
         if not tokens:
             raise ValueError("no tokens survive normalization")

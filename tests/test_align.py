@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synth import corrupt_tokens, make_document
-from windowseg import align
+from synth import corrupt_tokens, make_document, make_sentence
+from windowseg import align, rules
 from windowseg.align import Alignment, levenshtein_align, project_boundaries, project_oracle
 from windowseg.core import (
     CONTINUE,
@@ -20,6 +20,7 @@ from windowseg.core import (
     SegmentationLabels,
     Transcript,
     encode_delimited,
+    normalize_text,
 )
 
 D = DEFAULT_DELIMITER
@@ -95,6 +96,38 @@ def synth_pair(seed, sentences, rate):
     rng = random.Random(seed)
     ref, _ = make_document(rng, "pair", n_sentences=(sentences, sentences))
     return ref.tokens, corrupt_tokens(rng, ref.tokens, rate)
+
+
+def punctuated_document(seed, sentences):
+    """Punctuated, cased text on synth sentences, with what the rules read.
+
+    It holds abbreviations (``Mr.``), initials (``J.``), closers after a
+    terminal mark (``okay."``), bare punctuation tokens (``—``, a lone
+    ``?``), commas and all three terminal marks.
+    """
+    rng = random.Random(seed)
+    words = []
+    for _ in range(sentences):
+        sentence = make_sentence(rng)
+        if rng.random() < 0.2:
+            sentence[1:1] = [rng.choice(("Mr.", "Dr.", "etc.")), "Smith"]
+        if rng.random() < 0.15:
+            sentence[2:2] = [rng.choice("JKM") + ".", "Doe"]
+        if rng.random() < 0.2:
+            sentence[3:3] = ["—"]
+        if rng.random() < 0.3:
+            sentence[1] += ","
+        sentence[0] = sentence[0].capitalize()
+        mark = rng.choice("...?!")
+        r = rng.random()
+        if r < 0.15:
+            sentence[-1] += mark + rng.choice(("\"", ")", "’"))
+        elif r < 0.25:
+            sentence.append(mark)
+        else:
+            sentence[-1] += mark
+        words.extend(sentence)
+    return " ".join(words)
 
 
 class TestLevenshtein:
@@ -404,8 +437,6 @@ class TestProjection:
 class TestOracle:
     def test_identity_asr(self):
         text = "Hello there. What a day! It rained."
-        from windowseg.core import normalize_text
-
         asr = normalize_text(text)
         labels = project_oracle(text, asr)
         assert labels.split_positions() == (0, 2, 5)
@@ -418,6 +449,27 @@ class TestOracle:
 
     def test_empty_asr(self):
         assert project_oracle("Hi there.", []) == SegmentationLabels(())
+
+    def test_golden_long_document(self):
+        # Digest of the split positions from per-token normalization and a
+        # traceback that read a cell on every step; it pins normalization,
+        # the terminal rules and projection together.
+        text = punctuated_document(20241, 750)
+        rng = random.Random(20241)
+        asr = corrupt_tokens(rng, normalize_text(text), 0.1)
+        labels = project_oracle(text, asr)
+        positions = labels.split_positions()
+        assert (len(text.split()), len(asr), len(positions)) == (5616, 5395, 750)
+        digest = hashlib.sha256(",".join(map(str, positions)).encode()).hexdigest()
+        assert digest == "0c8a2d911f7a1440999bdfdb389f601e046fa87ec80ed20bf52ca190c8bfb9e1"
+
+    def test_default_rule_reads_the_abbreviations_once(self):
+        align._default_rule.cache_clear()
+        files = rules.resources.files
+        with mock.patch.object(rules.resources, "files", wraps=files) as read:
+            project_oracle("Mr. Smith left. He waved.", ["mr", "smith", "left"])
+            project_oracle("Dr. Who came. Then went.", ["dr", "who", "came"])
+        assert read.call_count == 1
 
     def test_position_zero_forced(self):
         labels = project_oracle("One two. Three.", ["completely", "different", "words"])

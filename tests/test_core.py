@@ -1,7 +1,7 @@
 """Transcript types and the delimiter-insertion encoding."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from windowseg.core import (
@@ -12,6 +12,7 @@ from windowseg.core import (
     Malformed,
     SegmentationLabels,
     Transcript,
+    _normalize_tokens,
     decode_delimited,
     encode_delimited,
     normalize_text,
@@ -58,6 +59,32 @@ class TestTranscript:
     def test_rejects_delimiter_in_token(self):
         with pytest.raises(ValueError):
             Transcript(("a" + DEFAULT_DELIMITER,))
+
+    # Each bad token follows a good one and precedes a second bad token of
+    # another kind; the error names the first, word for word.  A second
+    # token with whitespace only at its edge keeps the token count of the
+    # joined text, so a bulk check that compares counts would pass it.
+    @pytest.mark.parametrize(
+        "bad, second, message",
+        [
+            ("", f"b{DEFAULT_DELIMITER}", "tokens must be non-empty"),
+            (" a", "b ", "token contains whitespace: ' a'"),
+            ("a\x1cb", f"c{DEFAULT_DELIMITER}", "token contains whitespace: 'a\\x1cb'"),
+            ("a ", " b", "token contains whitespace: 'a '"),
+            (
+                f"a{DEFAULT_DELIMITER}b",
+                "b c",
+                f"token contains the delimiter symbol: 'a{DEFAULT_DELIMITER}b'",
+            ),
+        ],
+    )
+    def test_error_names_the_first_bad_token(self, bad, second, message):
+        with pytest.raises(ValueError) as err:
+            Transcript(("ok", bad, second))
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            DelimitedText(((False, "ok"), (True, bad), (True, second)))
+        assert str(err.value) == message
 
     def test_from_text_round_trip(self):
         t = Transcript.from_text("a b c", "x")
@@ -106,6 +133,13 @@ class TestEncodeDecode:
         lab = doc_labels(len(tokens), data)
         symbols = encode_delimited(t, lab).symbols()
         assert decode_delimited(symbols, t) == lab
+
+    @given(tokens_st, st.data())
+    def test_encoding_equals_checked_construction(self, tokens, data):
+        t = Transcript(tuple(tokens))
+        lab = doc_labels(len(tokens), data)
+        flags = tuple(d is SPLIT for d in lab.decisions)
+        assert encode_delimited(t, lab) == DelimitedText(tuple(zip(flags, tokens)))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -209,6 +243,21 @@ class TestNormalize:
 
     def test_delimiter_stripped(self):
         assert normalize_token(DEFAULT_DELIMITER) == ""
+
+    # Σ at a token's end lowercases to ς, elsewhere to σ; İ lowercases to
+    # two characters; ẞ and ß keep their case pair; some tokens hold only
+    # punctuation, closers or the delimiter and normalize to nothing.
+    @settings(derandomize=True, max_examples=300)
+    @given(
+        st.lists(
+            st.text(alphabet="aZΣσςİıßẞ\u0301\u0307\"')]’”».,?!…■", min_size=1, max_size=5),
+            max_size=12,
+        )
+    )
+    @example(["aΣ", "Σ", "ΣΣ", "Σa", "aΣ."])
+    @example(["İ", "ẞ", "...", DEFAULT_DELIMITER, "a\u0301Σ", "Σ\u0301", "’”"])
+    def test_one_pass_equals_per_token(self, raws):
+        assert _normalize_tokens(raws) == [normalize_token(r) for r in raws]
 
     def test_text_drops_empty(self):
         assert normalize_text("Hello, world! ... OK?") == ["hello", "world", "ok"]

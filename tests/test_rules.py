@@ -1,10 +1,10 @@
 """Punctuation-driven boundary derivation."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from windowseg.core import CONTINUE, SPLIT, SegmentationLabels
+from windowseg.core import CONTINUE, SPLIT, SegmentationLabels, normalize_token
 from windowseg.rules import RulePunctuation, load_abbreviations
 
 
@@ -79,6 +79,28 @@ class TestDeriveLabels:
     def test_position_zero_always_split(self, rule):
         _, labels = rule.derive_labels("lowercase start here.")
         assert labels[0] is SPLIT
+
+    # Per token, as the rules read before the one normalization pass and
+    # the early out on tokens that end in neither a mark nor a closer.
+    @settings(derandomize=True)
+    @given(st.text(alphabet="aJΣİ mr.?!,\"')]”»(“■—", max_size=80))
+    def test_equals_per_token_rules(self, rule, text):
+        tokens, starts, pending = [], [], True
+        for raw in text.split():
+            norm = normalize_token(raw)
+            if norm:
+                if pending:
+                    starts.append(len(tokens))
+                tokens.append(norm)
+                pending = False
+            pending = pending or rule.is_terminal(raw)
+        if not tokens:
+            with pytest.raises(ValueError):
+                rule.derive_labels(text)
+            return
+        t, labels = rule.derive_labels(text)
+        assert t.tokens == tuple(tokens)
+        assert labels.split_positions() == tuple(starts)
 
     @given(st.text(alphabet="ab .?!", max_size=80))
     def test_labels_pair_with_transcript(self, text):
