@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
 from typing import Optional, Sequence, Union
 
 from .core import (
@@ -86,7 +85,6 @@ def _band_columns(
     top, height = 1, min(m, -dlo)
     a, vp, vn = 0, (1 << height) - 1, 0
     above, vps, vns = [a], [vp], [vn]
-    add_above, add_vp, add_vn = above.append, vps.append, vns.append
     for j in range(1, n + 1):
         if j - dhi > top:  # the top row leaves: fold its delta into the anchor
             a += (vp & 1) - (vn & 1)
@@ -114,9 +112,9 @@ def _band_columns(
         ph = (vn | full ^ (xh | vp)) << 1 | 1
         vn = ph & xv
         vp = ((vp & xh) << 1 | full ^ (xv | ph)) & full
-        add_above(a)
-        add_vp(vp)
-        add_vn(vn)
+        above.append(a)
+        vps.append(vp)
+        vns.append(vn)
     return above, vps, vns
 
 
@@ -337,13 +335,6 @@ def project_boundaries(
     return SegmentationLabels(tuple(decisions))
 
 
-@cache
-def _default_rule() -> RulePunctuation:
-    """The rule with the packaged abbreviations, read once.  It is frozen,
-    so every caller and thread may share it."""
-    return RulePunctuation()
-
-
 def project_oracle(
     reference_punctuated: str,
     asr: Union[Transcript, Sequence[str]],
@@ -358,7 +349,7 @@ def project_oracle(
     asr_tokens = _tokens(asr)
     if not asr_tokens:
         return SegmentationLabels(())
-    transcript, labels = (rule or _default_rule()).derive_labels(reference_punctuated)
+    transcript, labels = (rule or RulePunctuation()).derive_labels(reference_punctuated)
     flagged = encode_delimited(transcript, labels)
     projected = list(project_boundaries(asr_tokens, flagged).decisions)
     projected[0] = SPLIT

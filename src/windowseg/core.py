@@ -147,13 +147,6 @@ class DelimitedText:
         object.__setattr__(self, "items", tuple((bool(d), t) for d, t in self.items))
         _check_tokens([tok for _, tok in self.items])
 
-    @classmethod
-    def _prechecked(cls, items: tuple[tuple[bool, str], ...]) -> "DelimitedText":
-        """Wrap ``(bool, token)`` items whose tokens passed ``_check_token``."""
-        text = object.__new__(cls)
-        object.__setattr__(text, "items", items)
-        return text
-
     def __len__(self) -> int:
         return len(self.items)
 
@@ -193,8 +186,7 @@ def encode_delimited(transcript: Transcript, labels: SegmentationLabels) -> Deli
         raise ValueError(
             f"labels length {len(labels)} != transcript length {len(transcript)}"
         )
-    # A Transcript's tokens were checked when it was built.
-    return DelimitedText._prechecked(
+    return DelimitedText(
         tuple(zip([d is SPLIT for d in labels.decisions], transcript.tokens))
     )
 

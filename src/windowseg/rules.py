@@ -21,9 +21,6 @@ TERMINAL_MARKS = frozenset(".?!")
 # Closing quotes/brackets that may trail a terminal mark ('end."' or 'end.)').
 _CLOSERS = "\"')]}’”»"
 
-# The last characters a terminal token can end in.
-_TERMINAL_ENDS = TERMINAL_MARKS | frozenset(_CLOSERS)
-
 _SINGLE_INITIAL = re.compile(r"^[a-z]\.$")
 
 
@@ -84,7 +81,7 @@ class RulePunctuation:
                 decisions.append(SPLIT if pending else CONTINUE)
                 tokens.append(norm)
                 pending = False
-            if raw[-1] in _TERMINAL_ENDS and self.is_terminal(raw):
+            if self.is_terminal(raw):
                 pending = True
         if not tokens:
             raise ValueError("no tokens survive normalization")

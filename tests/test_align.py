@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synth import corrupt_tokens, make_document, make_sentence
-from windowseg import align, rules
+from windowseg import align
 from windowseg.align import Alignment, levenshtein_align, project_boundaries, project_oracle
 from windowseg.core import (
     CONTINUE,
@@ -462,14 +462,6 @@ class TestOracle:
         assert (len(text.split()), len(asr), len(positions)) == (5616, 5395, 750)
         digest = hashlib.sha256(",".join(map(str, positions)).encode()).hexdigest()
         assert digest == "0c8a2d911f7a1440999bdfdb389f601e046fa87ec80ed20bf52ca190c8bfb9e1"
-
-    def test_default_rule_reads_the_abbreviations_once(self):
-        align._default_rule.cache_clear()
-        files = rules.resources.files
-        with mock.patch.object(rules.resources, "files", wraps=files) as read:
-            project_oracle("Mr. Smith left. He waved.", ["mr", "smith", "left"])
-            project_oracle("Dr. Who came. Then went.", ["dr", "who", "came"])
-        assert read.call_count == 1
 
     def test_position_zero_forced(self):
         labels = project_oracle("One two. Three.", ["completely", "different", "words"])
