@@ -30,11 +30,12 @@ from .config import (
     load_config,
     validate,
 )
-from .core import SegmentationLabels, Transcript, normalize_text
+from .core import SegmentationLabels
 from .dataio import (
     format_labels,
     format_transcript,
     read_labels_file,
+    read_text,
     read_transcript,
     write_files,
 )
@@ -66,19 +67,6 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _write_failed(exc: OSError, path: Path) -> int:
-    """Exit 1 naming the file (or else ``path``) a failed write was for."""
-    return _fail(f"{exc.filename or path}: {exc.strerror or exc}", EXIT_DATA)
-
-
-def _read_utf8(path: Path) -> str:
-    """``path``'s text; a ValueError naming ``path`` if it is not UTF-8."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def _missing_inputs(paths: Sequence[Optional[Path]]) -> Optional[int]:
     """Exit 2 naming each path that is not a file; ``None`` entries are skipped."""
     missing = [p for p in paths if p is not None and not p.is_file()]
@@ -87,14 +75,10 @@ def _missing_inputs(paths: Sequence[Optional[Path]]) -> Optional[int]:
     return EXIT_MISSING_INPUT if missing else None
 
 
-def _rule(abbreviations: Optional[Path]) -> RulePunctuation:
-    """The punctuation rule; a ValueError naming the file if it is not UTF-8."""
-    if abbreviations is None:
-        return RulePunctuation()
-    try:
-        return RulePunctuation(load_abbreviations(abbreviations))
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{abbreviations}: {exc}") from None
+def _check_stems(*groups: Sequence[Path]) -> None:
+    """Outputs are named after input stems, so each group's must be distinct."""
+    if any(len({p.stem for p in paths}) != len(paths) for paths in groups):
+        raise ValueError("duplicate document stems in inputs")
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +94,12 @@ def _segment_overrides(args: argparse.Namespace) -> dict[str, object]:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_config(args.config, _segment_overrides(args))
-        validate(cfg)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_BAD_CONFIG)
+    cfg = load_config(args.config, _segment_overrides(args))
+    validate(cfg)
     code = _missing_inputs(args.inputs)
     if code is not None:
         return code
-    if len({p.stem for p in args.inputs}) != len(args.inputs):
-        return _fail("duplicate document stems in inputs", EXIT_DATA)
+    _check_stems(args.inputs)
 
     replay_map = None
     segmenter: Optional[WindowSegmenter] = None
@@ -128,8 +108,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
             replay_map = read_labels_file(cfg.replay_labels or "")
         else:
             segmenter = build_segmenter(cfg)
-    except ValueError as exc:  # corrupt model or labels file
-        return _fail(str(exc), EXIT_BAD_CONFIG)
+    except ValueError as exc:  # an unreadable or corrupt model or labels file
+        raise ConfigError(str(exc)) from None
 
     try:
         return _segment_inputs(args, cfg, segmenter, replay_map)
@@ -146,34 +126,23 @@ def _segment_inputs(
 ) -> int:
     """Segment and write each input in turn; the first failure ends the run."""
     for path in args.inputs:
-        try:
-            text = _read_utf8(path)
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_DATA)
-        tokens = normalize_text(text) if cfg.normalize else text.split()
-        try:
-            Transcript(tokens)  # core's token rule: no token holds the delimiter
-        except ValueError as exc:
-            return _fail(f"{path}: {exc}", EXIT_DATA)
-        doc = path.stem
+        transcript = read_transcript(path, normalize=cfg.normalize)
+        tokens, doc = transcript.tokens, transcript.source_id
         seg = segmenter
         if replay_map is not None:
             if doc not in replay_map:
-                return _fail(f"no replay labels for document {doc!r}", EXIT_UNPAIRED)
+                raise PairingError(f"no replay labels for document {doc!r}")
             if len(replay_map[doc]) != len(tokens):
-                return _fail(
+                raise ValueError(
                     f"replay labels for {doc!r} cover {len(replay_map[doc])} tokens, "
-                    f"transcript has {len(tokens)}",
-                    EXIT_DATA,
+                    f"transcript has {len(tokens)}"
                 )
             seg = ReplaySegmenter(replay_map[doc])
         assert seg is not None
         try:
             labels = segment_tokens(tokens, seg, cfg.window, cfg.workers)
-        except EndpointError as exc:
-            return _fail(str(exc), EXIT_ENDPOINT)
         except ValueError as exc:
-            return _fail(f"{path}: {exc}", EXIT_DATA)
+            raise ValueError(f"{path}: {exc}") from None
         lines = render_segments(tokens, labels)
         try:
             args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -182,7 +151,9 @@ def _segment_inputs(
                 args.out_dir / f"{doc}.labels.tsv": format_labels([(doc, labels)]),
             })
         except OSError as exc:
-            return _write_failed(exc, args.out_dir)
+            if exc.filename is not None:  # mkdir and write_files name the file
+                raise
+            raise ValueError(f"{args.out_dir}: {exc}") from None
         print(f"{doc}: {len(tokens)} tokens, {len(lines)} segments")
     return 0
 
@@ -192,58 +163,39 @@ def _segment_inputs(
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    check = list(args.inputs) + [args.labels]
-    if args.warm_start is not None:
-        check.append(args.warm_start)
-    code = _missing_inputs(check)
+    code = _missing_inputs([*args.inputs, args.labels, args.warm_start])
     if code is not None:
         return code
-    try:
-        labels_map = read_labels_file(args.labels)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_DATA)
+    labels_map = read_labels_file(args.labels)
 
     corpus = []
     unpaired = []
     for path in args.inputs:
-        try:
-            transcript = read_transcript(path)
-        except ValueError as exc:  # not UTF-8, or a token holding the delimiter
-            return _fail(f"{path}: {exc}", EXIT_DATA)
+        transcript = read_transcript(path)
         if transcript.source_id not in labels_map:
             unpaired.append(transcript.source_id)
             continue
         labels = labels_map[transcript.source_id]
         if len(labels) != len(transcript):
-            return _fail(
+            raise ValueError(
                 f"labels for {transcript.source_id!r} cover {len(labels)} tokens, "
-                f"transcript has {len(transcript)}",
-                EXIT_DATA,
+                f"transcript has {len(transcript)}"
             )
         corpus.append((transcript, labels))
     if unpaired:
-        return _fail("no labels for: " + ", ".join(sorted(unpaired)), EXIT_UNPAIRED)
+        raise PairingError("no labels for: " + ", ".join(sorted(unpaired)))
 
-    init = None
-    feature_config = None
-    if args.warm_start is not None:
-        try:
-            init = load_model(args.warm_start)
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_DATA)
-    else:
-        try:
-            orders = tuple(int(o) for o in args.orders.split(",") if o.strip())
+    init = None if args.warm_start is None else load_model(args.warm_start)
+    try:
+        feature_config = None
+        if init is None:
             feature_config = FeatureConfig(
                 hash_dims=args.hash_dims,
-                ngram_orders=orders,
+                ngram_orders=tuple(int(o) for o in args.orders.split(",") if o.strip()),
                 context_radius=args.radius,
                 history=args.history,
                 salt=args.salt,
             )
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_BAD_CONFIG)
-    try:
         train_config = TrainConfig(
             epochs=args.epochs,
             learning_rate=args.learning_rate,
@@ -251,17 +203,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             shuffle=not args.no_shuffle,
         )
     except ValueError as exc:
-        return _fail(str(exc), EXIT_BAD_CONFIG)
-    try:
-        result = train_feature_model(corpus, feature_config, train_config, init=init)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_DATA)
+        raise ConfigError(str(exc)) from None
+    result = train_feature_model(corpus, feature_config, train_config, init=init)
     for epoch, loss in enumerate(result.epoch_losses, 1):
         print(f"epoch {epoch}: loss {loss:.6f}")
-    try:
-        save_model(result.model, args.out)
-    except OSError as exc:
-        return _write_failed(exc, args.out)
+    save_model(result.model, args.out)
     print(f"wrote model: {args.out}")
     return 0
 
@@ -274,31 +220,24 @@ def cmd_derive_labels(args: argparse.Namespace) -> int:
     code = _missing_inputs([*args.inputs, args.abbreviations])
     if code is not None:
         return code
-    if len({p.stem for p in args.inputs}) != len(args.inputs):
-        return _fail("duplicate document stems in inputs", EXIT_DATA)
+    _check_stems(args.inputs)
     labels_path = (args.out_dir / args.labels_name).resolve()
-    try:
-        rule = _rule(args.abbreviations)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_DATA)
+    rule = RulePunctuation(load_abbreviations(args.abbreviations))
     docs = []  # all derived before any is written, so a bad input writes nothing
     for path in args.inputs:
         output = (args.out_dir / f"{path.stem}.txt").resolve()
         if output == path.resolve():
-            return _fail(
-                f"refusing to overwrite input {path}; pick another --out-dir",
-                EXIT_DATA,
-            )
+            raise ValueError(f"refusing to overwrite input {path}; pick another --out-dir")
         if output == labels_path:
-            return _fail(
+            raise ValueError(
                 f"--labels-name {args.labels_name} is the transcript output of {path}; "
-                "pick another name",
-                EXIT_DATA,
+                "pick another name"
             )
+        text = read_text(path)
         try:
-            transcript, labels = rule.derive_labels(path.read_text(encoding="utf-8"))
+            transcript, labels = rule.derive_labels(text)
         except ValueError as exc:
-            return _fail(f"{path}: {exc}", EXIT_DATA)
+            raise ValueError(f"{path}: {exc}") from None
         docs.append((path.stem, transcript, labels))
     files: dict[Path, str] = {
         args.out_dir / f"{doc}.txt": format_transcript(transcript) for doc, transcript, _ in docs
@@ -306,11 +245,8 @@ def cmd_derive_labels(args: argparse.Namespace) -> int:
     files[args.out_dir / args.labels_name] = format_labels(
         [(doc, labels) for doc, _, labels in docs]
     )
-    try:
-        args.out_dir.mkdir(parents=True, exist_ok=True)
-        write_files(files)
-    except OSError as exc:
-        return _write_failed(exc, args.out_dir)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    write_files(files)
     for doc, transcript, labels in docs:
         print(f"{doc}: {len(transcript)} tokens, {len(labels.split_positions())} segments")
     print(f"wrote labels: {args.out_dir / args.labels_name}")
@@ -325,39 +261,25 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     code = _missing_inputs([*args.references, *args.asr, args.abbreviations])
     if code is not None:
         return code
+    _check_stems(args.references, args.asr)
     refs = {p.stem: p for p in args.references}
     asrs = {p.stem: p for p in args.asr}
-    if len(refs) != len(args.references) or len(asrs) != len(args.asr):
-        return _fail("duplicate document stems in inputs", EXIT_DATA)
     unpaired = sorted(set(refs) ^ set(asrs))
     if unpaired:
-        return _fail("unpaired documents: " + ", ".join(unpaired), EXIT_UNPAIRED)
+        raise PairingError("unpaired documents: " + ", ".join(unpaired))
 
-    try:
-        rule = _rule(args.abbreviations)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_DATA)
+    rule = RulePunctuation(load_abbreviations(args.abbreviations))
     rows = []
     for stem in sorted(refs):
-        try:
-            reference, asr_text = _read_utf8(refs[stem]), _read_utf8(asrs[stem])
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_DATA)
-        tokens = normalize_text(asr_text) if args.normalize else asr_text.split()
-        try:
-            Transcript(tokens)  # core's token rule: no token holds the delimiter
-        except ValueError as exc:
-            return _fail(f"{asrs[stem]}: {exc}", EXIT_DATA)
+        reference = read_text(refs[stem])
+        tokens = read_transcript(asrs[stem], normalize=args.normalize).tokens
         try:
             labels = project_oracle(reference, tokens, rule)
         except ValueError as exc:
-            return _fail(f"{stem}: {exc}", EXIT_DATA)
+            raise ValueError(f"{stem}: {exc}") from None
         rows.append((stem, labels))
         print(f"{stem}: {len(tokens)} tokens, {len(labels.split_positions())} segments")
-    try:
-        write_files({args.out: format_labels(rows)})
-    except OSError as exc:
-        return _write_failed(exc, args.out)
+    write_files({args.out: format_labels(rows)})
     print(f"wrote labels: {args.out}")
     return 0
 
@@ -377,21 +299,12 @@ def _read_labels_merged(paths: Sequence[Path]) -> dict:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    code = _missing_inputs(list(args.predicted) + list(args.reference))
+    code = _missing_inputs([*args.predicted, *args.reference])
     if code is not None:
         return code
-    try:
-        predicted = _read_labels_merged(args.predicted)
-        reference = _read_labels_merged(args.reference)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_DATA)
-    try:
-        report = evaluate_corpus(predicted, reference)
-    except PairingError as exc:
-        return _fail(str(exc), EXIT_UNPAIRED)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_DATA)
-    print(format_report(report, args.format))
+    predicted = _read_labels_merged(args.predicted)
+    reference = _read_labels_merged(args.reference)
+    print(format_report(evaluate_corpus(predicted, reference), args.format))
     return 0
 
 
@@ -410,7 +323,7 @@ def cmd_mock_endpoint(args: argparse.Namespace) -> int:
             fail_all=args.fail_all,
         )
     except ValueError as exc:
-        return _fail(str(exc), EXIT_BAD_CONFIG)
+        raise ConfigError(str(exc)) from None
     endpoint = MockEndpoint(config, host=args.host, port=args.port)
     print(f"serving on {endpoint.url}", flush=True)
     endpoint.serve_forever()
@@ -535,8 +448,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; its error becomes one ``error:`` line and an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        return _fail(str(exc), EXIT_BAD_CONFIG)
+    except PairingError as exc:
+        return _fail(str(exc), EXIT_UNPAIRED)
+    except EndpointError as exc:
+        return _fail(str(exc), EXIT_ENDPOINT)
+    except OSError as exc:  # reads fail as ValueError; a failed write names its file
+        return _fail(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc), EXIT_DATA)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_DATA)
 
 
 if __name__ == "__main__":

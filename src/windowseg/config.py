@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
 from .automaton import parse_strategy
+from .dataio import read_text
 from .segmenters.external import parse_endpoint_url
 from .windowing import WindowConfig
 
@@ -126,16 +127,14 @@ def load_config(
     """
     flat: dict[str, Any] = {}
     if path is not None:
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
+        if not Path(path).exists():
             raise ConfigError(f"config file not found: {path}")
+        try:
+            raw = json.loads(read_text(path))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}")
-        except OSError as exc:  # a directory, unreadable, ...
-            raise ConfigError(f"{path}: {exc.strerror or exc}")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}")
+        except ValueError as exc:  # a directory, unreadable, not UTF-8, ...
+            raise ConfigError(str(exc))
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         flat.update(_flatten(raw))

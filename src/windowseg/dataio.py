@@ -10,7 +10,9 @@ where the positions are the ascending SPLIT positions beyond 0 (position
 the token count makes a labels file self-contained: a full labeling can
 be rebuilt, and positions are validated against the document length.
 
-Every file is written through ``write_files``, so each is whole or left as it was.
+Every file is read through ``read_text`` or ``read_bytes``, so a file that
+cannot be read is a ValueError naming it, and written through
+``write_files``, so each is whole or left as it was.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import os
 from pathlib import Path
 from typing import Iterable, Mapping, Union
 
-from .core import SegmentationLabels, Transcript
+from .core import SegmentationLabels, Transcript, normalize_text
 
 PathLike = Union[str, Path]
 
@@ -56,10 +58,39 @@ def write_files(files: Mapping[PathLike, Union[str, bytes, bytearray]]) -> None:
                 temp.unlink()
 
 
-def read_transcript(path: PathLike, source_id: str = "") -> Transcript:
-    path = Path(path)
-    tokens = path.read_text(encoding="utf-8").split()
-    return Transcript(tuple(tokens), source_id or path.stem)
+def read_bytes(path: PathLike) -> bytes:
+    """The bytes of ``path``; a file that cannot be read is a ValueError naming it."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
+
+
+def read_text(path: PathLike) -> str:
+    """The text of ``path``: UTF-8, with universal newlines.
+
+    A file that cannot be read, or is not UTF-8, is a ValueError naming it.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
+
+
+def read_transcript(path: PathLike, source_id: str = "", normalize: bool = False) -> Transcript:
+    """The transcript file ``path``: its tokens, ``normalize_text``'s if ``normalize``.
+
+    A token that breaks core's token rule is a ValueError naming ``path``,
+    like a file that cannot be read.
+    """
+    text = read_text(path)
+    tokens = normalize_text(text) if normalize else text.split()
+    try:
+        return Transcript(tuple(tokens), source_id or Path(path).stem)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def format_transcript(transcript: Transcript) -> str:
@@ -77,13 +108,10 @@ def _int_field(path: PathLike, lineno: int, what: str, field: str) -> int:
 def read_labels_file(path: PathLike) -> dict[str, SegmentationLabels]:
     """Map source_id to its full labeling (SPLIT at 0 implied).
 
-    A malformed line, or a file that is not UTF-8, is a ValueError naming
-    ``path``.
+    A malformed line, or a file that cannot be read, is a ValueError
+    naming ``path``.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    text = read_text(path)
     out: dict[str, SegmentationLabels] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():

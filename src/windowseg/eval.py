@@ -97,7 +97,8 @@ def evaluate_corpus(
 ) -> EvalReport:
     """Micro-averaged report over documents paired by id, with a breakdown.
 
-    Raises PairingError naming the unpaired document ids, if any.
+    Raises PairingError naming the unpaired document ids, if any, and a
+    ValueError naming the first document whose two labelings differ in length.
     """
     missing = sorted(set(predicted) ^ set(reference))
     if missing:
@@ -110,7 +111,10 @@ def evaluate_corpus(
     max_len = 0
     per_doc = []
     for doc_id in sorted(predicted):
-        rep = boundary_f1(predicted[doc_id], reference[doc_id])
+        try:
+            rep = boundary_f1(predicted[doc_id], reference[doc_id])
+        except ValueError as exc:
+            raise ValueError(f"{doc_id}: {exc}") from None
         per_doc.append((doc_id, rep))
         tp += rep.true_positives
         fp += rep.false_positives

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .core import CONTINUE, SPLIT, Decision, SegmentationLabels, Transcript, _normalize_tokens
+from .dataio import read_text
 
 TERMINAL_MARKS = frozenset(".?!")
 
@@ -29,7 +30,7 @@ def load_abbreviations(path: Optional[Union[str, Path]] = None) -> frozenset[str
     if path is None:
         text = resources.files("windowseg").joinpath("data/abbreviations.txt").read_text("utf-8")
     else:
-        text = Path(path).read_text("utf-8")
+        text = read_text(path)
     entries = set()
     for line in text.splitlines():
         line = line.strip()

@@ -145,13 +145,6 @@ class TokenTable:
         return got
 
 
-def _table_for(model: FeatureModel, table: Optional[TokenTable]) -> TokenTable:
-    """``table`` if it was built for ``model``, else a new empty one."""
-    if table is not None and table.model is model:
-        return table
-    return TokenTable(model)
-
-
 class CachedConditionals:
     """A window's conditionals, and the symbol scorer search follows.
 
@@ -235,27 +228,23 @@ def _is_split(d: object) -> bool:
     return d is SPLIT or d == 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class AutoregressiveSegmenter:
     """Feature-model segmenter decoding through the acceptor.
 
     Keeps one token table for its model, shared by every window and
-    worker thread, and starts a new one when ``model`` is replaced.
+    worker thread.
     """
 
-    model: Optional[FeatureModel]
+    model: FeatureModel
     strategy: SearchStrategy = GREEDY
-    _table: Optional[TokenTable] = field(default=None, init=False, repr=False, compare=False)
+    _table: TokenTable = field(init=False, repr=False, compare=False)
 
-    def _model(self) -> FeatureModel:
-        if self.model is None:
-            raise ValueError("no model loaded")
-        return self.model
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_table", TokenTable(self.model))
 
     def scorer(self, window: Sequence[str]) -> CachedConditionals:
-        model = self._model()
-        self._table = table = _table_for(model, self._table)
-        return CachedConditionals(model, window, table)
+        return CachedConditionals(self.model, window, self._table)
 
     def segment(
         self, window: Sequence[str], info: WindowInfo = WindowInfo()
@@ -279,7 +268,7 @@ class AutoregressiveSegmenter:
         return NBestList(tuple(results[:k]), "autoregressive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureModelReranker:
     """Scores complete labelings by their log-likelihood under a feature model.
 
@@ -289,8 +278,12 @@ class FeatureModelReranker:
     """
 
     model: FeatureModel
-    _table: Optional[TokenTable] = field(default=None, init=False, repr=False, compare=False)
+    _table: TokenTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_table", TokenTable(self.model))
 
     def score_sequence(self, window: Sequence[str], labels: SegmentationLabels) -> float:
-        self._table = table = _table_for(self.model, self._table)
-        return CachedConditionals(self.model, window, table).sequence_logprob(labels.decisions)
+        return CachedConditionals(self.model, window, self._table).sequence_logprob(
+            labels.decisions
+        )

@@ -142,10 +142,9 @@ class ExternalSegmenter:
     connections.  Those are kept on the segmenter, not per thread, so they
     outlive the thread pool of each document.  In a pipeline the callers
     are the window threads of ``segment_tokens``, whose auto count
-    ``PipelineConfig`` caps at 4: the client is CPU-bound on projection,
-    and on 2 CPUs 4 threads doubled the per-window latency of 2 (7.3-7.8
-    against 3.4-4.0 ms p50) for 2-6% more tokens/s.  ``close`` ends the
-    idle connections.
+    ``PipelineConfig`` caps at 4, since the client is CPU-bound on
+    projection (measured in ``PipelineConfig.__post_init__``).  ``close``
+    ends the idle connections.
     """
 
     def __init__(

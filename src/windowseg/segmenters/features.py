@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from ..core import SPLIT, SegmentationLabels, Transcript
-from ..dataio import write_files
+from ..dataio import read_bytes, write_files
 
 PAD_LEFT = "<s>"
 PAD_RIGHT = "</s>"
@@ -419,7 +419,7 @@ def load_model(path: Union[str, Path]) -> FeatureModel:
     Validates magic, version, size and feature ids, and rejects NaN or
     infinite weights, which would make every search ill-defined.
     """
-    blob = Path(path).read_bytes()
+    blob = read_bytes(path)
     if len(blob) < _HEADER.size:
         raise ValueError(f"{path}: truncated model file")
     magic, version, hash_dims, n_orders = _HEADER.unpack_from(blob, 0)

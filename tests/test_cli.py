@@ -1051,6 +1051,23 @@ class TestOracle:
         assert snapshot(tmp_path) == {"oracle.tsv": b"old\t3\t1\n"}
         assert_path_error(capsys, out)
 
+    def test_reference_of_only_punctuation_exit_1(self, tmp_path, capsys):
+        for side, text in (("refs", "... !!! ?\n"), ("asr", "hello world\n")):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "d.txt").write_text(text)
+        out = tmp_path / "o.tsv"
+        rc = main(
+            [
+                "oracle",
+                "--references", str(tmp_path / "refs" / "d.txt"),
+                "--asr", str(tmp_path / "asr" / "d.txt"),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: d: no tokens survive normalization\n"
+        assert not out.exists()
+
     def test_unwritable_out_exit_1(self, project, tmp_path, capsys):
         out = unwritable(tmp_path) / "oracle.tsv"
         rc = main(
@@ -1117,6 +1134,22 @@ class TestEval:
         )
         assert rc == 1
         assert_path_error(capsys, bad)
+
+    def test_length_mismatch_names_the_document_exit_1(self, tmp_path, capsys):
+        predicted, reference = tmp_path / "p.tsv", tmp_path / "r.tsv"
+        predicted.write_text("a\t3\t1\n")
+        reference.write_text("a\t4\t1\n")
+        rc = main(["eval", "--predicted", str(predicted), "--reference", str(reference)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: a: predicted length 3 != reference length 4\n"
+
+    def test_no_documents_exit_1(self, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        rc = main(["eval", "--predicted", str(empty), "--reference", str(empty)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no documents to evaluate\n"
+
 
 class TestMockEndpointCommand:
     def test_bad_flags_exit_before_serving(self, capsys):

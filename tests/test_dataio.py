@@ -1,15 +1,19 @@
 """Transcript and labels-file round trips and validation."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from synth import make_corpus
-from windowseg.core import SegmentationLabels, Transcript
+from windowseg.core import DEFAULT_DELIMITER, SegmentationLabels, Transcript, normalize_text
 from windowseg.dataio import (
     format_labels,
     format_transcript,
+    read_bytes,
     read_labels_file,
+    read_text,
     read_transcript,
     write_files,
 )
@@ -44,6 +48,19 @@ class TestTranscriptFiles:
         path = tmp_path / "empty.txt"
         path.write_text("")
         assert read_transcript(path).tokens == ()
+
+    def test_normalize(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_text("Hello, World! ...\n")
+        assert read_transcript(path, normalize=True).tokens == tuple(
+            normalize_text("Hello, World! ...")
+        )
+
+    def test_token_rule_error_names_the_path(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_text(f"a b{DEFAULT_DELIMITER}c\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: token contains"):
+            read_transcript(path)
 
     @given(st.lists(token, min_size=1, max_size=20))
     def test_random_round_trip(self, tmp_path_factory, tokens):
@@ -117,3 +134,24 @@ class TestLabelsFiles:
         write_files({path: format_labels([(t.source_id, l) for t, l in corpus])})
         got = read_labels_file(path)
         assert got == {t.source_id: l for t, l in corpus}
+
+
+class TestReaders:
+    def test_text_has_universal_newlines(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_bytes(b"a\r\nb\rc\n")
+        assert read_text(path) == "a\nb\nc\n"
+        assert read_bytes(path) == b"a\r\nb\rc\n"
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_failure_is_a_value_error_naming_the_path(self, tmp_path, kind):
+        path = tmp_path / "x.txt"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"a \xff b\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            read_text(path)
+        if kind != "not-utf8":
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                read_bytes(path)

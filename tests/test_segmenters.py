@@ -143,11 +143,6 @@ class TestNBestList:
 
 
 class TestAutoregressive:
-    def test_requires_model(self):
-        seg = AutoregressiveSegmenter(None)
-        with pytest.raises(ValueError, match="no model"):
-            seg.segment(["a", "b"])
-
     def test_greedy_segment_shapes(self, model):
         seg = AutoregressiveSegmenter(model)
         rng = random.Random(1)
@@ -493,11 +488,3 @@ class TestTokenTable:
             sys.setswitchinterval(interval)
         assert threaded == serial
 
-    def test_replaced_model_gets_new_table(self, model):
-        tokens = ("aa", "bb", "cc", "dd", "ee")
-        other = random_model(35)
-        seg = AutoregressiveSegmenter(model, strategy=EXACT)
-        seg.segment(tokens)
-        seg.model = other
-        got = seg.nbest(tokens, 4)
-        assert got == AutoregressiveSegmenter(other, strategy=EXACT).nbest(tokens, 4)
