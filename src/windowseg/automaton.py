@@ -17,10 +17,10 @@ only on its state and last ``h`` decisions, so exact search merges
 hypotheses sharing both, in O(w * 2^h) score calls.  A scorer without
 ``history`` may read the full prefix and is enumerated.
 
-A hypothesis carries its decisions and pending flag, which determine the
-symbols it emitted.  Beam search ranks hypotheses by
-``(-score, decisions + (1,) if pending else decisions)``: higher score
-first, ties toward fewer and later delimiters.
+A hypothesis carries its decisions (its labeling's ``Decision`` values)
+and pending flag, which determine the symbols it emitted.  Beam search
+ranks hypotheses by ``(-score, decisions + (SPLIT,) if pending else
+decisions)``: higher score first, ties toward fewer and later delimiters.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Protocol, Sequence, runtime_checkable
 
-from .core import CONTINUE, DEFAULT_DELIMITER, SPLIT, SegmentationLabels
+from .core import CONTINUE, DEFAULT_DELIMITER, SPLIT, Decision, SegmentationLabels
 
 # One leaving arc: (symbol, next state, whether symbol is the delimiter).
 Arc = tuple[str, int, bool]
@@ -118,14 +118,14 @@ def parse_strategy(name: str) -> SearchStrategy:
 class Hypothesis:
     """A scored path prefix through the automaton.
 
-    ``decisions`` records the segmentation decision per consumed token
-    (position 0 is always 1: its delimiter is implied); ``pending`` is
-    set between a delimiter and the token that completes it.
+    ``decisions`` records the ``Decision`` per consumed token (position 0
+    is always SPLIT: its delimiter is implied); ``pending`` is set between
+    a delimiter and the token that completes it.
 
     ``key`` is the beam ranking, computed once:
-    ``(-score, decisions + (1,) if pending else decisions)``.  Higher score
-    comes first; ties prefer fewer/later delimiters (lex order with
-    no-delimiter = 0), which favors longer segments.  Hypotheses are
+    ``(-score, decisions + (SPLIT,) if pending else decisions)``.  Higher
+    score comes first; ties prefer fewer/later delimiters (lex order with
+    CONTINUE < SPLIT), which favors longer segments.  Hypotheses are
     treated as immutable: searches and scorers never assign to them.
     """
 
@@ -135,14 +135,14 @@ class Hypothesis:
         self,
         state: int,
         score: float,
-        decisions: tuple[int, ...] = (),
+        decisions: tuple[Decision, ...] = (),
         pending: bool = False,
     ):
         self.state = state
         self.score = score
         self.decisions = decisions
         self.pending = pending
-        self.key = (-score, decisions + (1,) if pending else decisions)
+        self.key = (-score, decisions + (SPLIT,) if pending else decisions)
 
     @property
     def position(self) -> int:
@@ -174,13 +174,13 @@ def _extend(hyp: Hypothesis, arc: Arc, step_score: float) -> Hypothesis:
     if is_delimiter:
         return Hypothesis(nxt, hyp.score + step_score, hyp.decisions, True)
     # Position 0 always opens a segment though no delimiter arc leads to
-    # it; recording it as 1 keeps scorer decision histories
+    # it; recording it as SPLIT keeps scorer decision histories
     # consistent with document-level labelings.  A pending hypothesis's
     # key already holds the decisions its token arc leads to.
     if hyp.pending:
         decisions = hyp.key[1]
     else:
-        decisions = hyp.decisions + (0,) if hyp.decisions else (1,)
+        decisions = hyp.decisions + (CONTINUE,) if hyp.decisions else (SPLIT,)
     return Hypothesis(nxt, hyp.score + step_score, decisions)
 
 
@@ -188,14 +188,7 @@ def _nan_error(symbol: str, state: int) -> ValueError:
     return ValueError(f"scorer returned NaN for {symbol!r} at state {state}")
 
 
-_DECISIONS = (CONTINUE, SPLIT)
 _KEY = attrgetter("key")
-
-
-def _labels(hyp: Hypothesis) -> SegmentationLabels:
-    # Decisions map one-to-one onto labels: what decode_delimited gives
-    # for the emitted string, position 0 coerced to SPLIT.
-    return SegmentationLabels(tuple(_DECISIONS[d] for d in hyp.decisions))
 
 
 def _greedy_hypothesis(a: SegAutomaton, scorer: SymbolScorer) -> Hypothesis:
@@ -224,7 +217,7 @@ def _search_beam(
     active = [Hypothesis(a.start, 0.0)]
     finished: list[Hypothesis] = []
     if a.start == a.final:
-        return [(_labels(active[0]), 0.0)]
+        return [(SegmentationLabels(active[0].decisions), 0.0)]
     score_symbol = scorer.score_symbol
     rows = a.rows
     final = a.final
@@ -248,12 +241,12 @@ def _search_beam(
     # decisions are equal labels.
     pooled = sorted(finished + [_greedy_hypothesis(a, scorer)], key=_KEY)
     out: list[tuple[SegmentationLabels, float]] = []
-    seen: set[tuple[int, ...]] = set()
+    seen: set[tuple[Decision, ...]] = set()
     for h in pooled:
         if h.decisions in seen:
             continue
         seen.add(h.decisions)
-        out.append((_labels(h), h.score))
+        out.append((SegmentationLabels(h.decisions), h.score))
         if len(out) == width:
             break
     return out
@@ -304,4 +297,4 @@ def constrained_search(
         return _search_beam(a, scorer, strategy.beam_width)
     search = _greedy_hypothesis if strategy.kind == "greedy" else _exact_hypothesis
     hyp = search(a, scorer)
-    return [(_labels(hyp), hyp.score)]
+    return [(SegmentationLabels(hyp.decisions), hyp.score)]

@@ -162,6 +162,17 @@ def _segment_inputs(
 # train
 
 
+def _orders(text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated ``--orders`` value; empty items are skipped."""
+    orders = []
+    for item in filter(str.strip, text.split(",")):
+        try:
+            orders.append(int(item))
+        except ValueError:
+            raise ValueError(f"--orders: {item.strip()!r} is not an integer") from None
+    return tuple(orders)
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     code = _missing_inputs([*args.inputs, args.labels, args.warm_start])
     if code is not None:
@@ -191,7 +202,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         if init is None:
             feature_config = FeatureConfig(
                 hash_dims=args.hash_dims,
-                ngram_orders=tuple(int(o) for o in args.orders.split(",") if o.strip()),
+                ngram_orders=_orders(args.orders),
                 context_radius=args.radius,
                 history=args.history,
                 salt=args.salt,
@@ -382,19 +393,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_segment)
 
+    trained, features = TrainConfig(), FeatureConfig()  # the flags' defaults
     p = sub.add_parser("train", help="train a boundary model on labeled transcripts")
     p.add_argument("inputs", nargs="+", type=Path, help="normalized transcript files")
     p.add_argument("--labels", type=Path, required=True, help="labels file pairing by stem")
     p.add_argument("--out", type=Path, required=True, help="model file to write")
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=13)
+    p.add_argument("--epochs", type=int, default=trained.epochs)
+    p.add_argument("--learning-rate", type=float, default=trained.learning_rate)
+    p.add_argument("--seed", type=int, default=trained.seed)
     p.add_argument("--no-shuffle", action="store_true")
-    p.add_argument("--hash-dims", type=int, default=FeatureConfig().hash_dims)
-    p.add_argument("--orders", default="2,3,4", help="comma-separated n-gram orders")
-    p.add_argument("--radius", type=int, default=FeatureConfig().context_radius)
-    p.add_argument("--history", type=int, default=FeatureConfig().history)
-    p.add_argument("--salt", type=int, default=FeatureConfig().salt)
+    p.add_argument("--hash-dims", type=int, default=features.hash_dims)
+    orders = ",".join(map(str, features.ngram_orders))
+    p.add_argument("--orders", default=orders, help="comma-separated n-gram orders")
+    p.add_argument("--radius", type=int, default=features.context_radius)
+    p.add_argument("--history", type=int, default=features.history)
+    p.add_argument("--salt", type=int, default=features.salt)
     p.add_argument(
         "--warm-start",
         type=Path,
@@ -433,12 +446,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_eval)
 
+    mock = MockEndpointConfig()
     p = sub.add_parser("mock-endpoint", help="serve a local mock generator endpoint")
-    p.add_argument("--mode", choices=MODES, default="rule")
-    p.add_argument("--period", type=int, default=7)
-    p.add_argument("--corrupt-rate", type=float, default=0.15)
-    p.add_argument("--seed", type=int, default=13)
-    p.add_argument("--fail-first", type=int, default=0)
+    p.add_argument("--mode", choices=MODES, default=mock.mode)
+    p.add_argument("--period", type=int, default=mock.period)
+    p.add_argument("--corrupt-rate", type=float, default=mock.corrupt_rate)
+    p.add_argument("--seed", type=int, default=mock.seed)
+    p.add_argument("--fail-first", type=int, default=mock.fail_first)
     p.add_argument("--fail-all", action="store_true")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0, help="0 picks an ephemeral port")

@@ -69,8 +69,6 @@ class PipelineConfig:
             object.__setattr__(self, "workers", auto)
 
 
-_DEFAULTS = PipelineConfig()
-
 _SCALAR_KEYS = {
     "segmenter": str,
     "segment_len": int,
@@ -156,11 +154,7 @@ def load_config(
         else:
             raise ConfigError(f"unknown config key {key!r}")
     try:
-        window = WindowConfig(
-            size=window_kwargs.get("size", _DEFAULTS.window.size),
-            left=window_kwargs.get("left", _DEFAULTS.window.left),
-            right=window_kwargs.get("right", _DEFAULTS.window.right),
-        )
+        window = WindowConfig(**window_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc))
     return PipelineConfig(window=window, **kwargs)

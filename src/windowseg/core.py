@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from typing import Iterable, Iterator, Sequence, Union
 
 DEFAULT_DELIMITER = "■"  # black square
@@ -31,11 +31,15 @@ _PUNCT_CHARS = string.punctuation + "“”‘’«»…—–‐¿¡·" + DEFAU
 _PUNCT_TABLE = str.maketrans("", "", _PUNCT_CHARS)
 
 
-class Decision(Enum):
-    """Per-token segmentation decision."""
+class Decision(IntEnum):
+    """Per-token segmentation decision, held as is by every layer.
 
-    SPLIT = "SPLIT"
-    CONTINUE = "CONTINUE"
+    ``CONTINUE < SPLIT``, so search keys rank ties toward fewer and later
+    delimiters; the value indexes a ``(log p(CONTINUE), log p(SPLIT))`` pair.
+    """
+
+    CONTINUE = 0
+    SPLIT = 1
 
 
 SPLIT = Decision.SPLIT

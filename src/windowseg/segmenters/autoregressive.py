@@ -35,7 +35,7 @@ from ..automaton import (
     build_automaton,
     constrained_search,
 )
-from ..core import DEFAULT_DELIMITER, SPLIT, SegmentationLabels
+from ..core import DEFAULT_DELIMITER, Decision, SegmentationLabels
 from .base import NBestList, WindowInfo
 from .features import (
     PAD_LEFT,
@@ -179,7 +179,7 @@ class CachedConditionals:
         self._last: Optional[Hypothesis] = None
         self._last_probs = (0.0, 0.0)
 
-    def logprobs(self, t: int, prefix: Sequence[object]) -> tuple[float, float]:
+    def logprobs(self, t: int, prefix: Sequence[Decision]) -> tuple[float, float]:
         """(log p(CONTINUE), log p(SPLIT)) at position ``t`` given ``prefix``.
 
         ``prefix`` must hold at least ``t`` decisions; only
@@ -211,7 +211,7 @@ class CachedConditionals:
             self._last_probs = self.logprobs(len(hypothesis.decisions), hypothesis.decisions)
         return self._last_probs[split]
 
-    def sequence_logprob(self, labels: Sequence[object]) -> float:
+    def sequence_logprob(self, labels: Sequence[Decision]) -> float:
         decisions = list(labels)
         if len(decisions) != len(self.tokens):
             raise ValueError(
@@ -219,13 +219,8 @@ class CachedConditionals:
             )
         total = 0.0
         for t in range(1, len(decisions)):
-            lc, ls = self.logprobs(t, decisions)
-            total += ls if _is_split(decisions[t]) else lc
+            total += self.logprobs(t, decisions)[decisions[t]]
         return total
-
-
-def _is_split(d: object) -> bool:
-    return d is SPLIT or d == 1
 
 
 @dataclass(frozen=True)

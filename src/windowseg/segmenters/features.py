@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core import SPLIT, SegmentationLabels, Transcript
+from ..core import Decision, SegmentationLabels, Transcript
 from ..dataio import read_bytes, write_files
 
 PAD_LEFT = "<s>"
@@ -62,19 +62,15 @@ def _hash(cfg: FeatureConfig, key: str) -> int:
     return zlib.crc32(key.encode("utf-8"), cfg.salt) % cfg.hash_dims
 
 
-def history_bits(prefix: Sequence[object], t: int, history: int) -> str:
+def history_bits(prefix: Sequence[Decision], t: int, history: int) -> str:
     """The last ``history`` decisions before position ``t`` as '0'/'1' chars.
 
-    ``prefix`` may hold Decision values or 0/1 ints.  Positions before the
-    sequence start pad with '_' so early positions are distinguishable.
+    Each char is the decision's value.  Positions before the sequence start
+    pad with '_' so early positions are distinguishable.
     """
     bits = []
     for i in range(t - history, t):
-        if i < 0:
-            bits.append("_")
-        else:
-            d = prefix[i]
-            bits.append("1" if d is SPLIT or d == 1 else "0")
+        bits.append("_" if i < 0 else "01"[prefix[i]])
     return "".join(bits)
 
 
@@ -299,8 +295,7 @@ def _example_steps(
         # first_seen is each id's first position, so order is the dict's.
         ids, first_seen, counts = np.unique(merged, return_index=True, return_counts=True)
         order = np.argsort(first_seen)
-        steps.append((ids[order], counts[order].astype(np.float64),
-                      1.0 if decisions[t] is SPLIT else 0.0))
+        steps.append((ids[order], counts[order].astype(np.float64), float(decisions[t])))
     return steps
 
 

@@ -310,6 +310,20 @@ class TestTrain:
         assert "epoch" not in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
 
+    def test_non_integer_order_names_the_flag(self, project, tmp_path, capsys):
+        derived = project / "derived"
+        rc = main(
+            [
+                "train", str(derived / "doc0.txt"),
+                "--labels", str(derived / "labels.tsv"),
+                "--out", str(tmp_path / "m.bin"),
+                "--orders", "2, x",
+            ]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == "error: --orders: 'x' is not an integer\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_truncated_warm_start_exit_1(self, project, tmp_path, capsys):
         derived = project / "derived"
         cut = tmp_path / "cut.bin"

@@ -182,13 +182,17 @@ class TestRetries:
 
 class ScriptedServer:
     """An in-test HTTP server answering each POST with the next status code
-    in turn (the last one repeats); counts calls and records request paths.
+    in turn (the last one repeats) and ``body``; counts calls and records
+    request paths.
 
     ``close_each`` advertises HTTP/1.1 keep-alive but closes the connection
     after every response, as a server dropping idle connections does.
     """
 
-    def __init__(self, *statuses, protocol="HTTP/1.1", close_each=False):
+    def __init__(
+        self, *statuses, protocol="HTTP/1.1", close_each=False,
+        body=b'{"text": "tok0 tok1 tok2"}',
+    ):
         self.statuses = statuses or (200,)
         self.calls = 0
         self.paths = []
@@ -204,7 +208,6 @@ class ScriptedServer:
                 status = script.statuses[min(script.calls, len(script.statuses) - 1)]
                 script.calls += 1
                 script.paths.append(self.path)
-                body = b'{"text": "tok0 tok1 tok2"}'
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
@@ -287,6 +290,20 @@ class TestClientErrors:
         assert sleeps == []
 
 
+class TestBadBodies:
+    def test_non_string_text_is_retried_like_any_bad_body(self):
+        with ScriptedServer(body=b'{"text": 5}') as server, scripted(server) as (seg, sleeps):
+            with pytest.raises(EndpointError) as exc:
+                seg.segment(TOKENS[:5])
+            assert server.calls == 4
+            assert exc.value.attempts == 4
+            assert "non-string text" in str(exc.value.cause)
+            seg.fallback = FixedLengthSegmenter(2)
+            assert seg.segment(TOKENS[:5]).split_positions() == (0, 2, 4)
+        assert server.calls == 8
+        assert len(sleeps) == 6
+
+
 class TestConnections:
     def test_query_string_reaches_the_server(self):
         with ScriptedServer() as server:
@@ -360,6 +377,15 @@ class TestConnections:
             with socket.create_connection(ep._server.server_address[:2], timeout=1) as sock:
                 sock.sendall(b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: " + length + b"\r\n\r\n")
                 assert sock.recv(64).startswith(b"HTTP/1.1 400 ")
+
+    def test_mock_answers_non_string_text_with_400(self):
+        with MockEndpoint() as ep:
+            conn = http.client.HTTPConnection(*ep._server.server_address[:2], timeout=5)
+            with closing(conn):
+                conn.request("POST", "/", b'{"text": 5}', {"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                assert resp.status == 400
+                assert "string 'text'" in json.loads(resp.read())["error"]
 
     def test_mock_keeps_alive_without_nagle_stall(self):
         # Under the Nagle/delayed-ACK stall each exchange takes ~40 ms.

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import struct
 import zlib
 from types import SimpleNamespace
 
@@ -371,6 +372,16 @@ class TestSerialization:
         path = tmp_path / "m.bin"
         save_model(FeatureModel(SMALL, weights), path)
         with pytest.raises(ValueError, match="feature id 17 has non-finite weight"):
+            load_model(path)
+
+    def test_feature_id_out_of_range_rejected(self, tmp_path):
+        # hash_dims 4, one order, radius/history/salt 0, one pair (id 4, 0.5).
+        path = tmp_path / "m.bin"
+        path.write_bytes(
+            struct.pack("<4sHIB", b"WSGM", 1, 4, 1) + bytes([2])
+            + struct.pack("<BBIQ", 0, 0, 0, 1) + struct.pack("<Id", 4, 0.5)
+        )
+        with pytest.raises(ValueError, match="feature id 4 out of range"):
             load_model(path)
 
     def test_version_checked(self, tmp_path):

@@ -34,6 +34,7 @@ from windowseg.segmenters.autoregressive import TokenTable
 from windowseg.segmenters.features import (
     TrainConfig,
     _softplus,
+    history_bits,
     offset_ngram_id_matrix,
     offset_ngram_ids,
     static_features,
@@ -343,6 +344,21 @@ class TestCachedConditionals:
         a.logprobs(2, (SPLIT, CONTINUE))
         b.logprobs(1, (SPLIT,))
         assert set(table.history_weights) == {(SPLIT, CONTINUE), (SPLIT,)}
+
+    def test_decode_then_score_keeps_one_key_per_history_pattern(self):
+        # Search and sequence scoring read the same history weights, so a
+        # window decoded and then scored from its labels adds no key twice.
+        cfg = FeatureConfig(hash_dims=2 ** 12, ngram_orders=(2, 3), context_radius=2, history=2)
+        seg = AutoregressiveSegmenter(random_model(1, cfg))
+        window = list("abcdefghijkl")
+        labels = seg.segment(window)
+        score = seg.scorer(window).sequence_logprob(labels)
+        patterns = {history_bits(labels.decisions, t, 2) for t in range(1, len(window))}
+        assert len(patterns) == 5
+        assert len(seg._table.history_weights) == len(patterns)
+        as_ints = [1 if d is SPLIT else 0 for d in labels]
+        assert seg.scorer(window).sequence_logprob(as_ints) == score
+        assert len(seg._table.history_weights) == len(patterns)
 
 
 # Tokens that exercise the pads' spelling, non-ASCII text, the empty
