@@ -318,8 +318,6 @@ def project_boundaries(
     ref = _tokens(reference)
     if not isinstance(generated, DelimitedText):
         generated = parse_delimited_lenient(generated)
-    if not ref:
-        return SegmentationLabels(())
     gen_tokens = generated.tokens()
     ref_of_gen = levenshtein_align(ref, gen_tokens).ref_of_gen
 

@@ -216,29 +216,25 @@ def _search_beam(
 ) -> list[tuple[SegmentationLabels, float]]:
     active = [Hypothesis(a.start, 0.0)]
     finished: list[Hypothesis] = []
-    if a.start == a.final:
-        return [(SegmentationLabels(active[0].decisions), 0.0)]
     score_symbol = scorer.score_symbol
     rows = a.rows
     final = a.final
     while active:
         candidates: list[Hypothesis] = []
-        completed = len(finished)
         for hyp in active:
             for arc in rows[hyp.state]:
                 s = score_symbol(hyp, arc[0])
                 if s != s:
                     raise _nan_error(arc[0], hyp.state)
                 (finished if arc[1] == final else candidates).append(_extend(hyp, arc, s))
-        if len(finished) > completed:
-            finished.sort(key=_KEY)
-            del finished[width:]
         candidates.sort(key=_KEY)
         del candidates[width:]
         active = candidates
-    # Pool the greedy path so a wider beam is never worse than greedy even
-    # under adversarial scorers, then dedup label-equivalent paths: equal
-    # decisions are equal labels.
+    # Finished hypotheses (at most ``width`` a step) leave no pool, so one
+    # ranking here keeps the top ``width`` that trimming at every step
+    # would.  Pool the greedy path so a wider beam is never worse than
+    # greedy even under adversarial scorers, then dedup label-equivalent
+    # paths: equal decisions are equal labels.
     pooled = sorted(finished + [_greedy_hypothesis(a, scorer)], key=_KEY)
     out: list[tuple[SegmentationLabels, float]] = []
     seen: set[tuple[Decision, ...]] = set()

@@ -54,6 +54,7 @@ from .segmenters import (
     save_model,
     train_feature_model,
 )
+from .segmenters.features import FieldError
 
 EXIT_DATA = 1
 EXIT_MISSING_INPUT = 2
@@ -169,7 +170,7 @@ def _orders(text: str) -> tuple[int, ...]:
         try:
             orders.append(int(item))
         except ValueError:
-            raise ValueError(f"--orders: {item.strip()!r} is not an integer") from None
+            raise ConfigError(f"--orders: {item.strip()!r} is not an integer") from None
     return tuple(orders)
 
 
@@ -213,8 +214,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             seed=args.seed,
             shuffle=not args.no_shuffle,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except FieldError as exc:  # each flag's dest is its field's name, but for two
+        dest = {"ngram_orders": "orders", "context_radius": "radius"}.get(exc.field, exc.field)
+        flag = "--" + dest.replace("_", "-")
+        raise ConfigError(f"{flag} {exc.rule}, got {getattr(args, dest)!r}") from None
     result = train_feature_model(corpus, feature_config, train_config, init=init)
     for epoch, loss in enumerate(result.epoch_losses, 1):
         print(f"epoch {epoch}: loss {loss:.6f}")
@@ -335,7 +338,12 @@ def cmd_mock_endpoint(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    endpoint = MockEndpoint(config, host=args.host, port=args.port)
+    if not 0 <= args.port <= 65535:
+        raise ConfigError(f"--port must be in [0, 65535], got {args.port}")
+    try:
+        endpoint = MockEndpoint(config, host=args.host, port=args.port)
+    except OSError as exc:  # the port is taken, the host is not an address, ...
+        raise ValueError(f"cannot serve on {args.host}:{args.port}: {exc.strerror or exc}") from None
     print(f"serving on {endpoint.url}", flush=True)
     endpoint.serve_forever()
     return 0

@@ -99,8 +99,6 @@ def _flatten(data: Mapping[str, Any], prefix: str = "") -> dict[str, Any]:
 
 
 def _coerce(key: str, value: Any, kind: type) -> Any:
-    if value is None:
-        return None
     if kind is bool:
         if isinstance(value, bool):
             return value
@@ -121,7 +119,8 @@ def load_config(
     """Resolve a PipelineConfig from defaults, an optional file, and overrides.
 
     Override keys use dotted form for the window block ("window.size");
-    the file may nest instead.  Unknown keys are errors.
+    the file may nest instead.  Unknown keys are errors.  A None override
+    or a null in the file leaves its key at the value below it.
     """
     flat: dict[str, Any] = {}
     if path is not None:
@@ -144,15 +143,13 @@ def load_config(
     window_kwargs: dict[str, int] = {}
     kwargs: dict[str, Any] = {}
     for key, value in flat.items():
-        if key.startswith("window."):
-            sub = key[len("window."):]
-            if sub not in _WINDOW_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            window_kwargs[sub] = _coerce(key, value, _WINDOW_KEYS[sub])
-        elif key in _SCALAR_KEYS:
-            kwargs[key] = _coerce(key, value, _SCALAR_KEYS[key])
-        else:
+        name = key.removeprefix("window.")
+        in_window = name != key
+        kind = (_WINDOW_KEYS if in_window else _SCALAR_KEYS).get(name)
+        if kind is None:
             raise ConfigError(f"unknown config key {key!r}")
+        if value is not None:
+            (window_kwargs if in_window else kwargs)[name] = _coerce(key, value, kind)
     try:
         window = WindowConfig(**window_kwargs)
     except ValueError as exc:
@@ -160,8 +157,8 @@ def load_config(
     return PipelineConfig(window=window, **kwargs)
 
 
-def validate(cfg: PipelineConfig, check_files: bool = True) -> None:
-    """Raise ConfigError on any inconsistency; optionally check file paths."""
+def validate(cfg: PipelineConfig) -> None:
+    """Raise ConfigError on any inconsistency, a missing model or labels file included."""
     if cfg.segmenter not in SEGMENTER_KINDS:
         raise ConfigError(
             f"unknown segmenter {cfg.segmenter!r}; expected one of {SEGMENTER_KINDS}"
@@ -200,12 +197,12 @@ def validate(cfg: PipelineConfig, check_files: bool = True) -> None:
     if cfg.segmenter == "autoregressive":
         if not cfg.model_path:
             raise ConfigError("autoregressive segmenter requires model_path")
-        if check_files and not Path(cfg.model_path).is_file():
+        if not Path(cfg.model_path).is_file():
             raise ConfigError(f"model file not found: {cfg.model_path}")
     if cfg.segmenter == "replay":
         if not cfg.replay_labels:
             raise ConfigError("replay segmenter requires replay_labels")
-        if check_files and not Path(cfg.replay_labels).is_file():
+        if not Path(cfg.replay_labels).is_file():
             raise ConfigError(f"labels file not found: {cfg.replay_labels}")
     if cfg.segmenter == "external":
         if not cfg.endpoint_url:

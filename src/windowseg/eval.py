@@ -9,7 +9,7 @@ mean of per-document F1s.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 from .core import SegmentationLabels
@@ -128,17 +128,7 @@ def evaluate_corpus(
 
 
 def _as_dict(report: EvalReport, with_documents: bool = True) -> dict:
-    out = {
-        "true_positives": report.true_positives,
-        "false_positives": report.false_positives,
-        "false_negatives": report.false_negatives,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "segment_count": report.segment_count,
-        "mean_segment_len": report.mean_segment_len,
-        "max_segment_len": report.max_segment_len,
-    }
+    out = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "per_document"}
     if with_documents:
         out["documents"] = {
             doc_id: _as_dict(rep, with_documents=False)

@@ -86,11 +86,12 @@ class _Server(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, address, handler, config: MockEndpointConfig):
-        super().__init__(address, handler)
+        # Set before binding: a failed bind calls server_close, which reads them.
         self.config = config
         self.failures_left = config.fail_first
         self.lock = threading.Lock()
         self.open_requests: set[socket.socket] = set()
+        super().__init__(address, handler)
 
     def process_request(self, request, client_address) -> None:
         with self.lock:

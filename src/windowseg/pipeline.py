@@ -86,8 +86,6 @@ def segment_tokens(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     tokens = tuple(tokens)
-    if not tokens:
-        return SegmentationLabels(())
     windows = plan_windows(len(tokens), window)
 
     def run(win) -> SegmentationLabels:
@@ -99,7 +97,7 @@ def segment_tokens(
         return segmenter.segment(win.slice(tokens), info)
 
     count = min(len(windows), workers)
-    if count == 1:
+    if count <= 1:
         results = [run(w) for w in windows]
     else:
         with ThreadPoolExecutor(max_workers=count) as pool:
@@ -114,10 +112,5 @@ def render_segments(
     decisions = list(labels)
     if len(decisions) != len(tokens):
         raise ValueError(f"labels length {len(decisions)} != token count {len(tokens)}")
-    lines: list[str] = []
-    for i, tok in enumerate(tokens):
-        if i == 0 or decisions[i] is SPLIT:
-            lines.append(tok)
-        else:
-            lines[-1] += " " + tok
-    return lines
+    starts = [i for i, d in enumerate(decisions) if d is SPLIT or not i]
+    return [" ".join(tokens[a:b]) for a, b in zip(starts, starts[1:] + [len(tokens)])]

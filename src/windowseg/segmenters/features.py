@@ -29,6 +29,15 @@ PAD_LEFT = "<s>"
 PAD_RIGHT = "</s>"
 
 
+class FieldError(ValueError):
+    """A config field's value breaks its ``rule``; ``field`` names the field."""
+
+    def __init__(self, field: str, rule: str):
+        super().__init__(f"{field} {rule}")
+        self.field = field
+        self.rule = rule
+
+
 @dataclass(frozen=True)
 class FeatureConfig:
     """Feature space geometry; fixed at training time and stored with the model.
@@ -47,15 +56,16 @@ class FeatureConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "ngram_orders", tuple(self.ngram_orders))
         if not 1 <= self.hash_dims <= 0xFFFFFFFF:
-            raise ValueError("hash_dims must be in [1, 2**32 - 1]")
+            raise FieldError("hash_dims", "must be in [1, 2**32 - 1]")
         if not 1 <= len(self.ngram_orders) <= 255:
-            raise ValueError("there must be 1 to 255 ngram orders")
+            raise FieldError("ngram_orders", "must hold 1 to 255 orders")
         if any(not 1 <= o <= 255 for o in self.ngram_orders):
-            raise ValueError("ngram orders must be in [1, 255]")
-        if not (0 <= self.context_radius <= 255 and 0 <= self.history <= 255):
-            raise ValueError("context_radius and history must be in [0, 255]")
+            raise FieldError("ngram_orders", "must each be in [1, 255]")
+        for name in ("context_radius", "history"):
+            if not 0 <= getattr(self, name) <= 255:
+                raise FieldError(name, "must be in [0, 255]")
         if not 0 <= self.salt <= 0xFFFFFFFF:
-            raise ValueError("salt must fit in 32 bits")
+            raise FieldError("salt", "must fit in 32 bits")
 
 
 def _hash(cfg: FeatureConfig, key: str) -> int:
@@ -236,9 +246,9 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise FieldError("epochs", "must be >= 0")
         if not 0 < self.learning_rate < math.inf:  # also rejects NaN
-            raise ValueError("learning_rate must be positive and finite")
+            raise FieldError("learning_rate", "must be positive and finite")
 
 
 @dataclass

@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import random
+import socket
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -308,6 +309,31 @@ class TestTrain:
         )
         assert rc == 3
         assert "epoch" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--radius", "256", "--radius must be in [0, 255], got 256"),
+        ("--history", "300", "--history must be in [0, 255], got 300"),
+        ("--orders", ",", "--orders must hold 1 to 255 orders, got ','"),
+        ("--hash-dims", "0", "--hash-dims must be in [1, 2**32 - 1], got 0"),
+        ("--salt", "-1", "--salt must fit in 32 bits, got -1"),
+        ("--epochs", "-1", "--epochs must be >= 0, got -1"),
+        ("--learning-rate", "0", "--learning-rate must be positive and finite, got 0.0"),
+    ], ids=["radius", "history", "orders", "hash-dims", "salt", "epochs", "learning-rate"])
+    def test_bad_flag_value_names_the_flag(
+        self, project, tmp_path, capsys, flag, value, message
+    ):
+        derived = project / "derived"
+        rc = main(
+            [
+                "train", str(derived / "doc0.txt"),
+                "--labels", str(derived / "labels.tsv"),
+                "--out", str(tmp_path / "m.bin"),
+                flag, value,
+            ]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_non_integer_order_names_the_flag(self, project, tmp_path, capsys):
@@ -765,6 +791,20 @@ class TestSegment:
         labels = read_labels_file(tmp_path / "out" / "doc0.labels.tsv")["doc0"]
         assert labels.split_positions() == tuple(range(0, len(labels), 7))
 
+    def test_null_config_values_mean_the_default(self, project, tmp_path):
+        doc = tmp_path / "doc.txt"
+        doc.write_text("Alpha, Bravo! " * 20 + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "segmenter": "fixed", "segment_len": None, "workers": None, "normalize": None,
+            "strategy": None, "endpoint_timeout": None, "window": {"size": None},
+        }))
+        rc = main(["segment", str(doc), "--out-dir", str(tmp_path / "out"), "--config", str(cfg)])
+        assert rc == 0
+        labels = read_labels_file(tmp_path / "out" / "doc.labels.tsv")["doc"]
+        assert labels.split_positions() == (0, 17, 34)
+        assert (tmp_path / "out" / "doc.segments.txt").read_text().startswith("alpha bravo ")
+
     def test_unreachable_endpoint(self, project, tmp_path, capsys):
         derived = project / "derived"
         rc = main(
@@ -1170,6 +1210,23 @@ class TestMockEndpointCommand:
         rc = main(["mock-endpoint", "--period", "0"])
         assert rc == 3
         assert "period" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("port", ["65536", "99999", "-1"])
+    def test_port_out_of_range_exit_3(self, capsys, port):
+        rc = main(["mock-endpoint", "--port", port])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: --port must be in [0, 65535], got {port}\n"
+
+    def test_port_in_use_exit_1(self, capsys):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            rc = main(["mock-endpoint", "--port", str(port)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot serve on 127.0.0.1:{port}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestUsage:

@@ -68,6 +68,20 @@ class TestLoading:
         cfg = load_config(path, {"segment_len": None})
         assert cfg.segment_len == 9
 
+    @pytest.mark.parametrize("data", [
+        {"segment_len": None}, {"workers": None}, {"endpoint_timeout": None},
+        {"window": {"size": None}}, {"window.size": None}, {"strategy": None},
+        {"normalize": None},
+    ])
+    def test_null_means_absent(self, tmp_path, data):
+        assert load_config(write_json(tmp_path, data)) == PipelineConfig()
+        validate(load_config(write_json(tmp_path, {**data, "segmenter": "fixed"})))
+
+    @pytest.mark.parametrize("data", [{"segmnter": None}, {"window": {"stride": None}}])
+    def test_unknown_key_with_null_still_rejected(self, tmp_path, data):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(write_json(tmp_path, data))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
@@ -162,7 +176,6 @@ class TestValidate:
         cfg = PipelineConfig(segmenter="autoregressive", model_path=str(tmp_path / "m.bin"))
         with pytest.raises(ConfigError, match="not found"):
             validate(cfg)
-        validate(cfg, check_files=False)
         (tmp_path / "m.bin").write_bytes(b"")
         validate(cfg)
 
@@ -173,7 +186,6 @@ class TestValidate:
         cfg = PipelineConfig(segmenter="replay", replay_labels=str(tmp_path / "l.tsv"))
         with pytest.raises(ConfigError, match="not found"):
             validate(cfg)
-        validate(cfg, check_files=False)
 
     def test_external_requires_url_and_projection(self):
         with pytest.raises(ConfigError, match="endpoint_url"):
@@ -201,12 +213,16 @@ class TestValidate:
         validate(PipelineConfig(segmenter="external", endpoint_url="https://[::1]:8443/gen?q=1"))
 
     @pytest.mark.parametrize("segmenter", ["autoregressive", "fixed", "replay"])
-    def test_local_segmenters_imply_fst(self, segmenter):
-        cfg = PipelineConfig(segmenter=segmenter, model_path="m", replay_labels="l")
-        validate(cfg, check_files=False)
-        validate(replace(cfg, constraint="FST"), check_files=False)
+    def test_local_segmenters_imply_fst(self, segmenter, tmp_path):
+        (tmp_path / "m").write_bytes(b"")
+        (tmp_path / "l").write_text("")
+        cfg = PipelineConfig(
+            segmenter=segmenter, model_path=str(tmp_path / "m"), replay_labels=str(tmp_path / "l")
+        )
+        validate(cfg)
+        validate(replace(cfg, constraint="FST"))
         with pytest.raises(ConfigError, match="implies constraint FST, not LEVENSHTEIN"):
-            validate(replace(cfg, constraint="LEVENSHTEIN"), check_files=False)
+            validate(replace(cfg, constraint="LEVENSHTEIN"))
 
     def test_explicit_levenshtein_for_external_loads(self):
         # The form the benchmark harness passes.
