@@ -68,12 +68,15 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _missing_inputs(paths: Sequence[Optional[Path]]) -> Optional[int]:
-    """Exit 2 naming each path that is not a file; ``None`` entries are skipped."""
+class MissingInputError(Exception):
+    """Raised with each input path that is not a file."""
+
+
+def _check_inputs(paths: Sequence[Optional[Path]]) -> None:
+    """Raise MissingInputError naming each path that is not a file; ``None`` is skipped."""
     missing = [p for p in paths if p is not None and not p.is_file()]
-    for p in missing:
-        print(f"error: input not found: {p}", file=sys.stderr)
-    return EXIT_MISSING_INPUT if missing else None
+    if missing:
+        raise MissingInputError(*missing)
 
 
 def _check_stems(*groups: Sequence[Path]) -> None:
@@ -97,9 +100,7 @@ def _segment_overrides(args: argparse.Namespace) -> dict[str, object]:
 def cmd_segment(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _segment_overrides(args))
     validate(cfg)
-    code = _missing_inputs(args.inputs)
-    if code is not None:
-        return code
+    _check_inputs(args.inputs)
     _check_stems(args.inputs)
 
     replay_map = None
@@ -175,9 +176,8 @@ def _orders(text: str) -> tuple[int, ...]:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    code = _missing_inputs([*args.inputs, args.labels, args.warm_start])
-    if code is not None:
-        return code
+    _check_inputs([*args.inputs, args.labels, args.warm_start])
+    _check_stems(args.inputs)
     labels_map = read_labels_file(args.labels)
 
     corpus = []
@@ -186,14 +186,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         transcript = read_transcript(path)
         if transcript.source_id not in labels_map:
             unpaired.append(transcript.source_id)
-            continue
-        labels = labels_map[transcript.source_id]
-        if len(labels) != len(transcript):
-            raise ValueError(
-                f"labels for {transcript.source_id!r} cover {len(labels)} tokens, "
-                f"transcript has {len(transcript)}"
-            )
-        corpus.append((transcript, labels))
+        else:
+            corpus.append((transcript, labels_map[transcript.source_id]))
     if unpaired:
         raise PairingError("no labels for: " + ", ".join(sorted(unpaired)))
 
@@ -212,7 +206,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             epochs=args.epochs,
             learning_rate=args.learning_rate,
             seed=args.seed,
-            shuffle=not args.no_shuffle,
         )
     except FieldError as exc:  # each flag's dest is its field's name, but for two
         dest = {"ngram_orders": "orders", "context_radius": "radius"}.get(exc.field, exc.field)
@@ -231,9 +224,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_derive_labels(args: argparse.Namespace) -> int:
-    code = _missing_inputs([*args.inputs, args.abbreviations])
-    if code is not None:
-        return code
+    _check_inputs([*args.inputs, args.abbreviations])
     _check_stems(args.inputs)
     labels_path = (args.out_dir / args.labels_name).resolve()
     rule = RulePunctuation(load_abbreviations(args.abbreviations))
@@ -272,9 +263,7 @@ def cmd_derive_labels(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    code = _missing_inputs([*args.references, *args.asr, args.abbreviations])
-    if code is not None:
-        return code
+    _check_inputs([*args.references, *args.asr, args.abbreviations])
     _check_stems(args.references, args.asr)
     refs = {p.stem: p for p in args.references}
     asrs = {p.stem: p for p in args.asr}
@@ -313,9 +302,7 @@ def _read_labels_merged(paths: Sequence[Path]) -> dict:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    code = _missing_inputs([*args.predicted, *args.reference])
-    if code is not None:
-        return code
+    _check_inputs([*args.predicted, *args.reference])
     predicted = _read_labels_merged(args.predicted)
     reference = _read_labels_merged(args.reference)
     print(format_report(evaluate_corpus(predicted, reference), args.format))
@@ -409,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=trained.epochs)
     p.add_argument("--learning-rate", type=float, default=trained.learning_rate)
     p.add_argument("--seed", type=int, default=trained.seed)
-    p.add_argument("--no-shuffle", action="store_true")
     p.add_argument("--hash-dims", type=int, default=features.hash_dims)
     orders = ",".join(map(str, features.ngram_orders))
     p.add_argument("--orders", default=orders, help="comma-separated n-gram orders")
@@ -474,6 +460,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except MissingInputError as exc:
+        for path in exc.args:
+            _fail(f"input not found: {path}", EXIT_MISSING_INPUT)
+        return EXIT_MISSING_INPUT
     except ConfigError as exc:
         return _fail(str(exc), EXIT_BAD_CONFIG)
     except PairingError as exc:

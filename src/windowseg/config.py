@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Union, get_args, get_type_hints
 
 from .automaton import parse_strategy
 from .dataio import read_text
@@ -69,22 +69,17 @@ class PipelineConfig:
             object.__setattr__(self, "workers", auto)
 
 
-_SCALAR_KEYS = {
-    "segmenter": str,
-    "segment_len": int,
-    "model_path": str,
-    "replay_labels": str,
-    "strategy": str,
-    "constraint": str,
-    "endpoint_url": str,
-    "endpoint_timeout": float,
-    "endpoint_retries": int,
-    "endpoint_backoff": float,
-    "endpoint_fallback": str,
-    "normalize": bool,
-    "workers": int,
-}
-_WINDOW_KEYS = {"size": int, "left": int, "right": int}
+def _field_kinds(cls: type) -> dict[str, type]:
+    """Each field of the dataclass ``cls`` and its type, ``Optional[X]`` read as ``X``."""
+    return {
+        name: next((arg for arg in get_args(hint) if arg is not type(None)), hint)
+        for name, hint in get_type_hints(cls).items()
+    }
+
+
+# The config keys: the window block's are dotted ("window.size").
+_SCALAR_KEYS = _field_kinds(PipelineConfig)
+_WINDOW_KEYS = _field_kinds(_SCALAR_KEYS.pop("window"))
 
 
 def _flatten(data: Mapping[str, Any], prefix: str = "") -> dict[str, Any]:
@@ -120,7 +115,8 @@ def load_config(
 
     Override keys use dotted form for the window block ("window.size");
     the file may nest instead.  Unknown keys are errors.  A None override
-    or a null in the file leaves its key at the value below it.
+    or a null in the file (the window block's included) leaves its key at
+    the value below it.
     """
     flat: dict[str, Any] = {}
     if path is not None:
@@ -139,6 +135,9 @@ def load_config(
         for key, value in overrides.items():
             if value is not None:
                 flat[key] = value
+    block = flat.pop("window", None)  # an object would have been flattened
+    if block is not None:
+        raise ConfigError(f"window: expected an object, got {block!r}")
 
     window_kwargs: dict[str, int] = {}
     kwargs: dict[str, Any] = {}

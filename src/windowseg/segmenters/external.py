@@ -82,8 +82,6 @@ class EndpointConfig:
     backoff: float = 0.25
 
     def __post_init__(self) -> None:
-        if not self.url:
-            raise ValueError("endpoint url is required")
         parse_endpoint_url(self.url)
         if not 0 < self.timeout < math.inf:  # also rejects NaN
             raise ValueError("timeout must be positive and finite")

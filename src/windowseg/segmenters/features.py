@@ -242,7 +242,6 @@ class TrainConfig:
     epochs: int = 5
     learning_rate: float = 0.1
     seed: int = 13
-    shuffle: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -265,9 +264,9 @@ def _check_corpus(corpus: Corpus) -> None:
         raise ValueError("training corpus is empty")
     for i, (transcript, labels) in enumerate(corpus):
         if len(labels) != len(transcript):
+            doc = repr(transcript.source_id) if transcript.source_id else f"corpus item {i}"
             raise ValueError(
-                f"corpus item {i}: labels length {len(labels)} != "
-                f"transcript length {len(transcript)}"
+                f"labels for {doc} cover {len(labels)} tokens, transcript has {len(transcript)}"
             )
 
 
@@ -379,8 +378,7 @@ def train_feature_model(
     step = 0
     losses: list[float] = []
     for _ in range(tcfg.epochs):
-        if tcfg.shuffle:
-            rng.shuffle(order)
+        rng.shuffle(order)
         for doc_index in order:
             for ids, counts, y in prepared[doc_index]:
                 step += 1

@@ -242,6 +242,42 @@ class TestTrain:
         assert rc == 1
         assert "cover" in capsys.readouterr().err
 
+    def test_duplicate_stems_rejected_before_training(self, tmp_path, capsys):
+        inputs = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            inputs.append(tmp_path / sub / "doc.txt")
+            inputs[-1].write_text("alpha bravo charlie\n")
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("doc\t3\t2\n")
+        out = tmp_path / "m.bin"
+        rc = main(
+            [
+                "train", *map(str, inputs),
+                "--labels", str(labels),
+                "--out", str(out),
+                "--epochs", "1",
+                "--hash-dims", "1024",
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: duplicate document stems in inputs\n"
+        assert not out.exists()
+
+    def test_no_shuffle_is_an_unknown_flag_exit_2(self, project, tmp_path, capsys):
+        derived = project / "derived"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "train", str(derived / "doc0.txt"),
+                    "--labels", str(derived / "labels.tsv"),
+                    "--out", str(tmp_path / "m.bin"),
+                    "--no-shuffle",
+                ]
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-shuffle" in capsys.readouterr().err
+
     def test_bad_feature_flags(self, project, tmp_path, capsys):
         derived = project / "derived"
         rc = main(
@@ -672,6 +708,27 @@ class TestSegment:
         assert "feature id 0 has non-finite weight nan" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # Overflowing logits also raise numpy RuntimeWarnings; only the error line is checked.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_decoding_error_names_the_input_exit_1(self, tmp_path, capsys):
+        # Even ids weigh 1e308 and odd ids -1e308: each weight is finite, so the
+        # model loads, but their sums overflow to inf - inf = NaN while decoding.
+        cfg = FeatureConfig(hash_dims=64, ngram_orders=(2,), context_radius=1, history=1)
+        weights = np.where(np.arange(cfg.hash_dims) % 2 == 0, 1e308, -1e308)
+        save_model(FeatureModel(cfg, weights), tmp_path / "overflow.bin")
+        doc = tmp_path / "doc.txt"
+        doc.write_text("alpha bravo charlie delta\n")
+        rc = main(
+            [
+                "segment", str(doc),
+                "--out-dir", str(tmp_path / "out"),
+                "--model", str(tmp_path / "overflow.bin"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {doc}: scorer returned NaN for 'bravo' at state 1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_truncated_model_exit_3(self, project, tmp_path, capsys):
         cut = tmp_path / "cut.bin"
         cut.write_bytes((project / "model.bin").read_bytes()[:11])
@@ -804,6 +861,28 @@ class TestSegment:
         labels = read_labels_file(tmp_path / "out" / "doc.labels.tsv")["doc"]
         assert labels.split_positions() == (0, 17, 34)
         assert (tmp_path / "out" / "doc.segments.txt").read_text().startswith("alpha bravo ")
+
+    def test_null_window_block_means_the_default_window(self, project, tmp_path):
+        doc = project / "derived" / "doc0.txt"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"segmenter": "fixed", "window": None}))
+        for name, extra in (("null", ["--config", str(cfg)]), ("flags", ["--segmenter", "fixed"])):
+            assert main(["segment", str(doc), "--out-dir", str(tmp_path / name), *extra]) == 0
+        assert snapshot(tmp_path / "null") == snapshot(tmp_path / "flags")
+
+    def test_non_object_window_block_exit_3(self, project, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"segmenter": "fixed", "window": 5}))
+        rc = main(
+            [
+                "segment", str(project / "derived" / "doc0.txt"),
+                "--out-dir", str(tmp_path / "out"),
+                "--config", str(cfg),
+            ]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == "error: window: expected an object, got 5\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unreachable_endpoint(self, project, tmp_path, capsys):
         derived = project / "derived"
@@ -1196,6 +1275,14 @@ class TestEval:
         rc = main(["eval", "--predicted", str(predicted), "--reference", str(reference)])
         assert rc == 1
         assert capsys.readouterr().err == "error: a: predicted length 3 != reference length 4\n"
+
+    def test_each_missing_input_named_exit_2(self, tmp_path, capsys):
+        predicted, reference = tmp_path / "p.tsv", tmp_path / "r.tsv"
+        rc = main(["eval", "--predicted", str(predicted), "--reference", str(reference)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: input not found: {predicted}\nerror: input not found: {reference}\n"
+        )
 
     def test_no_documents_exit_1(self, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"

@@ -71,7 +71,7 @@ class TestLoading:
     @pytest.mark.parametrize("data", [
         {"segment_len": None}, {"workers": None}, {"endpoint_timeout": None},
         {"window": {"size": None}}, {"window.size": None}, {"strategy": None},
-        {"normalize": None},
+        {"normalize": None}, {"window": None},
     ])
     def test_null_means_absent(self, tmp_path, data):
         assert load_config(write_json(tmp_path, data)) == PipelineConfig()
@@ -81,6 +81,11 @@ class TestLoading:
     def test_unknown_key_with_null_still_rejected(self, tmp_path, data):
         with pytest.raises(ConfigError, match="unknown config key"):
             load_config(write_json(tmp_path, data))
+
+    @pytest.mark.parametrize("block", [5, [1], "big", True])
+    def test_window_block_must_be_an_object(self, tmp_path, block):
+        with pytest.raises(ConfigError, match=r"^window: expected an object, got "):
+            load_config(write_json(tmp_path, {"window": block}))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

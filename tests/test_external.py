@@ -70,6 +70,10 @@ class TestGenerateResponse:
         with pytest.raises(ValueError):
             MockEndpointConfig(corrupt_rate=1.5)
 
+    def test_negative_fail_first_rejected(self):
+        with pytest.raises(ValueError, match="fail_first"):
+            MockEndpointConfig(fail_first=-1)
+
 
 class TestEndpointConfig:
     def test_requires_url(self):

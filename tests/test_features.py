@@ -224,6 +224,14 @@ class TestGradient:
         with pytest.raises(ValueError):
             evaluate_loss(FeatureModel.zeros(SMALL), [(t, SegmentationLabels((SPLIT,)))])
 
+    @pytest.mark.parametrize("source_id, named", [("doc", "'doc'"), ("", "corpus item 1")])
+    def test_mismatched_pair_named(self, source_id, named):
+        good = (Transcript(("aa",)), SegmentationLabels((SPLIT,)))
+        bad = (Transcript(("aa", "bb"), source_id), SegmentationLabels((SPLIT,)))
+        with pytest.raises(ValueError) as exc:
+            train_feature_model([good, bad], SMALL)
+        assert str(exc.value) == f"labels for {named} cover 1 tokens, transcript has 2"
+
     def test_single_token_docs_contribute_nothing(self):
         t = Transcript(("aa",))
         lab = SegmentationLabels((SPLIT,))

@@ -86,6 +86,10 @@ class TestBuildSegmenter:
         with pytest.raises(ValueError, match="per document"):
             build_segmenter(PipelineConfig(segmenter="replay", replay_labels="x"))
 
+    def test_unknown_kind_without_validate_raises(self):
+        with pytest.raises(ValueError, match="unknown segmenter 'nope'"):
+            build_segmenter(PipelineConfig(segmenter="nope"))
+
     def test_autoregressive_loads_model(self, tmp_path):
         from windowseg.segmenters import FeatureConfig, FeatureModel, save_model
 

@@ -232,6 +232,10 @@ class TestAutoregressive:
 
 
 class TestReranker:
+    def test_empty_list_raises(self, model):
+        with pytest.raises(ValueError, match="empty n-best list"):
+            rerank(("a",), NBestList(()), FeatureModelReranker(model))
+
     def test_reproduces_generator_ranking(self, model):
         # Reranking a generator's own n-best with the generator's model
         # must return the rank-1 entry with the identical score.

@@ -53,6 +53,10 @@ class TestPlan:
     def test_empty(self):
         assert plan_windows(0, WindowConfig()) == []
 
+    def test_negative_token_count_rejected(self):
+        with pytest.raises(ValueError, match="token count"):
+            plan_windows(-1, WindowConfig())
+
     def test_single_window_when_short(self):
         wins = plan_windows(12, WindowConfig(40, 5, 5))
         assert wins == [Window(0, 12, 0, 12)]
