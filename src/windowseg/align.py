@@ -48,10 +48,6 @@ class Alignment:
     total_cost: int
 
 
-def _tokens(side: Union[Transcript, Sequence[str]]) -> tuple[str, ...]:
-    return side.tokens if isinstance(side, Transcript) else tuple(side)
-
-
 def _band_columns(
     ref_ids: Sequence[int], gen_ids: Sequence[int], dlo: int, dhi: int
 ) -> tuple[list[int], list[int], list[int]]:
@@ -254,8 +250,8 @@ def levenshtein_align(
     copies ``U`` is within a few percent of ``D``; unrelated inputs (``D``
     near max(m, n)) still take O(m * n) bits.
     """
-    ref = _tokens(reference)
-    gen = _tokens(generated)
+    ref = tuple(reference)
+    gen = tuple(generated)
     m, n = len(ref), len(gen)
     ids: dict[str, int] = {}
     ref_ids = [ids.setdefault(t, len(ids)) for t in ref]
@@ -315,7 +311,7 @@ def project_boundaries(
     if spaced.  Total on any input: the result is always a labeling of the
     reference window.
     """
-    ref = _tokens(reference)
+    ref = tuple(reference)
     if not isinstance(generated, DelimitedText):
         generated = parse_delimited_lenient(generated)
     gen_tokens = generated.tokens()
@@ -344,7 +340,7 @@ def project_oracle(
     then each boundary moves across the token alignment onto the ASR side.
     Position 0 always opens a segment.  An empty ASR yields empty labels.
     """
-    asr_tokens = _tokens(asr)
+    asr_tokens = tuple(asr)
     if not asr_tokens:
         return SegmentationLabels(())
     transcript, labels = (rule or RulePunctuation()).derive_labels(reference_punctuated)

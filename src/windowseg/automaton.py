@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 from .core import CONTINUE, DEFAULT_DELIMITER, SPLIT, Decision, SegmentationLabels
 
@@ -109,7 +109,7 @@ def parse_strategy(name: str) -> SearchStrategy:
         return beam()
     if name.startswith("beam:"):
         width = name.split(":", 1)[1]
-        if not width.isdigit():
+        if not width.isdecimal():  # isdigit() also passes "²", which int() rejects
             raise ValueError(f"beam width must be an integer, got {width!r}")
         return beam(int(width))
     raise ValueError(f"unknown search strategy {name!r}")
@@ -156,7 +156,6 @@ class Hypothesis:
         )
 
 
-@runtime_checkable
 class SymbolScorer(Protocol):
     """Autoregressive log-scorer over output symbols.
 

@@ -79,6 +79,14 @@ def _check_inputs(paths: Sequence[Optional[Path]]) -> None:
         raise MissingInputError(*missing)
 
 
+def _check_output(out: Path, inputs: Sequence[Optional[Path]], flag: str) -> None:
+    """Refuse an output path that resolves to one of the inputs; ``None`` is skipped."""
+    target = out.resolve()
+    for path in inputs:
+        if path is not None and path.resolve() == target:
+            raise ValueError(f"refusing to overwrite input {path}; pick another {flag}")
+
+
 def _check_stems(*groups: Sequence[Path]) -> None:
     """Outputs are named after input stems, so each group's must be distinct."""
     if any(len({p.stem for p in paths}) != len(paths) for paths in groups):
@@ -146,16 +154,11 @@ def _segment_inputs(
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         lines = render_segments(tokens, labels)
-        try:
-            args.out_dir.mkdir(parents=True, exist_ok=True)
-            write_files({
-                args.out_dir / f"{doc}.segments.txt": "".join(f"{line}\n" for line in lines),
-                args.out_dir / f"{doc}.labels.tsv": format_labels([(doc, labels)]),
-            })
-        except OSError as exc:
-            if exc.filename is not None:  # mkdir and write_files name the file
-                raise
-            raise ValueError(f"{args.out_dir}: {exc}") from None
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        write_files({
+            args.out_dir / f"{doc}.segments.txt": "".join(f"{line}\n" for line in lines),
+            args.out_dir / f"{doc}.labels.tsv": format_labels([(doc, labels)]),
+        })
         print(f"{doc}: {len(tokens)} tokens, {len(lines)} segments")
     return 0
 
@@ -178,6 +181,7 @@ def _orders(text: str) -> tuple[int, ...]:
 def cmd_train(args: argparse.Namespace) -> int:
     _check_inputs([*args.inputs, args.labels, args.warm_start])
     _check_stems(args.inputs)
+    _check_output(args.out, [*args.inputs, args.labels], "--out")  # --warm-start may be it
     labels_map = read_labels_file(args.labels)
 
     corpus = []
@@ -224,15 +228,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_derive_labels(args: argparse.Namespace) -> int:
-    _check_inputs([*args.inputs, args.abbreviations])
+    inputs = [*args.inputs, args.abbreviations]
+    _check_inputs(inputs)
     _check_stems(args.inputs)
     labels_path = (args.out_dir / args.labels_name).resolve()
+    _check_output(labels_path, inputs, "--labels-name")
     rule = RulePunctuation(load_abbreviations(args.abbreviations))
     docs = []  # all derived before any is written, so a bad input writes nothing
     for path in args.inputs:
         output = (args.out_dir / f"{path.stem}.txt").resolve()
-        if output == path.resolve():
-            raise ValueError(f"refusing to overwrite input {path}; pick another --out-dir")
+        _check_output(output, inputs, "--out-dir")
         if output == labels_path:
             raise ValueError(
                 f"--labels-name {args.labels_name} is the transcript output of {path}; "
@@ -263,8 +268,10 @@ def cmd_derive_labels(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    _check_inputs([*args.references, *args.asr, args.abbreviations])
+    inputs = [*args.references, *args.asr, args.abbreviations]
+    _check_inputs(inputs)
     _check_stems(args.references, args.asr)
+    _check_output(args.out, inputs, "--out")
     refs = {p.stem: p for p in args.references}
     asrs = {p.stem: p for p in args.asr}
     unpaired = sorted(set(refs) ^ set(asrs))

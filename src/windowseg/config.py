@@ -82,17 +82,6 @@ _SCALAR_KEYS = _field_kinds(PipelineConfig)
 _WINDOW_KEYS = _field_kinds(_SCALAR_KEYS.pop("window"))
 
 
-def _flatten(data: Mapping[str, Any], prefix: str = "") -> dict[str, Any]:
-    flat: dict[str, Any] = {}
-    for key, value in data.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, Mapping):
-            flat.update(_flatten(value, name + "."))
-        else:
-            flat[name] = value
-    return flat
-
-
 def _coerce(key: str, value: Any, kind: type) -> Any:
     if kind is bool:
         if isinstance(value, bool):
@@ -130,14 +119,16 @@ def load_config(
             raise ConfigError(str(exc))
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        flat.update(_flatten(raw))
+        block = raw.pop("window", None)
+        if block is not None:
+            if not isinstance(block, dict):
+                raise ConfigError(f"window: expected an object, got {block!r}")
+            flat.update((f"window.{key}", value) for key, value in block.items())
+        flat.update(raw)
     if overrides:
         for key, value in overrides.items():
             if value is not None:
                 flat[key] = value
-    block = flat.pop("window", None)  # an object would have been flattened
-    if block is not None:
-        raise ConfigError(f"window: expected an object, got {block!r}")
 
     window_kwargs: dict[str, int] = {}
     kwargs: dict[str, Any] = {}

@@ -210,7 +210,7 @@ def decode_delimited(
     malformed.
     """
     symbols = candidate.split() if isinstance(candidate, str) else list(candidate)
-    ref = reference.tokens if isinstance(reference, Transcript) else tuple(reference)
+    ref = tuple(reference)
     decisions: list[Decision] = []
     pending = False
     t = 0

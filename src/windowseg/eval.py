@@ -1,4 +1,4 @@
-"""Boundary precision/recall/F1 and segment statistics.
+"""Boundary precision/recall/F1 and predicted-segment statistics.
 
 A boundary is a SPLIT at positions 1..n-1; position 0 opens every
 labeling and carries no information, so it never counts.  Matching is
@@ -19,16 +19,6 @@ SCHEMA_VERSION = 1
 
 class PairingError(ValueError):
     """Predicted and reference corpora do not cover the same documents."""
-
-
-@dataclass(frozen=True)
-class SegmentStats:
-    """Descriptive statistics of one labeling's segments."""
-
-    segment_count: int
-    mean_segment_len: float
-    max_segment_len: int
-    lengths: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -59,23 +49,13 @@ def boundaries(labels: SegmentationLabels) -> frozenset[int]:
     return frozenset(p for p in labels.split_positions() if p > 0)
 
 
-def segment_stats(labels: SegmentationLabels) -> SegmentStats:
-    """Segment count and length distribution; position 0 opens a segment."""
-    n = len(labels)
-    if n == 0:
-        return SegmentStats(0, 0.0, 0, ())
-    starts = sorted({0} | set(boundaries(labels)))
-    ends = starts[1:] + [n]
-    lengths = tuple(e - s for s, e in zip(starts, ends))
-    return SegmentStats(len(lengths), n / len(lengths), max(lengths), lengths)
-
-
-def _report(tp: int, fp: int, fn: int, stats: SegmentStats, per_doc=()) -> EvalReport:
+def _report(
+    tp: int, fp: int, fn: int, tokens: int, segments: int, longest: int, per_doc=()
+) -> EvalReport:
     precision, recall, f1 = _ratios(tp, fp, fn)
+    mean_len = tokens / segments if segments else 0.0
     return EvalReport(
-        tp, fp, fn, precision, recall, f1,
-        stats.segment_count, stats.mean_segment_len, stats.max_segment_len,
-        tuple(per_doc),
+        tp, fp, fn, precision, recall, f1, segments, mean_len, longest, tuple(per_doc)
     )
 
 
@@ -88,7 +68,11 @@ def boundary_f1(predicted: SegmentationLabels, reference: SegmentationLabels) ->
     pred = boundaries(predicted)
     ref = boundaries(reference)
     tp = len(pred & ref)
-    return _report(tp, len(pred) - tp, len(ref) - tp, segment_stats(predicted))
+    n = len(predicted)
+    # Position 0 opens a segment and every boundary opens one more.
+    starts = sorted(pred | {0}) if n else []
+    longest = max((e - s for s, e in zip(starts, starts[1:] + [n])), default=0)
+    return _report(tp, len(pred) - tp, len(ref) - tp, n, len(starts), longest)
 
 
 def evaluate_corpus(
@@ -106,9 +90,7 @@ def evaluate_corpus(
     if not predicted:
         raise ValueError("no documents to evaluate")
     tp = fp = fn = 0
-    total_tokens = 0
-    seg_count = 0
-    max_len = 0
+    tokens = segments = longest = 0
     per_doc = []
     for doc_id in sorted(predicted):
         try:
@@ -119,12 +101,10 @@ def evaluate_corpus(
         tp += rep.true_positives
         fp += rep.false_positives
         fn += rep.false_negatives
-        seg_count += rep.segment_count
-        max_len = max(max_len, rep.max_segment_len)
-        total_tokens += len(predicted[doc_id])
-    mean_len = total_tokens / seg_count if seg_count else 0.0
-    stats = SegmentStats(seg_count, mean_len, max_len, ())
-    return _report(tp, fp, fn, stats, per_doc)
+        segments += rep.segment_count
+        longest = max(longest, rep.max_segment_len)
+        tokens += len(predicted[doc_id])
+    return _report(tp, fp, fn, tokens, segments, longest, per_doc)
 
 
 def _as_dict(report: EvalReport, with_documents: bool = True) -> dict:

@@ -115,19 +115,22 @@ class TokenTable:
     def static_logits(self, tokens: Sequence[str]) -> list[float]:
         """The static logit of every position of the window ``tokens``."""
         n = len(tokens)
-        if n == 0:
-            return []
         r = self.model.config.context_radius
         context = [PAD_LEFT] * r + list(tokens) + [PAD_RIGHT] * r
         get = self._index.get
         index = [get(tok) for tok in context]
-        if None in index:
-            index = [self._fill(tok) if i is None else i for tok, i in zip(context, index)]
-        # Read after every index is published, so every row is in it.
-        rows = self._matrix[index]
-        total = np.full(n, self._bias)
-        for j in range(2 * r + 1):
-            total += rows[j:j + n, j]
+        # Finite weights may sum to inf or NaN, in a row or across offsets.
+        # The search reports a NaN logit as its one error, so numpy must not
+        # warn; its error state belongs to the thread, set here because
+        # windows decode on pool threads.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if None in index:
+                index = [self._fill(tok) if i is None else i for tok, i in zip(context, index)]
+            # Read after every index is published, so every row is in it.
+            rows = self._matrix[index]
+            total = np.full(n, self._bias)
+            for j in range(2 * r + 1):
+                total += rows[j:j + n, j]
         return total.tolist()
 
     def history_weight(self, recent: tuple) -> float:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 from ..core import CONTINUE, SPLIT, SegmentationLabels
 
@@ -26,7 +26,6 @@ class WindowInfo:
             raise ValueError("window info fields must be >= 0")
 
 
-@runtime_checkable
 class WindowSegmenter(Protocol):
     """Labels one window of tokens; must be deterministic given fixed state."""
 
@@ -116,7 +115,6 @@ class ReplaySegmenter:
         return SegmentationLabels(self.labels.decisions[start:end])
 
 
-@runtime_checkable
 class SequenceScorer(Protocol):
     """Assigns a total score to one complete (window, labels) pair."""
 

@@ -377,19 +377,22 @@ def train_feature_model(
     weights = model.weights
     step = 0
     losses: list[float] = []
-    for _ in range(tcfg.epochs):
-        rng.shuffle(order)
-        for doc_index in order:
-            for ids, counts, y in prepared[doc_index]:
-                step += 1
-                z = float(weights[ids] @ counts)
-                if not math.isfinite(z):  # the step's loss is finite exactly when z is
-                    raise ValueError(
-                        f"non-finite logit {z} at step {step} (document {doc_index})"
-                    )
-                lr = tcfg.learning_rate / math.sqrt(step)
-                weights[ids] -= lr * (_sigmoid(z) - y) * counts
-        losses.append(_mean_loss(weights, prepared))
+    # Finite weights (a warm start's) may sum to inf or NaN; the check below
+    # reports it as the one error, so numpy does not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(tcfg.epochs):
+            rng.shuffle(order)
+            for doc_index in order:
+                for ids, counts, y in prepared[doc_index]:
+                    step += 1
+                    z = float(weights[ids] @ counts)
+                    if not math.isfinite(z):  # the step's loss is finite exactly when z is
+                        raise ValueError(
+                            f"non-finite logit {z} at step {step} (document {doc_index})"
+                        )
+                    lr = tcfg.learning_rate / math.sqrt(step)
+                    weights[ids] -= lr * (_sigmoid(z) - y) * counts
+            losses.append(_mean_loss(weights, prepared))
     return TrainResult(model, losses)
 
 

@@ -147,6 +147,11 @@ class TestStrategies:
         with pytest.raises(ValueError):
             parse_strategy("beam:0")
 
+    @pytest.mark.parametrize("width", ["\u00b2", "-2", "2.0", ""])
+    def test_beam_width_must_be_a_decimal_integer(self, width):
+        with pytest.raises(ValueError, match=r"^beam width must be an integer, got "):
+            parse_strategy(f"beam:{width}")
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             SearchStrategy("anneal")

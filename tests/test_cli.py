@@ -116,6 +116,27 @@ class TestDeriveLabels:
         assert rc == 1
         assert "refusing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labels_name", ["labels.tsv", "abbreviations.txt"])
+    def test_refuses_to_overwrite_abbreviations(self, tmp_path, capsys, labels_name):
+        # As a transcript output (stem "abbreviations") or as the labels file.
+        doc = tmp_path / "in" / "abbreviations.txt"
+        doc.parent.mkdir()
+        doc.write_text("Mr. Smith left. Then he came back.\n")
+        abbreviations = tmp_path / "abbreviations.txt"
+        abbreviations.write_text("mr.\n")
+        rc = main(
+            [
+                "derive-labels", str(doc), "--out-dir", str(tmp_path),
+                "--abbreviations", str(abbreviations), "--labels-name", labels_name,
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: refusing to overwrite input {abbreviations}; pick another "
+        )
+        assert abbreviations.read_text() == "mr.\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["abbreviations.txt", "in"]
+
     @pytest.mark.parametrize("name", ["b.txt", "./b.txt"])
     def test_labels_name_of_a_transcript_output_rejected(self, tmp_path, capsys, name):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -213,6 +234,40 @@ class TestTrain:
         assert rc == 0
         assert "epoch 1: loss" in out
         assert "wrote model" in out
+
+    @pytest.mark.parametrize("target", ["transcript", "labels"])
+    def test_out_naming_an_input_exit_1(self, project, tmp_path, capsys, target):
+        inputs = {"transcript": tmp_path / "doc0.txt", "labels": tmp_path / "labels.tsv"}
+        for name, path in inputs.items():
+            path.write_bytes((project / "derived" / path.name).read_bytes())
+        before = snapshot(tmp_path)
+        rc = main(
+            [
+                "train", str(inputs["transcript"]),
+                "--labels", str(inputs["labels"]),
+                "--out", str(tmp_path / "." / inputs[target].name),
+                "--epochs", "1", "--hash-dims", "1024",
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: refusing to overwrite input {inputs[target]}; pick another --out"
+        )
+        assert snapshot(tmp_path) == before
+
+    def test_out_may_be_the_warm_start_model(self, project, tmp_path, capsys):
+        derived = project / "derived"
+        model = tmp_path / "m.bin"
+        model.write_bytes((project / "model.bin").read_bytes())
+        rc = main(
+            [
+                "train", str(derived / "doc0.txt"),
+                "--labels", str(derived / "labels.tsv"),
+                "--warm-start", str(model), "--out", str(model), "--epochs", "1",
+            ]
+        )
+        assert rc == 0
+        assert model.read_bytes() != (project / "model.bin").read_bytes()
 
     def test_unpaired_transcript(self, project, tmp_path, capsys):
         derived = project / "derived"
@@ -549,6 +604,19 @@ class TestSegment:
         assert "exact search with a history-20 model" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_non_decimal_beam_width_exit_3(self, project, tmp_path, capsys):
+        # "²".isdigit() is true, but int("²") raises.
+        rc = main(
+            [
+                "segment", str(project / "derived" / "doc0.txt"),
+                "--out-dir", str(tmp_path / "out"),
+                "--model", str(project / "model.bin"), "--strategy", "beam:\u00b2",
+            ]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == "error: beam width must be an integer, got '\u00b2'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_failed_write_leaves_earlier_documents_whole(
         self, project, tmp_path, monkeypatch, capsys
     ):
@@ -557,15 +625,16 @@ class TestSegment:
 
         def flaky_write(files):
             calls.append(files)
-            if len(calls) == 2:
-                raise OSError("disk full")
+            if len(calls) == 2:  # as write_files reports it: naming its target
+                raise OSError(errno.ENOSPC, "disk full", str(next(iter(files))))
             write_files(files)
 
         monkeypatch.setattr(cli, "write_files", flaky_write)
         out = tmp_path / "out"
         rc = main(["segment", *map(str, inputs), "--out-dir", str(out), "--segmenter", "fixed"])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {out}: disk full\n"
+        failed = out / f"{inputs[1].stem}.segments.txt"
+        assert capsys.readouterr().err == f"error: {failed}: disk full\n"
         first = inputs[0].stem
         assert sorted(p.name for p in out.iterdir()) == [
             f"{first}.labels.tsv", f"{first}.segments.txt"
@@ -708,8 +777,8 @@ class TestSegment:
         assert "feature id 0 has non-finite weight nan" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    # Overflowing logits also raise numpy RuntimeWarnings; only the error line is checked.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # Overflowing logits must not also print numpy RuntimeWarnings.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_decoding_error_names_the_input_exit_1(self, tmp_path, capsys):
         # Even ids weigh 1e308 and odd ids -1e308: each weight is finite, so the
         # model loads, but their sums overflow to inf - inf = NaN while decoding.
@@ -723,6 +792,28 @@ class TestSegment:
                 "segment", str(doc),
                 "--out-dir", str(tmp_path / "out"),
                 "--model", str(tmp_path / "overflow.bin"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {doc}: scorer returned NaN for 'bravo' at state 1\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_decoding_error_on_pool_threads_exit_1(self, tmp_path, capsys):
+        # The overflowing model above, decoded in three windows on two threads:
+        # numpy's error state is per thread, so the pool's must be quiet too.
+        cfg = FeatureConfig(hash_dims=64, ngram_orders=(2,), context_radius=1, history=1)
+        weights = np.where(np.arange(cfg.hash_dims) % 2 == 0, 1e308, -1e308)
+        save_model(FeatureModel(cfg, weights), tmp_path / "overflow.bin")
+        doc = tmp_path / "doc.txt"
+        doc.write_text("alpha bravo charlie delta echo foxtrot golf hotel india juliet\n")
+        rc = main(
+            [
+                "segment", str(doc),
+                "--out-dir", str(tmp_path / "out"),
+                "--model", str(tmp_path / "overflow.bin"),
+                "--workers", "2",
+                "--window-size", "4", "--window-left", "1", "--window-right", "1",
             ]
         )
         assert rc == 1
@@ -1075,6 +1166,34 @@ class TestOracle:
         )
         assert rc == 0
         assert read_labels_file(out) == read_labels_file(derived / "labels.tsv")
+
+    @pytest.mark.parametrize("target", ["references", "asr", "abbreviations"])
+    def test_out_naming_an_input_exit_1(self, project, tmp_path, capsys, target):
+        inputs = {
+            "references": tmp_path / "ref" / "doc0.txt",
+            "asr": tmp_path / "asr" / "doc0.txt",
+            "abbreviations": tmp_path / "abbreviations.txt",
+        }
+        for path in inputs.values():
+            path.parent.mkdir(exist_ok=True)
+        inputs["references"].write_bytes((project / "raw" / "doc0.txt").read_bytes())
+        inputs["asr"].write_bytes((project / "derived" / "doc0.txt").read_bytes())
+        inputs["abbreviations"].write_text("mr.\n")
+        before = {path: path.read_bytes() for path in inputs.values()}
+        rc = main(
+            [
+                "oracle",
+                "--references", str(inputs["references"]),
+                "--asr", str(inputs["asr"]),
+                "--abbreviations", str(inputs["abbreviations"]),
+                "--out", str(inputs[target]),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: refusing to overwrite input {inputs[target]}; pick another --out\n"
+        )
+        assert {path: path.read_bytes() for path in inputs.values()} == before
 
     def test_unpaired(self, project, tmp_path, capsys):
         raw = project / "raw"

@@ -2,7 +2,8 @@
 
 Whatever the files and numbers, a run exits 0-5; a failed run prints an
 ``error:`` line (or, for bad usage, argparse's usage message) and no
-traceback; and no staged ``.<name>.tmp`` file is left behind.
+traceback; no numpy warning is printed; and no staged ``.<name>.tmp``
+file is left behind.
 """
 
 import contextlib
@@ -10,7 +11,9 @@ import io
 import os
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from windowseg.cli import main
@@ -23,11 +26,16 @@ UNREADABLE = Path("/proc/self/mem")  # a regular file whose read fails (EIO)
 # role; every other kind is the same bytes whatever the role.
 KINDS = [
     "good", "missing", "directory", "empty", "not-utf8", "truncated-model",
-    "wrong-count-labels", "delimiter-token",
+    "wrong-count-labels", "delimiter-token", "overflow-model",
 ] + (["unreadable"] if UNREADABLE.exists() else [])
 
 TINY = FeatureModel.zeros(
     FeatureConfig(hash_dims=64, ngram_orders=(2,), context_radius=1, history=1)
+)
+# Every weight is finite, so the model loads, but sums of them overflow to
+# inf - inf = NaN while decoding.
+OVERFLOW = FeatureModel(
+    TINY.config, np.where(np.arange(TINY.config.hash_dims) % 2 == 0, 1e308, -1e308)
 )
 
 GOOD = {
@@ -131,6 +139,8 @@ def make_file(root: Path, index: int, role: str, kind: str) -> Path:
     target = directory / ("doc.bin" if role == "model" else "doc.txt")
     if kind == "good" and role == "model":
         save_model(TINY, target)
+    elif kind == "overflow-model":
+        save_model(OVERFLOW, target)
     elif kind == "truncated-model":
         save_model(TINY, target)
         target.write_bytes(target.read_bytes()[:11])
@@ -145,8 +155,21 @@ def make_file(root: Path, index: int, role: str, kind: str) -> Path:
     return target
 
 
+# In-process, pytest captures a warning instead of letting it reach the
+# stderr read below, so a leaking numpy warning must fail the run here.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
 @given(plan=invocations())
+@example(plan=[
+    "segment", ("path", "transcript", "good"),
+    "--segmenter", "autoregressive", "--out-dir", ("out", ""), "--model",
+    ("path", "model", "overflow-model"),
+])
+@example(plan=[
+    "train", ("path", "transcript", "good"), "--labels", ("path", "labels", "good"),
+    "--out", ("out", "m.bin"), "--epochs", "1", "--hash-dims", "1024",
+    "--warm-start", ("path", "model", "overflow-model"),
+])
 def test_every_invocation_keeps_the_contract(tmp_path_factory, plan):
     root = tmp_path_factory.mktemp("contract")
     out = root / "out"

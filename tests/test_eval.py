@@ -14,7 +14,6 @@ from windowseg.eval import (
     boundary_f1,
     evaluate_corpus,
     format_report,
-    segment_stats,
 )
 
 
@@ -33,20 +32,21 @@ class TestBoundaries:
 
 class TestSegmentStats:
     def test_lengths(self):
-        stats = segment_stats(labels_of(7, [0, 3, 5]))
-        assert stats.lengths == (3, 2, 2)
+        labels = labels_of(7, [0, 3, 5])
+        stats = boundary_f1(labels, labels)
         assert stats.segment_count == 3
         assert stats.mean_segment_len == pytest.approx(7 / 3)
         assert stats.max_segment_len == 3
 
     def test_single_segment(self):
-        stats = segment_stats(labels_of(4, []))
-        assert stats.lengths == (4,)
+        labels = labels_of(4, [])
+        stats = boundary_f1(labels, labels)
+        assert (stats.segment_count, stats.max_segment_len) == (1, 4)
 
     def test_empty(self):
-        stats = segment_stats(SegmentationLabels(()))
+        stats = boundary_f1(SegmentationLabels(()), SegmentationLabels(()))
         assert stats.segment_count == 0
-        assert stats.lengths == ()
+        assert (stats.mean_segment_len, stats.max_segment_len) == (0.0, 0)
 
 
 class TestBoundaryF1:
