@@ -21,13 +21,17 @@ A hypothesis carries its decisions (its labeling's ``Decision`` values)
 and pending flag, which determine the symbols it emitted.  Beam search
 ranks hypotheses by ``(-score, decisions + (SPLIT,) if pending else
 decisions)``: higher score first, ties toward fewer and later delimiters.
+Each step it scores every arc but selects by score first, and builds a
+hypothesis only for the candidates that can survive: the best ``width``
+by score and any tying the last of them.  Ties at the cut are broken by
+the full key, so the n-best lists are those of ranking every candidate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Protocol, Sequence
 
 from .core import CONTINUE, DEFAULT_DELIMITER, SPLIT, Decision, SegmentationLabels
@@ -188,6 +192,7 @@ def _nan_error(symbol: str, state: int) -> ValueError:
 
 
 _KEY = attrgetter("key")
+_TOTAL = itemgetter(0)
 
 
 def _greedy_hypothesis(a: SegAutomaton, scorer: SymbolScorer) -> Hypothesis:
@@ -219,16 +224,36 @@ def _search_beam(
     rows = a.rows
     final = a.final
     while active:
-        candidates: list[Hypothesis] = []
+        # A candidate is (-total, parent, arc, step score) until it survives.
+        candidates: list[tuple[float, Hypothesis, Arc, float]] = []
+        nan_total = False
         for hyp in active:
+            base = hyp.score
             for arc in rows[hyp.state]:
                 s = score_symbol(hyp, arc[0])
-                if s != s:
-                    raise _nan_error(arc[0], hyp.state)
-                (finished if arc[1] == final else candidates).append(_extend(hyp, arc, s))
-        candidates.sort(key=_KEY)
-        del candidates[width:]
-        active = candidates
+                total = base + s
+                if total != total:
+                    if s != s:
+                        raise _nan_error(arc[0], hyp.state)
+                    nan_total = True
+                if arc[1] == final:
+                    finished.append(_extend(hyp, arc, s))
+                else:
+                    candidates.append((-total, hyp, arc, s))
+        # Keys lead with the same -total, so the top ``width`` by key are
+        # among the first ``width`` by -total and any tying the last.  A
+        # NaN total (an infinity met its opposite) ranks against nothing,
+        # so a step holding one builds every candidate and sorts by key.
+        if len(candidates) > width and not nan_total:
+            candidates.sort(key=_TOTAL)
+            cut = candidates[width - 1][0]
+            keep = width
+            while keep < len(candidates) and candidates[keep][0] == cut:
+                keep += 1
+            del candidates[keep:]
+        active = [_extend(h, arc, s) for _, h, arc, s in candidates]
+        active.sort(key=_KEY)
+        del active[width:]
     # Finished hypotheses (at most ``width`` a step) leave no pool, so one
     # ranking here keeps the top ``width`` that trimming at every step
     # would.  Pool the greedy path so a wider beam is never worse than

@@ -110,6 +110,11 @@ def cmd_segment(args: argparse.Namespace) -> int:
     validate(cfg)
     _check_inputs(args.inputs)
     _check_stems(args.inputs)
+    inputs = [*args.inputs, args.config]
+    inputs += [Path(p) for p in (cfg.model_path, cfg.replay_labels) if p]
+    for path in args.inputs:  # every output, before the first is written
+        for suffix in (".segments.txt", ".labels.tsv"):
+            _check_output(args.out_dir / f"{path.stem}{suffix}", inputs, "--out-dir")
 
     replay_map = None
     segmenter: Optional[WindowSegmenter] = None

@@ -1,10 +1,15 @@
-"""Independent references for the library's one scorer, and test-only scorers.
+"""Independent references for the library's scorer and beam search, and test-only scorers.
 
 The library computes a feature model's conditionals from its token table
 (``CachedConditionals``).  Here they are computed the long way: the
 features of a position as a dict (``step_features``), their logit as one
 dot product with the weights, and the log-probabilities as two softplus
 calls.  Tests compare the two paths.
+
+``reference_beam`` is beam search as it was first written: each step
+builds a hypothesis for every candidate and sorts them all by key.  The
+library's beam builds only the candidates that can survive; tests compare
+the two.
 
 ``FunctionScorer`` and ``ConstantScorer`` are symbol scorers for search
 tests that need no model.
@@ -18,7 +23,15 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from windowseg.automaton import Hypothesis
+from windowseg.automaton import (
+    _KEY,
+    Hypothesis,
+    SegAutomaton,
+    SymbolScorer,
+    _extend,
+    _greedy_hypothesis,
+    _nan_error,
+)
 from windowseg.core import CONTINUE, DEFAULT_DELIMITER, SPLIT, Decision, SegmentationLabels
 from windowseg.segmenters.features import (
     FeatureConfig,
@@ -81,6 +94,36 @@ def sequence_logprob(
         z = split_logit(model, tokens, t, decisions[:t])
         total += -_softplus(-z) if decisions[t] is SPLIT else -_softplus(z)
     return total
+
+
+def reference_beam(
+    a: SegAutomaton, scorer: SymbolScorer, width: int
+) -> list[tuple[SegmentationLabels, float]]:
+    """Beam search of ``width`` that ranks every candidate of every step."""
+    active = [Hypothesis(a.start, 0.0)]
+    finished: list[Hypothesis] = []
+    while active:
+        candidates: list[Hypothesis] = []
+        for hyp in active:
+            for arc in a.rows[hyp.state]:
+                s = scorer.score_symbol(hyp, arc[0])
+                if s != s:
+                    raise _nan_error(arc[0], hyp.state)
+                (finished if arc[1] == a.final else candidates).append(_extend(hyp, arc, s))
+        candidates.sort(key=_KEY)
+        del candidates[width:]
+        active = candidates
+    pooled = sorted(finished + [_greedy_hypothesis(a, scorer)], key=_KEY)
+    out: list[tuple[SegmentationLabels, float]] = []
+    seen: set[tuple[Decision, ...]] = set()
+    for h in pooled:
+        if h.decisions in seen:
+            continue
+        seen.add(h.decisions)
+        out.append((SegmentationLabels(h.decisions), h.score))
+        if len(out) == width:
+            break
+    return out
 
 
 def emitted(tokens: Sequence[str], hypothesis: Hypothesis) -> tuple[str, ...]:

@@ -5,15 +5,17 @@ import random
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fstref
-from reference import ConstantScorer, FunctionScorer
+from reference import ConstantScorer, FunctionScorer, emitted, reference_beam
 from synth import TableScorer, all_labelings, brute_force_best
+from windowseg import automaton
 from windowseg.automaton import (
     EXACT,
     GREEDY,
+    Hypothesis,
     SegAutomaton,
     SearchStrategy,
     beam,
@@ -315,6 +317,69 @@ class TestSearch:
         results = constrained_search(a, sc, beam(6))
         labelings = [lab for lab, _ in results]
         assert len(set(labelings)) == len(labelings)
+
+
+# Few values, so that totals tie exactly; -0.0 ties 0.0, and +inf meeting
+# -inf along a path makes a NaN total.
+TIE_HEAVY = st.lists(
+    st.sampled_from([0.0, -0.0, -0.5, -1.0, -math.inf, math.inf]), min_size=1, max_size=4
+)
+
+
+class TestBeamSelection:
+    @given(st.integers(0, 12), st.integers(1, 20), TIE_HEAVY, st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300)
+    # NaN totals at a step that must be cut: ranking by total alone there
+    # would keep other hypotheses than a full sort by key.
+    @example(10, 5, [-1.0, -math.inf, math.inf, 0.0, -0.0, -2.0], 312)
+    @example(7, 8, [-1.0, -math.inf, math.inf, 0.0, -0.0, -2.0], 693)
+    def test_matches_ranking_every_candidate(self, w, width, values, seed):
+        a = build_automaton(toks(w))
+        scorer = PickScorer(values, seed)
+        got = constrained_search(a, scorer, beam(width))
+        # repr, so that -0.0 differs from 0.0 and a NaN score equals itself.
+        assert repr(got) == repr(reference_beam(a, scorer, width))
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 16])
+    def test_builds_only_survivors(self, monkeypatch, width):
+        # Per step (symbols emitted) the beam builds at most ``width``
+        # non-final hypotheses, and the pooled greedy path one more.
+        w = 24
+        a = build_automaton(toks(w))
+        scorer = PickScorer([-i / 997 for i in range(997)], width)
+        want = reference_beam(a, scorer, width)
+        built = []
+
+        class Counting(Hypothesis):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(automaton, "Hypothesis", Counting)
+        assert repr(constrained_search(a, scorer, beam(width))) == repr(want)
+        per_step: dict[int, int] = {}
+        for h in built:
+            if h.state != a.final:
+                step = len(emitted(a.tokens, h))
+                per_step[step] = per_step.get(step, 0) + 1
+        assert per_step.pop(0) == 2  # the start of the beam and of the greedy path
+        assert max(per_step.values()) <= width + 1
+
+
+class PickScorer:
+    """Picks each score from ``values`` by a hash of the seed, the
+    hypothesis and the symbol; only ever sees real hypotheses."""
+
+    def __init__(self, values, seed):
+        self.values = values
+        self.seed = seed
+
+    def score_symbol(self, hyp, sym):
+        assert isinstance(hyp, Hypothesis)
+        key = (self.seed, hyp.decisions, hyp.pending, sym)
+        return self.values[zlib.crc32(repr(key).encode("utf-8")) % len(self.values)]
 
 
 class MarkovScorer:

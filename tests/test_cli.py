@@ -16,8 +16,8 @@ from synth import make_sentence
 from windowseg import cli, pipeline
 from windowseg.cli import _segment_overrides, build_parser, main
 from windowseg.config import PipelineConfig, load_config
-from windowseg.core import DEFAULT_DELIMITER
-from windowseg.dataio import read_labels_file, write_files
+from windowseg.core import DEFAULT_DELIMITER, SegmentationLabels
+from windowseg.dataio import format_labels, read_labels_file, write_files
 from windowseg.mock_endpoint import MockEndpoint, MockEndpointConfig
 from windowseg.segmenters import ExternalSegmenter
 from windowseg.segmenters.features import FeatureConfig, FeatureModel, save_model
@@ -674,6 +674,44 @@ class TestSegment:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["f1"] == 1.0
+
+    @pytest.mark.parametrize("role", ["replay-labels", "model", "config", "transcript"])
+    def test_out_dir_over_an_input_exit_1(self, project, tmp_path, capsys, role):
+        # a.txt's outputs are d/a.segments.txt and d/a.labels.tsv; each
+        # role names one of them as an input.
+        d = tmp_path / "d"
+        d.mkdir()
+        text = (project / "derived" / "doc0.txt").read_text()
+        (d / "a.txt").write_text(text)
+        argv = ["segment", str(d / "a.txt"), "--out-dir", str(tmp_path / "." / "d")]
+        if role == "replay-labels":
+            target = d / "a.labels.tsv"
+            n = len(text.split())
+            target.write_text(format_labels([
+                ("a", SegmentationLabels.from_split_positions(n, [0, 2])),
+                ("b", SegmentationLabels.from_split_positions(3, [0, 1])),
+            ]))
+            argv += ["--segmenter", "replay", "--replay-labels", str(target)]
+        elif role == "model":
+            target = d / "a.labels.tsv"
+            target.write_bytes((project / "model.bin").read_bytes())
+            argv += ["--model", str(target)]
+        elif role == "config":
+            target = d / "a.segments.txt"
+            target.write_text('{"segmenter": "fixed"}\n')
+            argv += ["--config", str(target)]
+        else:
+            target = d / "a.segments.txt"
+            target.write_text(text)
+            argv[2:2] = [str(target)]
+            argv += ["--segmenter", "fixed"]
+        before = snapshot(d)
+        rc = main(argv)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: refusing to overwrite input {target}; pick another --out-dir\n"
+        )
+        assert snapshot(d) == before
 
     def test_replay_missing_document(self, project, tmp_path, capsys):
         derived = project / "derived"
