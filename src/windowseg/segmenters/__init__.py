@@ -1,10 +1,6 @@
 """Window segmenters: fixed-length, replayed, featurized, and remote."""
 
-from .autoregressive import (
-    AutoregressiveSegmenter,
-    CachedConditionals,
-    FeatureModelReranker,
-)
+from .autoregressive import AutoregressiveSegmenter, CachedConditionals
 from .base import (
     FixedLengthSegmenter,
     NBestList,
@@ -38,7 +34,6 @@ __all__ = [
     "ExternalSegmenter",
     "FeatureConfig",
     "FeatureModel",
-    "FeatureModelReranker",
     "FixedLengthSegmenter",
     "NBestList",
     "ReplaySegmenter",

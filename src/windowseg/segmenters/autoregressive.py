@@ -1,11 +1,13 @@
-"""Constrained decoding and reranking on top of the feature model.
+"""Constrained decoding, n-best lists and rescoring with the feature model.
 
 The feature model supplies locally normalized per-token conditionals; the
 automaton supplies the legal next symbols.  Mapping decisions onto arcs
 (SPLIT to the delimiter arc, CONTINUE to the plain token arc, completion
 and position-0 arcs free) makes every path score equal the model's
 log-likelihood of the decoded labeling, so greedy, beam, and exact search
-all optimize the same objective.
+all optimize the same objective, and ``AutoregressiveSegmenter`` rescores a
+complete labeling with the score its search path would get.  That makes one
+segmenter the decoder, the n-best generator and ``rerank``'s scorer.
 
 The static part of each conditional is linear in hashed n-gram features,
 so a token table caches it per (token, context offset), one row of a
@@ -230,8 +232,10 @@ class CachedConditionals:
 class AutoregressiveSegmenter:
     """Feature-model segmenter decoding through the acceptor.
 
-    Keeps one token table for its model, shared by every window and
-    worker thread.
+    Decodes a window (``segment``), lists its n-best labelings (``nbest``)
+    and scores a complete labeling (``score_sequence``, a
+    ``SequenceScorer`` for ``rerank``).  Keeps one token table for its
+    model, shared by every window and worker thread.
     """
 
     model: FeatureModel
@@ -250,38 +254,17 @@ class AutoregressiveSegmenter:
         a = build_automaton(window)
         return constrained_search(a, self.scorer(window), self.strategy)[0][0]
 
-    def nbest(
-        self, window: Sequence[str], k: int, strategy: Optional[SearchStrategy] = None
-    ) -> NBestList:
-        """Top-k labelings; defaults to a beam of width k.
-
-        With one strategy fixed, lists for growing k are nested prefixes
-        of the same ranking whenever the strategy's width covers them.
-        """
+    def nbest(self, window: Sequence[str], k: int) -> NBestList:
+        """Top-k labelings from a beam of width k, best first."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        strat = strategy or beam(k)
         a = build_automaton(window)
-        results = constrained_search(a, self.scorer(window), strat)
-        return NBestList(tuple(results[:k]), "autoregressive")
-
-
-@dataclass(frozen=True)
-class FeatureModelReranker:
-    """Scores complete labelings by their log-likelihood under a feature model.
-
-    Used as the second-stage scorer over another generator's n-best list;
-    keeps a token table for its model, so rebuilding a window's
-    conditionals for each candidate costs one table probe per token.
-    """
-
-    model: FeatureModel
-    _table: TokenTable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_table", TokenTable(self.model))
+        return NBestList(tuple(constrained_search(a, self.scorer(window), beam(k))))
 
     def score_sequence(self, window: Sequence[str], labels: SegmentationLabels) -> float:
-        return CachedConditionals(self.model, window, self._table).sequence_logprob(
-            labels.decisions
-        )
+        """The model's log-likelihood of ``labels`` on ``window``.
+
+        This is the score the search gives the same labeling's path, so the
+        segmenter reranks its own or another generator's n-best list.
+        """
+        return self.scorer(window).sequence_logprob(labels.decisions)

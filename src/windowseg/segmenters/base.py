@@ -1,7 +1,13 @@
-"""Segmenter interface, fixed-length baseline, n-best lists, and reranking."""
+"""Segmenter interface, fixed-length baseline, n-best lists, and reranking.
+
+``rerank`` picks from an n-best list by a ``SequenceScorer``; an
+``AutoregressiveSegmenter`` is one, scoring a labeling by its model's
+log-likelihood.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -40,7 +46,6 @@ class NBestList:
     """Ranked (labels, score) candidates from one generator run."""
 
     entries: tuple[tuple[SegmentationLabels, float], ...]
-    generator: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple((l, float(s)) for l, s in self.entries))
@@ -65,7 +70,7 @@ class NBestList:
         """The top-k sublist; nested prefixes share ranking with the parent."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        return NBestList(self.entries[:k], self.generator)
+        return NBestList(self.entries[:k])
 
 
 @dataclass(frozen=True)
@@ -127,15 +132,17 @@ def rerank(
 ) -> tuple[SegmentationLabels, float]:
     """The n-best entry maximizing the reranker score, with that score.
 
-    Ties keep the earliest (best original rank) entry, so a reranker that
-    reproduces the generator's own scores returns the rank-1 entry.
+    Ties keep the earliest (best original rank) entry, ``-inf`` included,
+    so a reranker that reproduces the generator's own scores returns the
+    rank-1 entry.  A NaN score raises ``ValueError``, as in search.
     """
     if not nbest.entries:
         raise ValueError("cannot rerank an empty n-best list")
-    best_labels, best_score = None, float("-inf")
-    for labels, _ in nbest.entries:
+    best = None
+    for rank, (labels, _) in enumerate(nbest.entries):
         score = scorer.score_sequence(window, labels)
-        if score > best_score:
-            best_labels, best_score = labels, score
-    assert best_labels is not None
-    return best_labels, best_score
+        if math.isnan(score):
+            raise ValueError(f"scorer returned NaN for n-best entry {rank}")
+        if best is None or score > best[1]:
+            best = (labels, score)
+    return best

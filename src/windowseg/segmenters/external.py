@@ -99,6 +99,12 @@ _ATTEMPT_ERRORS = (
 )
 
 
+# The retry delay doubles at most this many times.  Past it the delay is
+# years at any sane backoff, and an uncapped ``2 ** attempt`` overflows a
+# float from attempt 1,024 on.
+_MAX_DOUBLINGS = 30
+
+
 def _client_error(exc: Exception) -> bool:
     """A 4xx answer that the same request would get again.
 
@@ -215,7 +221,7 @@ class ExternalSegmenter:
                     raise EndpointError(self.config.url, attempt + 1, exc) from exc
                 last = exc
                 if attempt + 1 < attempts:
-                    self._sleep(self.config.backoff * (2 ** attempt))
+                    self._sleep(self.config.backoff * 2.0 ** min(attempt, _MAX_DOUBLINGS))
         raise EndpointError(self.config.url, attempts, last)
 
     def segment(

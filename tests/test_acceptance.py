@@ -40,7 +40,6 @@ from windowseg.segmenters import (
     CachedConditionals,
     FeatureConfig,
     FeatureModel,
-    FeatureModelReranker,
     FixedLengthSegmenter,
     TrainConfig,
     rerank,
@@ -247,7 +246,7 @@ def test_04_reranked_score_never_drops_as_nbest_deepens(report):
     generator = FeatureModel(cfg, np.random.default_rng(41).normal(0.0, 0.4, cfg.hash_dims))
     rescorer = FeatureModel(cfg, np.random.default_rng(42).normal(0.0, 0.4, cfg.hash_dims))
     seg = AutoregressiveSegmenter(generator)
-    reranker = FeatureModelReranker(rescorer)
+    reranker = AutoregressiveSegmenter(rescorer)
 
     windows = 0
     for doc, _ in corpus:

@@ -177,6 +177,22 @@ class TestRetries:
                 labels = seg.segment(TOKENS[:5])
         assert labels.split_positions() == (0, 2, 4)
 
+    @pytest.mark.parametrize("backoff", [0.0, 0.5])
+    def test_backoff_stays_finite_past_a_thousand_retries(self, backoff):
+        # 2 ** attempt overflows a float from attempt 1,024 on.
+        sleeps = []
+        cfg, sleep = make_client(
+            "http://127.0.0.1:1/", sleeps=sleeps, max_retries=1100, backoff=backoff
+        )  # nothing listens here
+        with closing(ExternalSegmenter(cfg, sleep=sleep)) as seg:
+            with pytest.raises(EndpointError) as exc:
+                seg.segment(TOKENS[:4])
+        assert exc.value.attempts == 1101
+        assert len(sleeps) == 1100
+        assert sleeps[:2] == [backoff, 2 * backoff]
+        assert all(0 <= s < math.inf for s in sleeps)
+        assert sleeps == sorted(sleeps)
+
     def test_unreachable_host_raises(self):
         cfg, sleep = make_client("http://127.0.0.1:1/", max_retries=1, timeout=0.5)
         with closing(ExternalSegmenter(cfg, sleep=sleep)) as seg:

@@ -21,7 +21,6 @@ from windowseg.segmenters import (
     CachedConditionals,
     FeatureConfig,
     FeatureModel,
-    FeatureModelReranker,
     FixedLengthSegmenter,
     NBestList,
     ReplaySegmenter,
@@ -131,7 +130,7 @@ class TestNBestList:
     def test_best_and_prefix(self):
         a = SegmentationLabels((SPLIT,))
         b = SegmentationLabels((CONTINUE,))
-        lst = NBestList(((a, -1.0), (b, -2.0)), generator="g")
+        lst = NBestList(((a, -1.0), (b, -2.0)))
         assert lst.best() == a
         assert lst.prefix(1).entries == ((a, -1.0),)
         assert lst.prefix(5).entries == lst.entries
@@ -214,7 +213,6 @@ class TestAutoregressive:
         doc, _ = make_document(rng, "x", n_sentences=(2, 3))
         lst = seg.nbest(doc.tokens, 10)
         assert 1 <= len(lst) <= 10
-        assert lst.generator == "autoregressive"
         scores = [s for _, s in lst]
         assert scores == sorted(scores, reverse=True)
         assert lst.prefix(3).entries == lst.entries[:3]
@@ -234,13 +232,13 @@ class TestAutoregressive:
 class TestReranker:
     def test_empty_list_raises(self, model):
         with pytest.raises(ValueError, match="empty n-best list"):
-            rerank(("a",), NBestList(()), FeatureModelReranker(model))
+            rerank(("a",), NBestList(()), AutoregressiveSegmenter(model))
 
     def test_reproduces_generator_ranking(self, model):
         # Reranking a generator's own n-best with the generator's model
         # must return the rank-1 entry with the identical score.
         seg = AutoregressiveSegmenter(model)
-        reranker = FeatureModelReranker(model)
+        reranker = AutoregressiveSegmenter(model)
         rng = random.Random(6)
         for i in range(5):
             doc, _ = make_document(rng, f"x{i}", n_sentences=(2, 3))
@@ -257,13 +255,13 @@ class TestReranker:
         s_good, s_bad = cc.sequence_logprob(good.decisions), cc.sequence_logprob(bad.decisions)
         lo, hi = sorted([(s_good, good), (s_bad, bad)], key=lambda p: p[0])
         lst = NBestList(((lo[1], -0.1), (hi[1], -0.2)))  # generator got it backwards
-        labels, score = rerank(tokens, lst, FeatureModelReranker(model))
+        labels, score = rerank(tokens, lst, AutoregressiveSegmenter(model))
         assert labels == hi[1]
         assert math.isclose(score, hi[0])
 
     def test_nested_prefix_scores_monotone(self, model):
         seg = AutoregressiveSegmenter(model)
-        reranker = FeatureModelReranker(model)
+        reranker = AutoregressiveSegmenter(model)
         rng = random.Random(7)
         doc, _ = make_document(rng, "x", n_sentences=(3, 5))
         lst = seg.nbest(doc.tokens, 16)
@@ -273,8 +271,40 @@ class TestReranker:
             assert score >= prev
             prev = score
 
+    @pytest.mark.parametrize("bad", [float("-inf"), float("nan")])
+    def test_every_entry_scored_minus_inf_or_nan(self, bad):
+        # A model whose finite weights sum to +inf scores log p(CONTINUE) -inf.
+        class Constant:
+            def score_sequence(self, window, labels):
+                return bad
+
+        a = SegmentationLabels((SPLIT, CONTINUE))
+        b = SegmentationLabels((SPLIT, SPLIT))
+        lst = NBestList(((a, -1.0), (b, -2.0)))
+        if math.isnan(bad):
+            with pytest.raises(ValueError, match="NaN"):
+                rerank(("x", "y"), lst, Constant())
+        else:
+            assert rerank(("x", "y"), lst, Constant()) == (a, bad)
+
+    def test_segmenter_rescores_its_own_nbest_exactly(self):
+        # One object decodes and rescores: a labeling's rescored value is
+        # bit for bit the score its search path got.
+        cfg = FeatureConfig(hash_dims=2 ** 12, ngram_orders=(2, 3), context_radius=2, history=2)
+        rng = random.Random(12)
+        for seed in range(3):
+            seg = AutoregressiveSegmenter(
+                FeatureModel(cfg, np.random.default_rng(seed).normal(0.0, 0.5, cfg.hash_dims))
+            )
+            for i in range(4):
+                doc, _ = make_document(rng, f"x{i}", n_sentences=(2, 4))
+                lst = seg.nbest(doc.tokens, 16)
+                assert len(lst) == 16
+                for labels, score in lst:
+                    assert seg.score_sequence(doc.tokens, labels) == score
+
     def test_cache_eviction_keeps_results_correct(self, model):
-        reranker = FeatureModelReranker(model)
+        reranker = AutoregressiveSegmenter(model)
         rng = random.Random(8)
         windows = [make_document(rng, f"w{i}", n_sentences=(1, 2))[0].tokens for i in range(12)]
         labels = [SegmentationLabels.from_split_positions(len(w), []) for w in windows]
