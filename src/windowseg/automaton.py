@@ -11,11 +11,13 @@ the acceptor takes no other, and rejects a window token holding it.
 
 Searches are generic over an autoregressive symbol scorer, so the same
 machinery serves greedy decoding, beam search with ranked n-best output,
-and exact search: one Viterbi pass over the token positions.  A scorer
-setting ``history = h`` promises that its scores at a hypothesis depend
-only on its state and last ``h`` decisions, so exact search merges
-hypotheses sharing both, in O(w * 2^h) score calls.  A scorer without
-``history`` may read the full prefix and is enumerated.
+and exact search: one Viterbi pass over the token positions.  They return
+complete hypotheses, best first, and build no labels: a caller builds
+them from the ``decisions`` of the hypotheses it keeps.  A scorer setting
+``history = h`` promises that its scores at a hypothesis depend only on
+its state and last ``h`` decisions, so exact search merges hypotheses
+sharing both, in O(w * 2^h) score calls.  A scorer without ``history``
+may read the full prefix and is enumerated.
 
 A hypothesis carries its decisions (its labeling's ``Decision`` values)
 and pending flag, which determine the symbols it emitted.  Beam search
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Protocol, Sequence
 
-from .core import CONTINUE, DEFAULT_DELIMITER, SPLIT, Decision, SegmentationLabels
+from .core import CONTINUE, DEFAULT_DELIMITER, SPLIT, Decision
 
 # One leaving arc: (symbol, next state, whether symbol is the delimiter).
 Arc = tuple[str, int, bool]
@@ -215,9 +217,7 @@ def _greedy_hypothesis(a: SegAutomaton, scorer: SymbolScorer) -> Hypothesis:
     return hyp
 
 
-def _search_beam(
-    a: SegAutomaton, scorer: SymbolScorer, width: int
-) -> list[tuple[SegmentationLabels, float]]:
+def _search_beam(a: SegAutomaton, scorer: SymbolScorer, width: int) -> list[Hypothesis]:
     active = [Hypothesis(a.start, 0.0)]
     finished: list[Hypothesis] = []
     score_symbol = scorer.score_symbol
@@ -257,19 +257,13 @@ def _search_beam(
     # Finished hypotheses (at most ``width`` a step) leave no pool, so one
     # ranking here keeps the top ``width`` that trimming at every step
     # would.  Pool the greedy path so a wider beam is never worse than
-    # greedy even under adversarial scorers, then dedup label-equivalent
-    # paths: equal decisions are equal labels.
+    # greedy even under adversarial scorers, then keep the best path of
+    # each labeling: equal decisions are equal labels.
     pooled = sorted(finished + [_greedy_hypothesis(a, scorer)], key=_KEY)
-    out: list[tuple[SegmentationLabels, float]] = []
-    seen: set[tuple[Decision, ...]] = set()
+    best: dict[tuple[Decision, ...], Hypothesis] = {}
     for h in pooled:
-        if h.decisions in seen:
-            continue
-        seen.add(h.decisions)
-        out.append((SegmentationLabels(h.decisions), h.score))
-        if len(out) == width:
-            break
-    return out
+        best.setdefault(h.decisions, h)
+    return list(best.values())[:width]
 
 
 def _exact_hypothesis(a: SegAutomaton, scorer: SymbolScorer) -> Hypothesis:
@@ -306,15 +300,15 @@ def _exact_hypothesis(a: SegAutomaton, scorer: SymbolScorer) -> Hypothesis:
 
 def constrained_search(
     a: SegAutomaton, scorer: SymbolScorer, strategy: SearchStrategy
-) -> list[tuple[SegmentationLabels, float]]:
-    """Search the automaton language, returning ranked (labels, score) pairs.
+) -> list[Hypothesis]:
+    """Search the automaton language, returning complete hypotheses best first.
 
-    Greedy and exact return a single hypothesis; beam returns up to its
-    width, best first.  Every result is well-formed by construction since
-    only automaton arcs are followed.
+    Greedy and exact return one hypothesis; beam returns up to its width,
+    with distinct ``decisions``.  Each hypothesis's ``decisions`` label the
+    window and its ``score`` is its path score.  Every result is
+    well-formed by construction since only automaton arcs are followed.
     """
     if strategy.kind == "beam":
         return _search_beam(a, scorer, strategy.beam_width)
     search = _greedy_hypothesis if strategy.kind == "greedy" else _exact_hypothesis
-    hyp = search(a, scorer)
-    return [(SegmentationLabels(hyp.decisions), hyp.score)]
+    return [search(a, scorer)]

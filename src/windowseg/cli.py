@@ -32,6 +32,7 @@ from .config import (
 )
 from .core import SegmentationLabels
 from .dataio import (
+    check_source_id,
     format_labels,
     format_transcript,
     read_labels_file,
@@ -113,6 +114,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
     inputs = [*args.inputs, args.config]
     inputs += [Path(p) for p in (cfg.model_path, cfg.replay_labels) if p]
     for path in args.inputs:  # every output, before the first is written
+        check_source_id(path.stem)
         for suffix in (".segments.txt", ".labels.tsv"):
             _check_output(args.out_dir / f"{path.stem}{suffix}", inputs, "--out-dir")
 
@@ -241,6 +243,7 @@ def cmd_derive_labels(args: argparse.Namespace) -> int:
     rule = RulePunctuation(load_abbreviations(args.abbreviations))
     docs = []  # all derived before any is written, so a bad input writes nothing
     for path in args.inputs:
+        check_source_id(path.stem)
         output = (args.out_dir / f"{path.stem}.txt").resolve()
         _check_output(output, inputs, "--out-dir")
         if output == labels_path:
@@ -282,6 +285,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     unpaired = sorted(set(refs) ^ set(asrs))
     if unpaired:
         raise PairingError("unpaired documents: " + ", ".join(unpaired))
+    for stem in refs:
+        check_source_id(stem)
 
     rule = RulePunctuation(load_abbreviations(args.abbreviations))
     rows = []

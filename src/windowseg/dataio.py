@@ -144,11 +144,25 @@ LabelsEntries = Union[
 ]
 
 
+def check_source_id(source_id: str) -> None:
+    """Refuse (ValueError) a source id that a labels file cannot read back.
+
+    Its line is split on tabs and the file on every break ``str.splitlines``
+    knows, so the id may hold neither.
+    """
+    if "\t" in source_id or "".join(source_id.splitlines()) != source_id:
+        raise ValueError(
+            f"document id {source_id!r} holds a tab or line break, "
+            "which a labels file cannot hold"
+        )
+
+
 def format_labels(entries: LabelsEntries) -> str:
-    """The content of a labels file holding ``entries`` in order."""
+    """The content of a labels file holding ``entries`` in order; see ``check_source_id``."""
     items = entries.items() if isinstance(entries, Mapping) else entries
     lines = []
     for source_id, labels in items:
+        check_source_id(source_id)
         positions = [p for p in labels.split_positions() if p > 0]
         lines.append(
             f"{source_id}\t{len(labels)}\t{','.join(str(p) for p in positions)}"

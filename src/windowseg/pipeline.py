@@ -27,30 +27,39 @@ from .segmenters import (
 )
 from .windowing import WindowConfig, plan_windows, stitch
 
-# Most score calls exact search may make per window: a model of history h
-# makes about w * 2^min(h, w - 1) for a w-token window.  2^16 allows
-# h <= 10 at the default w = 40, a few tenths of a second per window;
-# h = 20 would take minutes.
-EXACT_SCORE_CALLS_LIMIT = 2**16
+# Most score calls a search may make per window.  For a w-token window,
+# exact search with a model of history h makes about w * 2^min(h, w - 1)
+# and beam:K about 2 * w * min(K, 2^(w - 1)).  2^16 allows h <= 10 or
+# K <= 819 at the default w = 40, a few tenths of a second per window;
+# h = 20 or K = 32768 would take a minute or more.
+SEARCH_SCORE_CALLS_LIMIT = 2**16
 
 
 def build_segmenter(cfg: PipelineConfig) -> WindowSegmenter:
     """Construct the configured window segmenter; validate() the config first.
 
-    Refuses (ValueError) exact search with a model whose history makes
-    it cost more than ``EXACT_SCORE_CALLS_LIMIT`` score calls per window.
+    Refuses (ValueError) exact search with a model whose history, or a
+    beam whose width, makes it cost more than ``SEARCH_SCORE_CALLS_LIMIT``
+    score calls per window.
     """
     if cfg.segmenter == "fixed":
         return FixedLengthSegmenter(cfg.segment_len)
     if cfg.segmenter == "autoregressive":
         model = load_model(cfg.model_path)
         strategy = parse_strategy(cfg.strategy)
-        w, h = cfg.window.size, model.config.history
-        if strategy.kind == "exact" and w * 2 ** min(h, w - 1) > EXACT_SCORE_CALLS_LIMIT:
+        w, h, k = cfg.window.size, model.config.history, strategy.beam_width
+        if strategy.kind == "exact" and w * 2 ** min(h, w - 1) > SEARCH_SCORE_CALLS_LIMIT:
             raise ValueError(
                 f"exact search with a history-{h} model makes about {w}*2^{min(h, w - 1)} "
                 f"score calls per {w}-token window, over the limit of "
-                f"{EXACT_SCORE_CALLS_LIMIT}; use beam:K or a model with a shorter history"
+                f"{SEARCH_SCORE_CALLS_LIMIT}; use beam:K or a model with a shorter history"
+            )
+        # min(K, 2^(w - 1)), without building 2^(w - 1) for a huge window.
+        paths = min(k, 2 ** min(w - 1, k.bit_length()))
+        if strategy.kind == "beam" and 2 * w * paths > SEARCH_SCORE_CALLS_LIMIT:
+            raise ValueError(
+                f"beam:{k} makes about 2*{w}*{paths} score calls per {w}-token window, "
+                f"over the limit of {SEARCH_SCORE_CALLS_LIMIT}; use a narrower beam"
             )
         return AutoregressiveSegmenter(model, strategy)
     if cfg.segmenter == "external":

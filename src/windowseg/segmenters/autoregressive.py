@@ -252,14 +252,16 @@ class AutoregressiveSegmenter:
         self, window: Sequence[str], info: WindowInfo = WindowInfo()
     ) -> SegmentationLabels:
         a = build_automaton(window)
-        return constrained_search(a, self.scorer(window), self.strategy)[0][0]
+        best = constrained_search(a, self.scorer(window), self.strategy)[0]
+        return SegmentationLabels(best.decisions)
 
     def nbest(self, window: Sequence[str], k: int) -> NBestList:
         """Top-k labelings from a beam of width k, best first."""
         if k < 1:
             raise ValueError("k must be >= 1")
         a = build_automaton(window)
-        return NBestList(tuple(constrained_search(a, self.scorer(window), beam(k))))
+        ranked = constrained_search(a, self.scorer(window), beam(k))
+        return NBestList(tuple((SegmentationLabels(h.decisions), h.score) for h in ranked))
 
     def score_sequence(self, window: Sequence[str], labels: SegmentationLabels) -> float:
         """The model's log-likelihood of ``labels`` on ``window``.

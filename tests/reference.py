@@ -9,7 +9,8 @@ calls.  Tests compare the two paths.
 ``reference_beam`` is beam search as it was first written: each step
 builds a hypothesis for every candidate and sorts them all by key.  The
 library's beam builds only the candidates that can survive; tests compare
-the two.
+the two.  Hypotheses compare by identity, so tests compare search results
+through ``ranked``.
 
 ``FunctionScorer`` and ``ConstantScorer`` are symbol scorers for search
 tests that need no model.
@@ -96,9 +97,12 @@ def sequence_logprob(
     return total
 
 
-def reference_beam(
-    a: SegAutomaton, scorer: SymbolScorer, width: int
-) -> list[tuple[SegmentationLabels, float]]:
+def ranked(results: Sequence[Hypothesis]) -> list[tuple[tuple[Decision, ...], float]]:
+    """Search results as ``(decisions, score)`` pairs, in their order."""
+    return [(h.decisions, h.score) for h in results]
+
+
+def reference_beam(a: SegAutomaton, scorer: SymbolScorer, width: int) -> list[Hypothesis]:
     """Beam search of ``width`` that ranks every candidate of every step."""
     active = [Hypothesis(a.start, 0.0)]
     finished: list[Hypothesis] = []
@@ -114,13 +118,13 @@ def reference_beam(
         del candidates[width:]
         active = candidates
     pooled = sorted(finished + [_greedy_hypothesis(a, scorer)], key=_KEY)
-    out: list[tuple[SegmentationLabels, float]] = []
+    out: list[Hypothesis] = []
     seen: set[tuple[Decision, ...]] = set()
     for h in pooled:
         if h.decisions in seen:
             continue
         seen.add(h.decisions)
-        out.append((SegmentationLabels(h.decisions), h.score))
+        out.append(h)
         if len(out) == width:
             break
     return out

@@ -14,7 +14,7 @@ import zlib
 import numpy as np
 import pytest
 
-from reference import FunctionScorer, score_step
+from reference import FunctionScorer, ranked, score_step
 from synth import MIDDLE, STARTERS, TERMINALS, all_labelings, make_corpus
 from windowseg.align import levenshtein_align, project_boundaries, project_oracle
 from windowseg.automaton import (
@@ -93,9 +93,9 @@ def test_01_search_and_projection_outputs_always_valid(report):
 
         strategy = rng.choice((GREEDY, beam(2), beam(5)))
         results = constrained_search(build_automaton(tokens), FunctionScorer(tokens, fn), strategy)
-        for labels, _ in results:
+        for decisions, _ in ranked(results):
             total += 1
-            valid += well_formed(labels, tokens)
+            valid += well_formed(SegmentationLabels(decisions), tokens)
 
     for _ in range(7000):
         n = rng.randint(1, 30)
@@ -146,9 +146,9 @@ def test_02_constrained_decoding_agrees_with_projection(report):
         bits = [1] + [rng.randint(0, 1) for _ in range(n - 1)]
         target = SegmentationLabels(tuple(SPLIT if b else CONTINUE for b in bits))
 
-        decoded = constrained_search(
+        decoded = SegmentationLabels(constrained_search(
             build_automaton(tokens), _ReplayScorer(bits), GREEDY
-        )[0][0]
+        )[0].decisions)
 
         rendered = encode_delimited(Transcript(tuple(tokens)), target).render()
         projected = list(project_boundaries(tokens, rendered))
@@ -212,15 +212,15 @@ def test_03_exact_search_is_optimal_and_beam_nearly_so(report):
 
         a = build_automaton(tokens)
         scorer = CachedConditionals(model, tokens)
-        exact_labels, exact_score = constrained_search(a, scorer, EXACT)[0]
+        exact_labels, exact_score = ranked(constrained_search(a, scorer, EXACT))[0]
         brute_labels, brute_score = _enumeration_argmax(model, tokens)
 
-        if exact_labels == brute_labels and math.isclose(
+        if exact_labels == brute_labels.decisions and math.isclose(
             exact_score, brute_score, rel_tol=1e-9, abs_tol=1e-9
         ):
             exact_hits += 1
 
-        beam_labels, beam_score = constrained_search(a, scorer, beam(100))[0]
+        beam_labels, beam_score = ranked(constrained_search(a, scorer, beam(100)))[0]
         if beam_labels != exact_labels:
             beam_misses += 1
             assert beam_score < exact_score  # a true miss scores lower

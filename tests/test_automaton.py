@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fstref
-from reference import ConstantScorer, FunctionScorer, emitted, reference_beam
+from reference import ConstantScorer, FunctionScorer, emitted, ranked, reference_beam
 from synth import TableScorer, all_labelings, brute_force_best
 from windowseg import automaton
 from windowseg.automaton import (
@@ -164,16 +164,16 @@ class TestSearch:
         a = build_automaton(())
         sc = TableScorer(random.Random(0), 0)
         for strat in (GREEDY, EXACT, beam(4)):
-            assert constrained_search(a, sc, strat) == [(SegmentationLabels(()), 0.0)]
+            assert ranked(constrained_search(a, sc, strat)) == [((), 0.0)]
 
     def test_tie_break_prefers_continue(self):
         a = build_automaton(toks(4))
         flat = TableScorer(random.Random(0), 4)
         for key in flat.p:
             flat.p[key] = 0.5
-        want = SegmentationLabels((SPLIT, CONTINUE, CONTINUE, CONTINUE))
+        want = (SPLIT, CONTINUE, CONTINUE, CONTINUE)
         for strat in (GREEDY, EXACT, beam(8)):
-            assert constrained_search(a, flat, strat)[0][0] == want
+            assert constrained_search(a, flat, strat)[0].decisions == want
 
     @pytest.mark.parametrize("strat", [GREEDY, beam(1), beam(4), EXACT])
     def test_nan_score_names_symbol_and_state(self, strat):
@@ -188,8 +188,8 @@ class TestSearch:
     def test_all_arcs_minus_inf_take_token_arcs(self, strat):
         a = build_automaton(toks(4))
         hopeless = FunctionScorer(toks(4), lambda prefix, sym: -math.inf)
-        labels, score = constrained_search(a, hopeless, strat)[0]
-        assert labels == SegmentationLabels((SPLIT, CONTINUE, CONTINUE, CONTINUE))
+        labels, score = ranked(constrained_search(a, hopeless, strat))[0]
+        assert labels == (SPLIT, CONTINUE, CONTINUE, CONTINUE)
         assert score == -math.inf
 
     def test_dead_end_state_rejected(self):
@@ -223,9 +223,9 @@ class TestSearch:
         n = rng.randint(1, 9)
         a = build_automaton(toks(n))
         sc = TableScorer(rng, n)
-        (got, score), = constrained_search(a, sc, EXACT)
+        (got, score), = ranked(constrained_search(a, sc, EXACT))
         want, want_score = brute_force_best(n, sc)
-        assert got == want
+        assert got == want.decisions
         assert math.isclose(score, want_score, rel_tol=0, abs_tol=1e-9)
 
     @pytest.mark.parametrize("h", [0, 1, 2, 3])
@@ -236,8 +236,9 @@ class TestSearch:
         for seed in range(40):
             n = seed % 10 + 1
             a = build_automaton(toks(n))
-            merged = constrained_search(a, MarkovScorer(h, seed), EXACT)
-            assert merged == constrained_search(a, MarkovScorer(h, seed, declare=False), EXACT)
+            merged = ranked(constrained_search(a, MarkovScorer(h, seed), EXACT))
+            enumerated = constrained_search(a, MarkovScorer(h, seed, declare=False), EXACT)
+            assert merged == ranked(enumerated)
 
     @pytest.mark.parametrize("h", [0, 1, 2, 4, 6])
     def test_exact_score_calls_bounded_by_history(self, h):
@@ -249,8 +250,8 @@ class TestSearch:
     def test_exact_accepts_unnormalized_scores(self):
         # Every delimiter adds +0.3, so the optimum splits everywhere.
         a = build_automaton(toks(5))
-        (labels, score), = constrained_search(a, ConstantScorer(0.3), EXACT)
-        assert labels == SegmentationLabels((SPLIT,) * 5)
+        (labels, score), = ranked(constrained_search(a, ConstantScorer(0.3), EXACT))
+        assert labels == (SPLIT,) * 5
         assert score == pytest.approx(0.3 * 9)
 
     @given(st.integers(0, 2 ** 32 - 1))
@@ -260,13 +261,13 @@ class TestSearch:
         a = build_automaton(toks(n))
         sc = TableScorer(rng, n)
         width = 2 ** (n - 1)
-        results = constrained_search(a, sc, beam(width))
+        results = ranked(constrained_search(a, sc, beam(width)))
         assert len(results) == width
-        assert {lab for lab, _ in results} == set(all_labelings(n))
+        assert {lab for lab, _ in results} == {lab.decisions for lab in all_labelings(n)}
         scores = [s for _, s in results]
         assert scores == sorted(scores, reverse=True)
         exact = constrained_search(a, sc, EXACT)[0]
-        assert results[0][0] == exact[0]
+        assert results[0][0] == exact.decisions
 
     @given(st.integers(0, 2 ** 32 - 1))
     def test_beam_never_worse_than_greedy(self, seed):
@@ -274,9 +275,9 @@ class TestSearch:
         n = rng.randint(1, 10)
         a = build_automaton(toks(n))
         sc = TableScorer(rng, n)
-        greedy_score = constrained_search(a, sc, GREEDY)[0][1]
+        greedy_score = constrained_search(a, sc, GREEDY)[0].score
         for width in (1, 2, 4):
-            assert constrained_search(a, sc, beam(width))[0][1] >= greedy_score - 1e-12
+            assert constrained_search(a, sc, beam(width))[0].score >= greedy_score - 1e-12
 
     def test_width_monotone_on_smooth_scorers(self):
         # Not guaranteed for adversarial scorers; holds on this seeded
@@ -287,10 +288,10 @@ class TestSearch:
             n = rng.randint(2, 10)
             a = build_automaton(toks(n))
             sc = TableScorer(rng, n)
-            best = [constrained_search(a, sc, beam(w))[0][1] for w in widths]
+            best = [constrained_search(a, sc, beam(w))[0].score for w in widths]
             for lo, hi in zip(best, best[1:]):
                 assert hi >= lo - 1e-12
-            exact_score = constrained_search(a, sc, EXACT)[0][1]
+            exact_score = constrained_search(a, sc, EXACT)[0].score
             assert exact_score >= best[-1] - 1e-12
 
     @given(st.integers(0, 2 ** 32 - 1))
@@ -300,12 +301,12 @@ class TestSearch:
         a = build_automaton(toks(n))
         fn = FunctionScorer(toks(n), lambda prefix, sym: rng_free(prefix, sym, seed))
         for strat in (GREEDY, beam(3)):
-            first = constrained_search(a, fn, strat)
-            again = constrained_search(a, fn, strat)
+            first = ranked(constrained_search(a, fn, strat))
+            again = ranked(constrained_search(a, fn, strat))
             assert first == again
-            for labels, _ in first:
-                assert len(labels) == n
-                assert isinstance(labels, SegmentationLabels)
+            for decisions, _ in first:
+                assert len(decisions) == n
+                SegmentationLabels(decisions)  # TypeError unless all are Decisions
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30)
@@ -314,7 +315,7 @@ class TestSearch:
         n = rng.randint(1, 8)
         a = build_automaton(toks(n))
         sc = TableScorer(rng, n)
-        results = constrained_search(a, sc, beam(6))
+        results = ranked(constrained_search(a, sc, beam(6)))
         labelings = [lab for lab, _ in results]
         assert len(set(labelings)) == len(labelings)
 
@@ -336,9 +337,9 @@ class TestBeamSelection:
     def test_matches_ranking_every_candidate(self, w, width, values, seed):
         a = build_automaton(toks(w))
         scorer = PickScorer(values, seed)
-        got = constrained_search(a, scorer, beam(width))
+        got = ranked(constrained_search(a, scorer, beam(width)))
         # repr, so that -0.0 differs from 0.0 and a NaN score equals itself.
-        assert repr(got) == repr(reference_beam(a, scorer, width))
+        assert repr(got) == repr(ranked(reference_beam(a, scorer, width)))
 
     @pytest.mark.parametrize("width", [1, 2, 4, 16])
     def test_builds_only_survivors(self, monkeypatch, width):
@@ -347,7 +348,7 @@ class TestBeamSelection:
         w = 24
         a = build_automaton(toks(w))
         scorer = PickScorer([-i / 997 for i in range(997)], width)
-        want = reference_beam(a, scorer, width)
+        want = ranked(reference_beam(a, scorer, width))
         built = []
 
         class Counting(Hypothesis):
@@ -358,7 +359,7 @@ class TestBeamSelection:
                 built.append(self)
 
         monkeypatch.setattr(automaton, "Hypothesis", Counting)
-        assert repr(constrained_search(a, scorer, beam(width))) == repr(want)
+        assert repr(ranked(constrained_search(a, scorer, beam(width)))) == repr(want)
         per_step: dict[int, int] = {}
         for h in built:
             if h.state != a.final:

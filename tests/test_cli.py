@@ -19,7 +19,7 @@ from windowseg.config import PipelineConfig, load_config
 from windowseg.core import DEFAULT_DELIMITER, SegmentationLabels
 from windowseg.dataio import format_labels, read_labels_file, write_files
 from windowseg.mock_endpoint import MockEndpoint, MockEndpointConfig
-from windowseg.segmenters import ExternalSegmenter
+from windowseg.segmenters import AutoregressiveSegmenter, ExternalSegmenter, WindowInfo
 from windowseg.segmenters.features import FeatureConfig, FeatureModel, save_model
 from windowseg.windowing import WindowConfig
 
@@ -187,6 +187,19 @@ class TestDeriveLabels:
         assert "duplicate document stems in inputs" in capsys.readouterr().err
         assert not out.exists()
 
+
+    def test_stem_a_labels_file_cannot_hold_exit_1(self, tmp_path, capsys):
+        good, bad = tmp_path / "a.txt", tmp_path / "a\tb.txt"
+        good.write_text("Alpha bravo. Charlie delta.\n")
+        bad.write_text("Echo foxtrot. Golf.\n")
+        out = tmp_path / "out"
+        rc = main(["derive-labels", str(good), str(bad), "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: document id 'a\\tb' holds a tab or line break, "
+            "which a labels file cannot hold\n"
+        )
+        assert not out.exists()
 
     def test_underivable_input_writes_nothing(self, tmp_path, capsys):
         good, bad = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -586,6 +599,70 @@ class TestSegment:
         assert rc == 0
         assert time.perf_counter() - t0 < 10.0
         assert len(read_labels_file(out / "long.labels.tsv")["long"]) == len(tokens)
+
+    def test_beam_builds_one_labeling_per_window(self, project, tmp_path, monkeypatch):
+        # The search hands back hypotheses; the segmenter builds labels only
+        # for the one it returns, not for every entry of the beam.
+        built = []
+        post_init = SegmentationLabels.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        per_window = []
+        segment = AutoregressiveSegmenter.segment
+
+        def counted(self, window, info=WindowInfo()):
+            before = len(built)
+            labels = segment(self, window, info)
+            per_window.append(len(built) - before)
+            return labels
+
+        monkeypatch.setattr(SegmentationLabels, "__post_init__", counting)
+        monkeypatch.setattr(AutoregressiveSegmenter, "segment", counted)
+        tokens = [f"zq{i % 13}x" for i in range(3 * WindowConfig().size)]
+        long_doc = tmp_path / "long.txt"
+        long_doc.write_text(" ".join(tokens) + "\n")
+        rc = main(
+            [
+                "segment", str(long_doc), "--out-dir", str(tmp_path / "out"),
+                "--model", str(project / "model.bin"), "--strategy", "beam:16",
+            ]
+        )
+        assert rc == 0
+        assert len(per_window) > 1 and per_window == [1] * len(per_window)
+
+    def test_beam_over_the_search_budget_exit_3(self, project, tmp_path, capsys):
+        # beam:100000 would make about 2 * 40 * 100000 score calls per window.
+        t0 = time.perf_counter()
+        rc = main(
+            [
+                "segment", str(project / "derived" / "doc0.txt"),
+                "--out-dir", str(tmp_path / "out"),
+                "--model", str(project / "model.bin"), "--strategy", "beam:100000",
+            ]
+        )
+        assert rc == 3
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: beam:100000 makes about ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stem", ["b\tc", "b\nc", "b\u2028c"])
+    def test_stem_a_labels_file_cannot_hold_exit_1(self, tmp_path, capsys, stem):
+        # The first document would be written before the second failed.
+        inputs = [tmp_path / "a.txt", tmp_path / f"{stem}.txt"]
+        for path in inputs:
+            path.write_text("alpha bravo charlie\n")
+        out = tmp_path / "out"
+        rc = main(["segment", *map(str, inputs), "--segmenter", "fixed", "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: document id {stem!r} holds a tab or line break, "
+            "which a labels file cannot hold\n"
+        )
+        assert not out.exists()
 
     def test_exact_strategy_refuses_a_long_history_model_exit_3(self, project, tmp_path, capsys):
         # Exact search would make about 40 * 2^20 score calls per window.
@@ -1248,6 +1325,18 @@ class TestOracle:
         assert rc == 5
         err = capsys.readouterr().err
         assert "doc0" in err and "zzz" in err
+
+    def test_stem_a_labels_file_cannot_hold_exit_1(self, tmp_path, capsys):
+        (tmp_path / "ref").mkdir()
+        (tmp_path / "asr").mkdir()
+        ref, asr = tmp_path / "ref" / "a\tb.txt", tmp_path / "asr" / "a\tb.txt"
+        ref.write_text("Alpha bravo. Charlie delta.\n")
+        asr.write_text("alpha bravo charlie delta\n")
+        out = tmp_path / "o.tsv"
+        rc = main(["oracle", "--references", str(ref), "--asr", str(asr), "--out", str(out)])
+        assert rc == 1
+        assert "document id 'a\\tb' holds a tab or line break" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("side", ["references", "asr"])
     def test_non_utf8_input_exit_1(self, project, tmp_path, capsys, side):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from synth import make_corpus
 from windowseg.core import DEFAULT_DELIMITER, SegmentationLabels, Transcript, normalize_text
 from windowseg.dataio import (
+    check_source_id,
     format_labels,
     format_transcript,
     read_bytes,
@@ -125,6 +126,30 @@ class TestLabelsFiles:
         path.write_text("good\t3\t1\nbad\t3\t9\n")
         with pytest.raises(ValueError, match=":2:"):
             read_labels_file(path)
+
+    # A tab splits the line, and each of the rest is a break str.splitlines splits on.
+    @pytest.mark.parametrize(
+        "breaker",
+        ["\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+         "\u2028", "\u2029"],
+    )
+    def test_ids_it_cannot_read_back_refused(self, breaker):
+        labels = SegmentationLabels.from_split_positions(3, [1])
+        with pytest.raises(ValueError, match="holds a tab or line break"):
+            format_labels([("ok", labels), (f"a{breaker}b", labels)])
+        with pytest.raises(ValueError, match="holds a tab or line break"):
+            check_source_id(breaker)
+
+    @given(st.text(max_size=6))
+    def test_every_id_it_writes_reads_back(self, tmp_path_factory, source_id):
+        labels = SegmentationLabels.from_split_positions(3, [2])
+        try:
+            text = format_labels([(source_id, labels)])
+        except ValueError:
+            return
+        path = tmp_path_factory.mktemp("l") / "labels.tsv"
+        write_files({path: text})
+        assert read_labels_file(path) == {source_id: labels}
 
     def test_corpus_round_trip(self, tmp_path):
         import random

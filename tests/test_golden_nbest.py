@@ -61,8 +61,8 @@ def _prefix_scorer(tokens, seed: int) -> FunctionScorer:
 
 def _encode(results) -> list[str]:
     return [
-        "".join("1" if d is SPLIT else "0" for d in labels) + " " + float.hex(score)
-        for labels, score in results
+        "".join("1" if d is SPLIT else "0" for d in h.decisions) + " " + float.hex(h.score)
+        for h in results
     ]
 
 

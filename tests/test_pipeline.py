@@ -124,6 +124,28 @@ class TestBuildSegmenter:
         )
         build_segmenter(cfg)
 
+    @pytest.mark.parametrize(
+        "width, size, refused",
+        [(16, 40, False), (819, 40, False), (820, 40, True), (100000, 8, False),
+         (100000, 14, True), (16, 2048, False), (16, 2049, True), (1, 10**12, True)],
+    )
+    def test_beam_search_cost_guard(self, tmp_path, width, size, refused):
+        # 2 * w * min(K, 2^(w - 1)) score calls against a limit of 2^16.
+        from windowseg.segmenters import FeatureConfig, FeatureModel, save_model
+
+        path = tmp_path / "m.bin"
+        save_model(FeatureModel.zeros(FeatureConfig(hash_dims=64)), path)
+        cfg = PipelineConfig(
+            segmenter="autoregressive", model_path=str(path), strategy=f"beam:{width}",
+            window=WindowConfig(size, 1, 1),
+        )
+        if refused:
+            with pytest.raises(ValueError, match=f"beam:{width} makes about"):
+                build_segmenter(cfg)
+        else:
+            assert build_segmenter(cfg).strategy.beam_width == width
+
+
 class TestRenderSegments:
     def test_basic(self):
         labels = SegmentationLabels((SPLIT, CONTINUE, SPLIT, CONTINUE))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import logit, score_step, sequence_logprob
+from reference import logit, ranked, score_step, sequence_logprob
 from synth import make_document
 from windowseg.automaton import EXACT, GREEDY, beam, build_automaton, constrained_search
 from windowseg.core import CONTINUE, SPLIT, SegmentationLabels
@@ -164,8 +164,8 @@ class TestAutoregressive:
         a = build_automaton(tokens)
         scorer = CachedConditionals(model, tokens)
         for strat in (GREEDY, EXACT, beam(5)):
-            for labels, score in constrained_search(a, scorer, strat):
-                want = scorer.sequence_logprob(labels.decisions)
+            for decisions, score in ranked(constrained_search(a, scorer, strat)):
+                want = scorer.sequence_logprob(decisions)
                 assert score == want  # bit-exact: same cached conditionals
 
     def test_one_conditional_lookup_per_hypothesis(self, model, monkeypatch):
@@ -189,8 +189,8 @@ class TestAutoregressive:
         tokens = doc.tokens
         a = build_automaton(tokens)
         scorer = CachedConditionals(model, tokens)
-        g = constrained_search(a, scorer, GREEDY)[0][1]
-        e = constrained_search(a, scorer, EXACT)[0][1]
+        g = constrained_search(a, scorer, GREEDY)[0].score
+        e = constrained_search(a, scorer, EXACT)[0].score
         assert e >= g
 
     @pytest.mark.parametrize("w", [40, 200])
@@ -200,11 +200,11 @@ class TestAutoregressive:
         zeros = FeatureModel.zeros(FeatureConfig(hash_dims=64))
         tokens = [f"t{i}" for i in range(w)]
         t0 = time.perf_counter()
-        (labels, score), = constrained_search(
+        (labels, score), = ranked(constrained_search(
             build_automaton(tokens), CachedConditionals(zeros, tokens), EXACT
-        )
+        ))
         assert time.perf_counter() - t0 < 1.0
-        assert labels == SegmentationLabels((SPLIT,) + (CONTINUE,) * (w - 1))
+        assert labels == (SPLIT,) + (CONTINUE,) * (w - 1)
         assert score == pytest.approx((w - 1) * math.log(0.5))
 
     def test_nbest_contract(self, model):
@@ -225,8 +225,8 @@ class TestAutoregressive:
         exact_seg = AutoregressiveSegmenter(model, strategy=EXACT)
         tokens = doc.tokens
         scorer = CachedConditionals(model, tokens)
-        want = constrained_search(build_automaton(tokens), scorer, EXACT)[0][0]
-        assert exact_seg.segment(tokens) == want
+        want = constrained_search(build_automaton(tokens), scorer, EXACT)[0].decisions
+        assert exact_seg.segment(tokens).decisions == want
 
 
 class TestReranker:
