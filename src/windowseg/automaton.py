@@ -20,21 +20,27 @@ sharing both, in O(w * 2^h) score calls.  A scorer without ``history``
 may read the full prefix and is enumerated.
 
 A hypothesis carries its decisions (its labeling's ``Decision`` values)
-and pending flag, which determine the symbols it emitted.  Beam search
-ranks hypotheses by ``(-score, decisions + (SPLIT,) if pending else
-decisions)``: higher score first, ties toward fewer and later delimiters.
-Each step it scores every arc but selects by score first, and builds a
-hypothesis only for the candidates that can survive: the best ``width``
-by score and any tying the last of them.  Ties at the cut are broken by
-the full key, so the n-best lists are those of ranking every candidate.
+and pending flag, which determine the symbols it emitted, and ``word``,
+the decisions packed into an int with the last in the lowest bit.  A
+scorer reads its last ``h`` decisions as ``word & (2**h - 1)``, and exact
+search merges on that.  Beam search ranks hypotheses by ``(-score,
+decisions + (SPLIT,) if pending else decisions)``: higher score first,
+ties toward fewer and later delimiters.  Each step it scores every arc,
+ranks the candidates by score and builds keys only for a tie at the cut,
+then builds a hypothesis only for the ``width`` survivors.  Unless a
+total is NaN, the result depends only on which candidates survive, so the
+n-best lists are those of ranking every candidate by key; a search that
+meets a NaN total starts again, ranking every step by key.  Beam pools
+the greedy path, which rides in the beam: while its hypothesis survives,
+the beam's own scores pick its next arc, and a greedy walk starts only
+where it drops out.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Protocol, Sequence
+from typing import Optional, Protocol, Sequence
 
 from .core import CONTINUE, DEFAULT_DELIMITER, SPLIT, Decision
 
@@ -126,16 +132,22 @@ class Hypothesis:
 
     ``decisions`` records the ``Decision`` per consumed token (position 0
     is always SPLIT: its delimiter is implied); ``pending`` is set between
-    a delimiter and the token that completes it.
+    a delimiter and the token that completes it.  ``word`` holds the same
+    decisions packed into an int, the last in the lowest bit, so the last
+    ``h`` of them are ``word & (2**h - 1)`` with no slice.  Searches build
+    it with one shift-or per child; a caller that omits it gets it packed
+    from ``decisions``.
 
-    ``key`` is the beam ranking, computed once:
+    ``key`` is the beam ranking:
     ``(-score, decisions + (SPLIT,) if pending else decisions)``.  Higher
     score comes first; ties prefer fewer/later delimiters (lex order with
-    CONTINUE < SPLIT), which favors longer segments.  Hypotheses are
-    treated as immutable: searches and scorers never assign to them.
+    CONTINUE < SPLIT), which favors longer segments.  It is built on each
+    read, so search reads it only to break ties and to rank finished
+    paths.  Hypotheses are treated as immutable: searches and scorers
+    never assign to them.
     """
 
-    __slots__ = ("state", "score", "decisions", "pending", "key")
+    __slots__ = ("state", "score", "decisions", "pending", "word")
 
     def __init__(
         self,
@@ -143,12 +155,21 @@ class Hypothesis:
         score: float,
         decisions: tuple[Decision, ...] = (),
         pending: bool = False,
+        word: Optional[int] = None,
     ):
         self.state = state
         self.score = score
         self.decisions = decisions
         self.pending = pending
-        self.key = (-score, decisions + (SPLIT,) if pending else decisions)
+        if word is None:
+            word = 0
+            for d in decisions:
+                word = word << 1 | d
+        self.word = word
+
+    @property
+    def key(self) -> tuple[float, tuple[Decision, ...]]:
+        return (-self.score, self.decisions + (SPLIT,) if self.pending else self.decisions)
 
     @property
     def position(self) -> int:
@@ -176,17 +197,17 @@ class SymbolScorer(Protocol):
 
 def _extend(hyp: Hypothesis, arc: Arc, step_score: float) -> Hypothesis:
     _, nxt, is_delimiter = arc
+    score = hyp.score + step_score
     if is_delimiter:
-        return Hypothesis(nxt, hyp.score + step_score, hyp.decisions, True)
+        return Hypothesis(nxt, score, hyp.decisions, True, hyp.word)
     # Position 0 always opens a segment though no delimiter arc leads to
     # it; recording it as SPLIT keeps scorer decision histories
-    # consistent with document-level labelings.  A pending hypothesis's
-    # key already holds the decisions its token arc leads to.
+    # consistent with document-level labelings.
     if hyp.pending:
-        decisions = hyp.key[1]
-    else:
-        decisions = hyp.decisions + (CONTINUE,) if hyp.decisions else (SPLIT,)
-    return Hypothesis(nxt, hyp.score + step_score, decisions)
+        return Hypothesis(nxt, score, hyp.decisions + (SPLIT,), False, hyp.word << 1 | 1)
+    if hyp.decisions:
+        return Hypothesis(nxt, score, hyp.decisions + (CONTINUE,), False, hyp.word << 1)
+    return Hypothesis(nxt, score, (SPLIT,), False, 1)
 
 
 def _nan_error(symbol: str, state: int) -> ValueError:
@@ -196,14 +217,33 @@ def _nan_error(symbol: str, state: int) -> ValueError:
 _KEY = attrgetter("key")
 _TOTAL = itemgetter(0)
 
+# A beam candidate, (-total, parent, arc), until it survives.
+_Candidate = tuple[float, Hypothesis, Arc]
 
-def _greedy_hypothesis(a: SegAutomaton, scorer: SymbolScorer) -> Hypothesis:
+
+def _candidate_key(candidate: _Candidate) -> tuple:
+    """The ``key`` of the child a beam candidate builds.
+
+    Every child's key decisions are its parent's plus one: SPLIT after a
+    delimiter (pending or completed) and at position 0, else CONTINUE.
+    """
+    neg, hyp, arc = candidate
+    d = hyp.decisions
+    return (neg, d + (SPLIT,) if arc[2] or hyp.pending or not d else d + (CONTINUE,))
+
+
+def _greedy_hypothesis(
+    a: SegAutomaton, scorer: SymbolScorer, hyp: Optional[Hypothesis] = None
+) -> Hypothesis:
+    """The greedy path through ``a``, from ``hyp`` (the start by default)."""
     score_symbol = scorer.score_symbol
     rows = a.rows
-    hyp = Hypothesis(a.start, 0.0)
-    while hyp.state != a.final:
+    final = a.final
+    if hyp is None:
+        hyp = Hypothesis(a.start, 0.0, (), False, 0)
+    while hyp.state != final:
         best_arc = None
-        best_score = -math.inf
+        best_score = 0.0  # read only once an arc is taken
         for arc in rows[hyp.state]:
             s = score_symbol(hyp, arc[0])
             if s != s:
@@ -213,53 +253,109 @@ def _greedy_hypothesis(a: SegAutomaton, scorer: SymbolScorer) -> Hypothesis:
                 best_arc, best_score = arc, s
         if best_arc is None:
             raise ValueError(f"state {hyp.state} has no arcs and is not final")
-        hyp = _extend(hyp, best_arc, best_score)
+        # Built here, as _extend would, to spare a call per step.
+        _, nxt, is_delimiter = best_arc
+        score = hyp.score + best_score
+        if is_delimiter:
+            hyp = Hypothesis(nxt, score, hyp.decisions, True, hyp.word)
+        elif hyp.pending:
+            hyp = Hypothesis(nxt, score, hyp.decisions + (SPLIT,), False, hyp.word << 1 | 1)
+        elif hyp.decisions:
+            hyp = Hypothesis(nxt, score, hyp.decisions + (CONTINUE,), False, hyp.word << 1)
+        else:
+            hyp = Hypothesis(nxt, score, (SPLIT,), False, 1)
     return hyp
 
 
-def _search_beam(a: SegAutomaton, scorer: SymbolScorer, width: int) -> list[Hypothesis]:
-    active = [Hypothesis(a.start, 0.0)]
+def _search_beam(
+    a: SegAutomaton, scorer: SymbolScorer, width: int, ordered: bool = False
+) -> list[Hypothesis]:
+    """Beam search; ``ordered`` ranks every step by key, and a search
+    without it restarts with it on meeting a NaN total."""
+    start = Hypothesis(a.start, 0.0, (), False, 0)
+    active = [start]
     finished: list[Hypothesis] = []
     score_symbol = scorer.score_symbol
     rows = a.rows
     final = a.final
+    # The greedy path is pooled at the end.  While it is in the beam,
+    # ``greedy`` is its hypothesis there and the beam's own scores pick its
+    # next arc; once it leaves, ``resume`` is where a greedy walk goes on
+    # after the beam is done, or the finished greedy path.
+    greedy: Optional[Hypothesis] = start
+    resume = start
     while active:
-        # A candidate is (-total, parent, arc, step score) until it survives.
-        candidates: list[tuple[float, Hypothesis, Arc, float]] = []
-        nan_total = False
+        candidates: list[_Candidate] = []
+        pick = None
+        pick_score = 0.0
         for hyp in active:
             base = hyp.score
+            on_greedy = hyp is greedy
             for arc in rows[hyp.state]:
                 s = score_symbol(hyp, arc[0])
                 total = base + s
                 if total != total:
+                    if not ordered:
+                        return _search_beam(a, scorer, width, True)
                     if s != s:
                         raise _nan_error(arc[0], hyp.state)
-                    nan_total = True
                 if arc[1] == final:
-                    finished.append(_extend(hyp, arc, s))
+                    cand = _extend(hyp, arc, s)
+                    finished.append(cand)
                 else:
-                    candidates.append((-total, hyp, arc, s))
-        # Keys lead with the same -total, so the top ``width`` by key are
-        # among the first ``width`` by -total and any tying the last.  A
-        # NaN total (an infinity met its opposite) ranks against nothing,
-        # so a step holding one builds every candidate and sorts by key.
-        if len(candidates) > width and not nan_total:
+                    cand = (-total, hyp, arc)
+                    candidates.append(cand)
+                # As in _greedy_hypothesis, the first arc wins ties.
+                if on_greedy and (pick is None or s > pick_score):
+                    pick, pick_score = cand, s
+        if greedy is not None and not isinstance(pick, tuple):
+            # The greedy path finished, or met a dead end for the walk to report.
+            resume = greedy if pick is None else pick
+            greedy = None
+        # The survivors are the best ``width`` candidates by their children's
+        # keys, which lead with -total.  Unless a total is NaN, the result
+        # depends only on which candidates survive, so ranking by total is
+        # enough and keys are built only for a tie at the cut.  A NaN total
+        # (an infinity met its opposite) ranks against nothing, so the order
+        # of the beam and of ``finished`` then matters: the search starts
+        # again ``ordered``, ranking every step by key as if every candidate
+        # were built.
+        if ordered:
+            candidates.sort(key=_candidate_key)
+        else:
             candidates.sort(key=_TOTAL)
-            cut = candidates[width - 1][0]
-            keep = width
-            while keep < len(candidates) and candidates[keep][0] == cut:
-                keep += 1
-            del candidates[keep:]
-        active = [_extend(h, arc, s) for _, h, arc, s in candidates]
-        active.sort(key=_KEY)
-        del active[width:]
+            if len(candidates) > width and candidates[width - 1][0] == candidates[width][0]:
+                candidates.sort(key=_candidate_key)
+        del candidates[width:]
+        # Children are built here, for survivors only, as _extend would.
+        active = []
+        on_beam = None
+        for cand in candidates:
+            neg, hyp, (_, nxt, is_delimiter) = cand
+            if is_delimiter:
+                child = Hypothesis(nxt, -neg, hyp.decisions, True, hyp.word)
+            elif hyp.pending:
+                child = Hypothesis(nxt, -neg, hyp.decisions + (SPLIT,), False, hyp.word << 1 | 1)
+            elif hyp.decisions:
+                child = Hypothesis(nxt, -neg, hyp.decisions + (CONTINUE,), False, hyp.word << 1)
+            else:
+                child = Hypothesis(nxt, -neg, (SPLIT,), False, 1)
+            active.append(child)
+            if cand is pick:
+                on_beam = child
+        if greedy is not None:
+            if on_beam is None:
+                resume = _extend(pick[1], pick[2], pick_score)
+            greedy = on_beam
+    greedy_path = _greedy_hypothesis(a, scorer, resume)
+    if greedy_path.score != greedy_path.score and not ordered:
+        return _search_beam(a, scorer, width, True)
     # Finished hypotheses (at most ``width`` a step) leave no pool, so one
     # ranking here keeps the top ``width`` that trimming at every step
     # would.  Pool the greedy path so a wider beam is never worse than
     # greedy even under adversarial scorers, then keep the best path of
     # each labeling: equal decisions are equal labels.
-    pooled = sorted(finished + [_greedy_hypothesis(a, scorer)], key=_KEY)
+    pooled = sorted(finished + [greedy_path], key=_KEY)
     best: dict[tuple[Decision, ...], Hypothesis] = {}
     for h in pooled:
         best.setdefault(h.decisions, h)
@@ -271,10 +367,11 @@ def _exact_hypothesis(a: SegAutomaton, scorer: SymbolScorer) -> Hypothesis:
     # read.  Of two children sharing state and last ``history`` decisions
     # only the one with the smaller key can lead to the optimum.
     history = getattr(scorer, "history", None)
+    mask = None if history is None else (1 << history) - 1
     score_symbol = scorer.score_symbol
     rows = a.rows
     finished: list[Hypothesis] = []
-    layer = [Hypothesis(a.start, 0.0)]
+    layer = [Hypothesis(a.start, 0.0, (), False, 0)]
     while layer:
         merged: dict[tuple, Hypothesis] = {}
         for hyp in layer:
@@ -289,8 +386,9 @@ def _exact_hypothesis(a: SegAutomaton, scorer: SymbolScorer) -> Hypothesis:
                 if child.pending:
                     layer.append(child)
                     continue
-                d = child.decisions
-                sig = (child.state, d if history is None else d[max(0, len(d) - history):])
+                # Every child of a layer is at one position, so the word's
+                # low bits name its last ``history`` decisions.
+                sig = (child.state, child.decisions if mask is None else child.word & mask)
                 kept = merged.get(sig)
                 if kept is None or child.key < kept.key:
                     merged[sig] = child

@@ -17,7 +17,7 @@ from typing import Any, Mapping, Optional, Union, get_args, get_type_hints
 
 from .automaton import parse_strategy
 from .dataio import read_text
-from .segmenters.external import parse_endpoint_url
+from .segmenters.external import MAX_RETRY_SLEEP_S, parse_endpoint_url, retry_sleep
 from .windowing import WindowConfig
 
 SEGMENTER_KINDS = ("autoregressive", "fixed", "external", "replay")
@@ -182,6 +182,13 @@ def validate(cfg: PipelineConfig) -> None:
         raise ConfigError("endpoint_retries must be >= 0")
     if not 0 <= cfg.endpoint_backoff < math.inf:
         raise ConfigError("endpoint_backoff must be >= 0 and finite")
+    retries = cfg.endpoint_retries
+    longest = retry_sleep(cfg.endpoint_backoff, retries - 1) if retries else 0.0
+    if longest > MAX_RETRY_SLEEP_S:
+        raise ConfigError(
+            f"endpoint_backoff must keep the longest retry sleep at most "
+            f"{MAX_RETRY_SLEEP_S:.0f} s, not {longest:g} s"
+        )
     if cfg.workers < 0:
         raise ConfigError("workers must be >= 0 (0 = auto)")
     if cfg.segmenter == "autoregressive":

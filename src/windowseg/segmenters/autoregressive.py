@@ -16,8 +16,11 @@ growing matrix per token type: a segmenter hashes each distinct token once
 one dict probe per token and one row gather instead of re-hashing the
 n-grams of every position.  Rows are filled under a lock and read without
 one.  The history part is one weight per pattern of recent decisions,
-cached in the same table and shared by every window, so each search step
-costs one dict probe, one ``exp`` and one ``log1p``.
+cached in the same table and shared by every window, so each conditional
+costs one dict probe, one ``exp`` and one ``log1p``.  Under beam search a
+window's scorer also remembers its conditionals by position and packed
+last decisions (``Hypothesis.word``), so hypotheses that share them
+compute them once.
 """
 
 from __future__ import annotations
@@ -156,10 +159,9 @@ class CachedConditionals:
     Static logits come from the token table, one row gather for the tokens
     of the window and its pads; the decision history contributes one weight
     from the table's ``history_weights``, which every window shares.  A
-    step costs one slice, one dict probe, one ``exp`` and one ``log1p``, so
-    there is no per-window cache to fill.
-    Without a ``table`` (which must belong to ``model``) the window gets a
-    fresh one of its own.
+    conditional costs one slice, one dict probe, one ``exp`` and one
+    ``log1p``.  Without a ``table`` (which must belong to ``model``) the
+    window gets a fresh one of its own.
 
     As a symbol scorer, delimiter arcs score log p(SPLIT) at the upcoming
     position; plain token arcs score log p(CONTINUE) unless they complete a
@@ -168,12 +170,21 @@ class CachedConditionals:
     search merges hypotheses that share their last ``history`` decisions.
     Search scores a hypothesis's token arc and then its delimiter arc, so
     the scorer keeps the last hypothesis's conditionals and answers the
-    second arc without a lookup.  It is built per window and so never
-    shared between threads.
+    second arc without a lookup.  With ``memo`` it also keeps every
+    conditional of the window, keyed by the position and the hypothesis's
+    ``word & (2**history - 1)``: beam hypotheses at one position often
+    share their last ``history`` decisions, and their conditional is then
+    computed once.  Greedy and exact search never ask for one twice, so
+    ``AutoregressiveSegmenter.segment`` turns the memo off for them.  The
+    scorer is built per window and so never shared between threads.
     """
 
     def __init__(
-        self, model: FeatureModel, tokens: Sequence[str], table: Optional[TokenTable] = None
+        self,
+        model: FeatureModel,
+        tokens: Sequence[str],
+        table: Optional[TokenTable] = None,
+        memo: bool = True,
     ):
         self.model = model
         self.tokens = tuple(tokens)
@@ -181,6 +192,8 @@ class CachedConditionals:
         self._table = table if table is not None else TokenTable(model)
         self._static = self._table.static_logits(self.tokens)
         self._weights = self._table.history_weights
+        self._mask = (1 << self.history) - 1
+        self._memo: Optional[dict[int, tuple[float, float]]] = {} if memo else None
         self._last: Optional[Hypothesis] = None
         self._last_probs = (0.0, 0.0)
 
@@ -192,6 +205,10 @@ class CachedConditionals:
         key is shorter, and its length stands for the pads.  The values are
         bit for bit ``(-_softplus(z), -_softplus(-z))``, sharing the one
         ``exp`` and ``log1p`` the two calls would make.
+
+        It takes the prefix, not a packed word: ``sequence_logprob`` passes
+        a whole labeling, and bench/spans.py wraps this method by name and
+        reads the prefix with ``history_bits``.
         """
         start = t - self.history
         recent = tuple(prefix[start if start > 0 else 0:t])
@@ -213,7 +230,17 @@ class CachedConditionals:
         # goes through the method, so a wrapper on the class sees each one.
         if hypothesis is not self._last:
             self._last = hypothesis
-            self._last_probs = self.logprobs(len(hypothesis.decisions), hypothesis.decisions)
+            decisions = hypothesis.decisions
+            t = len(decisions)
+            memo = self._memo
+            if memo is None:
+                self._last_probs = self.logprobs(t, decisions)
+            else:
+                key = t << self.history | hypothesis.word & self._mask
+                probs = memo.get(key)
+                if probs is None:
+                    probs = memo[key] = self.logprobs(t, decisions)
+                self._last_probs = probs
         return self._last_probs[split]
 
     def sequence_logprob(self, labels: Sequence[Decision]) -> float:
@@ -245,14 +272,15 @@ class AutoregressiveSegmenter:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_table", TokenTable(self.model))
 
-    def scorer(self, window: Sequence[str]) -> CachedConditionals:
-        return CachedConditionals(self.model, window, self._table)
+    def scorer(self, window: Sequence[str], memo: bool = True) -> CachedConditionals:
+        return CachedConditionals(self.model, window, self._table, memo)
 
     def segment(
         self, window: Sequence[str], info: WindowInfo = WindowInfo()
     ) -> SegmentationLabels:
         a = build_automaton(window)
-        best = constrained_search(a, self.scorer(window), self.strategy)[0]
+        scorer = self.scorer(window, memo=self.strategy.kind == "beam")
+        best = constrained_search(a, scorer, self.strategy)[0]
         return SegmentationLabels(best.decisions)
 
     def nbest(self, window: Sequence[str], k: int) -> NBestList:

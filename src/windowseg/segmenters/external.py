@@ -89,6 +89,12 @@ class EndpointConfig:
             raise ValueError("max_retries must be >= 0")
         if not 0 <= self.backoff < math.inf:
             raise ValueError("backoff must be >= 0 and finite")
+        longest = retry_sleep(self.backoff, self.max_retries - 1) if self.max_retries else 0.0
+        if longest > MAX_RETRY_SLEEP_S:
+            raise ValueError(
+                f"backoff must keep the longest retry sleep at most "
+                f"{MAX_RETRY_SLEEP_S:.0f} s, not {longest:g} s"
+            )
 
 
 # What one attempt can raise short of a programming error: socket errors and
@@ -103,6 +109,20 @@ _ATTEMPT_ERRORS = (
 # years at any sane backoff, and an uncapped ``2 ** attempt`` overflows a
 # float from attempt 1,024 on.
 _MAX_DOUBLINGS = 30
+
+# The longest retry sleep a schedule may ask for, about 68 years.
+# ``time.sleep`` takes it; on Linux it overflows the timestamp from about
+# 9.2e9 s (int64 nanoseconds) on.
+MAX_RETRY_SLEEP_S = 2.0 ** 31
+
+
+def retry_sleep(backoff: float, attempt: int) -> float:
+    """The sleep after failed attempt ``attempt`` (from 0) when more remain.
+
+    A schedule of ``retries`` retries sleeps longest after attempt
+    ``retries - 1``.
+    """
+    return backoff * 2.0 ** min(attempt, _MAX_DOUBLINGS)
 
 
 def _client_error(exc: Exception) -> bool:
@@ -221,7 +241,7 @@ class ExternalSegmenter:
                     raise EndpointError(self.config.url, attempt + 1, exc) from exc
                 last = exc
                 if attempt + 1 < attempts:
-                    self._sleep(self.config.backoff * 2.0 ** min(attempt, _MAX_DOUBLINGS))
+                    self._sleep(retry_sleep(self.config.backoff, attempt))
         raise EndpointError(self.config.url, attempts, last)
 
     def segment(

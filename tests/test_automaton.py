@@ -334,6 +334,10 @@ class TestBeamSelection:
     # would keep other hypotheses than a full sort by key.
     @example(10, 5, [-1.0, -math.inf, math.inf, 0.0, -0.0, -2.0], 312)
     @example(7, 8, [-1.0, -math.inf, math.inf, 0.0, -0.0, -2.0], 693)
+    # A NaN total after equal totals below the cut: ranking by total alone
+    # leaves those ties in another order than ranking by key.
+    @example(10, 10, [-2.0, -math.inf, -0.0, -0.5, math.inf], 3260417904)
+    @example(5, 18, [math.inf, -2.0, -math.inf, 0.0, -0.0], 3070245796)
     def test_matches_ranking_every_candidate(self, w, width, values, seed):
         a = build_automaton(toks(w))
         scorer = PickScorer(values, seed)
@@ -344,7 +348,8 @@ class TestBeamSelection:
     @pytest.mark.parametrize("width", [1, 2, 4, 16])
     def test_builds_only_survivors(self, monkeypatch, width):
         # Per step (symbols emitted) the beam builds at most ``width``
-        # non-final hypotheses, and the pooled greedy path one more.
+        # non-final hypotheses, and the pooled greedy path one more once it
+        # has left the beam.
         w = 24
         a = build_automaton(toks(w))
         scorer = PickScorer([-i / 997 for i in range(997)], width)
@@ -365,8 +370,38 @@ class TestBeamSelection:
             if h.state != a.final:
                 step = len(emitted(a.tokens, h))
                 per_step[step] = per_step.get(step, 0) + 1
-        assert per_step.pop(0) == 2  # the start of the beam and of the greedy path
+        assert per_step.pop(0) == 1  # the greedy path starts in the beam
         assert max(per_step.values()) <= width + 1
+
+
+class TestHypothesisWord:
+    @given(st.integers(0, 10), st.integers(1, 8), TIE_HEAVY, st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100)
+    def test_word_packs_the_decisions(self, w, width, values, seed):
+        # Every hypothesis a search builds is given a word, the decisions
+        # read as binary digits with the last one lowest.
+        a = build_automaton(toks(w))
+        scorer = PickScorer(values, seed)
+        built = []
+
+        class Recording(Hypothesis):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(automaton, "Hypothesis", Recording)
+            for strategy in (GREEDY, beam(width), EXACT):
+                constrained_search(a, scorer, strategy)
+        assert built
+        for state, score, decisions, pending, word in built:
+            assert word == int("0" + "".join(str(int(d)) for d in decisions), 2)
+
+    def test_packed_when_not_given(self):
+        assert Hypothesis(0, 0.0, (SPLIT, CONTINUE, SPLIT, SPLIT)).word == 0b1011
+        assert Hypothesis(0, 0.0).word == 0
 
 
 class PickScorer:

@@ -1028,6 +1028,29 @@ class TestSegment:
         assert f"{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_backoff_past_the_longest_sleep_exit_3(self, project, tmp_path, capsys, via):
+        # time.sleep(1e300) overflows the platform's time_t; the schedule is
+        # refused before any window is decoded.
+        args = [
+            "segment", str(project / "derived" / "doc0.txt"),
+            "--out-dir", str(tmp_path / "out"),
+            "--segmenter", "external",
+            "--endpoint-url", "http://127.0.0.1:1/",
+            "--endpoint-retries", "1",
+        ]
+        if via == "flag":
+            args += ["--endpoint-backoff", "1e300"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"endpoint_backoff": 1e300}))
+            args += ["--config", str(cfg)]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: endpoint_backoff must keep the longest retry sleep")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input(self, project, tmp_path, capsys):
         rc = main(
             [

@@ -157,6 +157,8 @@ class TestValidate:
             (dict(endpoint_retries=-1), "endpoint_retries"),
             (dict(endpoint_backoff=-0.1), "endpoint_backoff"),
             (dict(workers=-1), "workers"),
+            (dict(endpoint_retries=1, endpoint_backoff=1e300), "longest retry sleep"),
+            (dict(endpoint_retries=40, endpoint_backoff=3.0), "longest retry sleep"),
         ],
     )
     def test_field_errors(self, kw, message):

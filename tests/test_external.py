@@ -92,6 +92,15 @@ class TestEndpointConfig:
         with pytest.raises(ValueError, match=f"{key} must be .* finite"):
             EndpointConfig("http://x/", **{key: value})
 
+    def test_longest_retry_sleep_bounded(self):
+        # The longest sleep is backoff * 2^min(max_retries - 1, 30).
+        with pytest.raises(ValueError, match="longest retry sleep"):
+            EndpointConfig("http://x/", max_retries=1, backoff=1e300)
+        with pytest.raises(ValueError, match="longest retry sleep"):
+            EndpointConfig("http://x/", max_retries=32, backoff=2.5)
+        EndpointConfig("http://x/", max_retries=1100, backoff=2.0)  # 2^31 s exactly
+        EndpointConfig("http://x/", max_retries=0, backoff=1e300)  # never sleeps
+
     def test_url_needs_http_scheme_and_host(self):
         for url in ("localhost:8080/", "ftp://x/", "http://"):
             with pytest.raises(ValueError):

@@ -183,6 +183,28 @@ class TestAutoregressive:
         constrained_search(build_automaton(tokens), CachedConditionals(model, tokens), GREEDY)
         assert calls == list(range(1, 30))
 
+    def test_beam_computes_each_conditional_once(self, model, monkeypatch):
+        # Beam hypotheses at one position often share their last
+        # ``history`` decisions, and with them one conditional: it is
+        # computed once.  Without the memo the n-best list is the same.
+        h = model.config.history
+        calls = []
+        original = CachedConditionals.logprobs
+
+        def counting(self, t, prefix):
+            calls.append((t, tuple(prefix[max(0, t - h):t])))
+            return original(self, t, prefix)
+
+        monkeypatch.setattr(CachedConditionals, "logprobs", counting)
+        tokens = make_document(random.Random(4), "x", n_sentences=(3, 4))[0].tokens
+        a = build_automaton(tokens)
+        got = ranked(constrained_search(a, CachedConditionals(model, tokens), beam(16)))
+        assert len(calls) == len(set(calls))
+        calls.clear()
+        plain = ranked(constrained_search(a, CachedConditionals(model, tokens, memo=False), beam(16)))
+        assert len(calls) > 2 * len(set(calls))
+        assert got == plain
+
     def test_exact_beats_greedy(self, model):
         rng = random.Random(3)
         doc, _ = make_document(rng, "x", n_sentences=(3, 4))
