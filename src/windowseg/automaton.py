@@ -63,6 +63,13 @@ class SegAutomaton:
     rows: tuple[tuple[Arc, ...], ...]
 
 
+def reject_delimiter(tokens: Sequence[str]) -> None:
+    """Raise ValueError for the first token holding the delimiter."""
+    for tok in tokens:
+        if DEFAULT_DELIMITER in tok:
+            raise ValueError(f"token collides with the delimiter: {tok!r}")
+
+
 def build_automaton(window_tokens: Sequence[str]) -> SegAutomaton:
     """Build the sawtooth acceptor for one window.
 
@@ -74,9 +81,7 @@ def build_automaton(window_tokens: Sequence[str]) -> SegAutomaton:
     delimiter is rejected (a cheap subset of core's token rule).
     """
     tokens = tuple(window_tokens)
-    for tok in tokens:
-        if DEFAULT_DELIMITER in tok:
-            raise ValueError(f"token collides with the delimiter: {tok!r}")
+    reject_delimiter(tokens)
     w = len(tokens)
     token_arcs = [(tok, i + 1, False) for i, tok in enumerate(tokens)]
     rows = [

@@ -1,4 +1,4 @@
-"""Constrained decoding, n-best lists and rescoring with the feature model.
+"""Decoding, n-best lists and rescoring with the feature model.
 
 The feature model supplies locally normalized per-token conditionals; the
 automaton supplies the legal next symbols.  Mapping decisions onto arcs
@@ -8,6 +8,12 @@ log-likelihood of the decoded labeling, so greedy, beam, and exact search
 all optimize the same objective, and ``AutoregressiveSegmenter`` rescores a
 complete labeling with the score its search path would get.  That makes one
 segmenter the decoder, the n-best generator and ``rerank``'s scorer.
+
+The model scores decisions, not symbols, so every labeling it can pick is
+well-formed.  Greedy decoding therefore skips the acceptor: it reads one
+conditional per position and takes SPLIT where it beats CONTINUE, the
+labeling greedy search through the acceptor returns (``greedy_labels``).
+Beam and exact search, n-best lists and rescoring keep the acceptor.
 
 The static part of each conditional is linear in hashed n-gram features,
 so a token table caches it per (token, context offset), one row of a
@@ -36,11 +42,13 @@ from ..automaton import (
     GREEDY,
     Hypothesis,
     SearchStrategy,
+    _nan_error,
     beam,
     build_automaton,
     constrained_search,
+    reject_delimiter,
 )
-from ..core import DEFAULT_DELIMITER, Decision, SegmentationLabels
+from ..core import CONTINUE, DEFAULT_DELIMITER, SPLIT, Decision, SegmentationLabels
 from .base import NBestList, WindowInfo
 from .features import (
     PAD_LEFT,
@@ -174,9 +182,10 @@ class CachedConditionals:
     conditional of the window, keyed by the position and the hypothesis's
     ``word & (2**history - 1)``: beam hypotheses at one position often
     share their last ``history`` decisions, and their conditional is then
-    computed once.  Greedy and exact search never ask for one twice, so
-    ``AutoregressiveSegmenter.segment`` turns the memo off for them.  The
-    scorer is built per window and so never shared between threads.
+    computed once.  Greedy decoding (``greedy_labels``) and exact search
+    never ask for one twice, so ``AutoregressiveSegmenter.segment`` turns
+    the memo off for them.  The scorer is built per window and so never
+    shared between threads.
     """
 
     def __init__(
@@ -222,6 +231,31 @@ class CachedConditionals:
         e = log1p(exp(z))
         return (-e, -(-z + e))
 
+    def greedy_labels(self) -> list[Decision]:
+        """The window's greedy labeling, one conditional per position.
+
+        Position 0 is SPLIT; each later position is SPLIT exactly when
+        log p(SPLIT) > log p(CONTINUE).  A tie, two ``-inf`` included, is
+        CONTINUE, as greedy search through the acceptor takes the token arc
+        first, and a NaN raises the error that search raises, so the two
+        return the same labeling.  The conditionals go through the method,
+        so a wrapper on the class sees each one.
+        """
+        tokens = self.tokens
+        if not tokens:
+            return []
+        logprobs = self.logprobs
+        decisions = [SPLIT]
+        for t in range(1, len(tokens)):
+            cont, split = logprobs(t, decisions)
+            if split > cont:
+                decisions.append(SPLIT)
+            elif cont == cont:  # both are NaN, or neither
+                decisions.append(CONTINUE)
+            else:
+                raise _nan_error(tokens[t], t)
+        return decisions
+
     def score_symbol(self, hypothesis: Hypothesis, symbol: str) -> float:
         split = symbol == DEFAULT_DELIMITER
         if not split and (hypothesis.pending or not hypothesis.decisions):
@@ -257,12 +291,14 @@ class CachedConditionals:
 
 @dataclass(frozen=True)
 class AutoregressiveSegmenter:
-    """Feature-model segmenter decoding through the acceptor.
+    """Feature-model segmenter.
 
     Decodes a window (``segment``), lists its n-best labelings (``nbest``)
     and scores a complete labeling (``score_sequence``, a
-    ``SequenceScorer`` for ``rerank``).  Keeps one token table for its
-    model, shared by every window and worker thread.
+    ``SequenceScorer`` for ``rerank``).  Greedy decoding reads one
+    conditional per position; beam and exact decoding and ``nbest`` search
+    the acceptor.  Keeps one token table for its model, shared by every
+    window and worker thread.
     """
 
     model: FeatureModel
@@ -278,9 +314,12 @@ class AutoregressiveSegmenter:
     def segment(
         self, window: Sequence[str], info: WindowInfo = WindowInfo()
     ) -> SegmentationLabels:
+        kind = self.strategy.kind
+        if kind == "greedy":
+            reject_delimiter(window)
+            return SegmentationLabels(self.scorer(window, memo=False).greedy_labels())
         a = build_automaton(window)
-        scorer = self.scorer(window, memo=self.strategy.kind == "beam")
-        best = constrained_search(a, scorer, self.strategy)[0]
+        best = constrained_search(a, self.scorer(window, memo=kind == "beam"), self.strategy)[0]
         return SegmentationLabels(best.decisions)
 
     def nbest(self, window: Sequence[str], k: int) -> NBestList:

@@ -6,6 +6,8 @@ decoding when the model copied the input exactly, Levenshtein projection
 when it paraphrased, a local fallback segmenter (or an error) when the
 endpoint stays unreachable through the retry budget or rejects the
 request outright (a 4xx answer other than 408 and 429, not retried).
+An answer far longer than its request is a bad body, like one that is not
+JSON: it is retried, and its connection is closed.
 
 Requests go over persistent HTTP/1.1 connections (stdlib ``http.client``),
 so a document's windows do not each pay a TCP (and TLS) handshake.
@@ -98,8 +100,8 @@ class EndpointConfig:
 
 
 # What one attempt can raise short of a programming error: socket errors and
-# timeouts (OSError), protocol errors, a bad status, or a body that is not
-# JSON with a string "text" field.
+# timeouts (OSError), protocol errors, a bad status, or a body that is too
+# long or is not JSON with a string "text" field.
 _ATTEMPT_ERRORS = (
     OSError, http.client.HTTPException, EndpointStatusError, ValueError, KeyError, TypeError
 )
@@ -109,6 +111,14 @@ _ATTEMPT_ERRORS = (
 # years at any sane backoff, and an uncapped ``2 ** attempt`` overflows a
 # float from attempt 1,024 on.
 _MAX_DOUBLINGS = 30
+
+# An answer longer than this many times its request body, plus
+# ``_ANSWER_SLACK`` bytes, is a bad body and is not read past the limit.  A
+# delimited copy of a window of one-letter tokens, each delimiter escaped
+# as ``\u25a0``, is about 4.5 times its request; projecting a far longer
+# answer onto the window would take seconds per megabyte.
+_ANSWER_FACTOR = 8
+_ANSWER_SLACK = 4096
 
 # The longest retry sleep a schedule may ask for, about 68 years.
 # ``time.sleep`` takes it; on Linux it overflows the timestamp from about
@@ -148,9 +158,12 @@ def _closed_by_server(conn: http.client.HTTPConnection) -> bool:
         return bool(sel.select(0))
 
 
-def _response_text(status: int, reason: str, body: bytes) -> str:
+def _response_text(status: int, reason: str, body: bytes, limit: int) -> str:
+    """The "text" of a 2xx answer ``body`` of at most ``limit`` bytes."""
     if not 200 <= status < 300:
         raise EndpointStatusError(status, reason)
+    if len(body) > limit:
+        raise ValueError(f"endpoint answer exceeds {limit} bytes")
     text = json.loads(body)["text"]
     if not isinstance(text, str):
         raise ValueError(f"endpoint returned non-string text: {text!r}")
@@ -211,10 +224,11 @@ class ExternalSegmenter:
 
     def _post(self, body: bytes) -> str:
         conn = self._connection()
+        limit = _ANSWER_FACTOR * len(body) + _ANSWER_SLACK
         try:
             conn.request("POST", self._address.target, body, {"Content-Type": "application/json"})
             resp = conn.getresponse()
-            text = _response_text(resp.status, resp.reason, resp.read())
+            text = _response_text(resp.status, resp.reason, resp.read(limit + 1), limit)
         except BaseException:
             conn.close()
             raise

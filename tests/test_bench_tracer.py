@@ -72,18 +72,26 @@ def test_instrument_finds_every_target_and_restore_undoes_it(spans):
 def test_decoding_a_window_counts_scorer_calls(spans):
     # The conditionals count only while the scorer calls its own
     # ``logprobs``, and the counter keys a weak dictionary on the scorer.
+    # Greedy decoding reads one conditional per position after the first
+    # and skips the acceptor, so the search's counter is read under beam.
+    from windowseg.automaton import beam
     from windowseg.segmenters import AutoregressiveSegmenter, FeatureConfig, FeatureModel
 
-    segmenter = AutoregressiveSegmenter(FeatureModel.zeros(FeatureConfig(hash_dims=64)))
-    tracer = spans.Tracer()
-    restore = spans.instrument(tracer)
-    try:
-        segmenter.segment([f"t{i}" for i in range(8)])
-    finally:
-        restore()
-    counts = tracer.counts
-    assert counts["autoregressive.logprobs_calls"] > 0
-    assert counts["automaton.score_calls"] > 0
+    model = FeatureModel.zeros(FeatureConfig(hash_dims=64))
+    window = [f"t{i}" for i in range(8)]
+    counts = {}
+    for segmenter in (AutoregressiveSegmenter(model), AutoregressiveSegmenter(model, beam(2))):
+        tracer = spans.Tracer()
+        restore = spans.instrument(tracer)
+        try:
+            segmenter.segment(window)
+        finally:
+            restore()
+        counts[segmenter.strategy.kind] = tracer.counts
+    assert counts["greedy"]["autoregressive.logprobs_calls"] == len(window) - 1
+    assert counts["greedy"]["automaton.score_calls"] == 0
+    assert counts["beam"]["autoregressive.logprobs_calls"] > 0
+    assert counts["beam"]["automaton.score_calls"] > 0
 
 
 def test_oracle_projection_records_the_alignment(spans):

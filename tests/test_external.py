@@ -332,6 +332,21 @@ class TestBadBodies:
         assert server.calls == 8
         assert len(sleeps) == 6
 
+    def test_answer_far_longer_than_the_request_goes_to_the_fallback(self):
+        # About 1 MB for a five-token window.  Read whole and projected onto
+        # the window, it would give one segment.
+        body = json.dumps({"text": " ".join(["tok0"] * 200_000)}).encode()
+        with ScriptedServer(body=body) as server:
+            cfg, sleep = make_client(server.url, max_retries=0)
+            with closing(ExternalSegmenter(cfg, FixedLengthSegmenter(2), sleep)) as seg:
+                assert seg.segment(TOKENS[:5]).split_positions() == (0, 2, 4)
+                seg.fallback = None
+                with pytest.raises(EndpointError, match="endpoint answer exceeds"):
+                    seg.generate(TOKENS[:5])
+            assert server.calls == 2
+            # Neither connection went back to the pool.
+            assert server.closed.acquire(timeout=5) and server.closed.acquire(timeout=5)
+
 
 class TestConnections:
     def test_query_string_reaches_the_server(self):

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import logit, ranked, score_step, sequence_logprob
@@ -415,6 +415,67 @@ class TestCachedConditionals:
         as_ints = [1 if d is SPLIT else 0 for d in labels]
         assert seg.scorer(window).sequence_logprob(as_ints) == score
         assert len(seg._table.history_weights) == len(patterns)
+
+
+# Weights whose sums reach +-inf (1e308 twice overflows) and NaN (inf - inf).
+EXTREME_WEIGHTS = st.sampled_from(
+    [0.0, -0.0, 0.3, -0.3, 2.0, -2.0, 1e308, -1e308, math.inf, -math.inf, math.nan]
+)
+
+
+@st.composite
+def small_models(draw):
+    cfg = FeatureConfig(
+        hash_dims=draw(st.integers(1, 12)),
+        ngram_orders=draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True)),
+        context_radius=draw(st.integers(0, 2)),
+        history=draw(st.integers(0, 3)),
+        salt=draw(st.integers(0, 2 ** 32 - 1)),
+    )
+    weights = draw(st.lists(EXTREME_WEIGHTS, min_size=cfg.hash_dims, max_size=cfg.hash_dims))
+    return FeatureModel(cfg, weights)
+
+
+def outcome(decode):
+    """What ``decode()`` returns, or the message of the ValueError it raises."""
+    try:
+        return decode()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+TINY = FeatureConfig(hash_dims=4, ngram_orders=(1,), context_radius=1, history=1)
+
+
+class TestGreedyLabels:
+    # Most drawn windows are short; more examples reach mixed labelings.
+    @settings(max_examples=200)
+    @given(
+        small_models(),
+        st.lists(st.sampled_from(("a", "bb", "", "<s>", "</s>", "x<s>")), max_size=12),
+    )
+    @example(FeatureModel(TINY, [math.nan] * 4), ["a", "bb", "a"])
+    @example(FeatureModel(TINY, [math.inf] * 4), ["a", "bb", "a"])
+    @example(FeatureModel(TINY, [-math.inf] * 4), ["a", "bb", "a"])
+    @example(FeatureModel(TINY, [1e308, -1e308, 1e308, -1e308]), ["<s>", "a", "</s>", "bb"])
+    @example(FeatureModel.zeros(TINY), ["a", "bb", "a"])
+    @example(FeatureModel.zeros(TINY), [])
+    def test_segment_matches_greedy_search_through_the_acceptor(self, model, window):
+        seg = AutoregressiveSegmenter(model)
+
+        def searched():
+            scorer = seg.scorer(window, memo=False)
+            best = constrained_search(build_automaton(window), scorer, GREEDY)[0]
+            return SegmentationLabels(best.decisions)
+
+        assert outcome(lambda: seg.segment(window)) == outcome(searched)
+
+    def test_delimiter_token_raises_as_under_beam(self):
+        model = random_model(5)
+        window = ["x", "a■b", "y"]
+        errors = {outcome(lambda: AutoregressiveSegmenter(model, s).segment(window))
+                  for s in (GREEDY, beam(2))}
+        assert errors == {("ValueError", "token collides with the delimiter: 'a■b'")}
 
 
 # Tokens that exercise the pads' spelling, non-ASCII text, the empty
