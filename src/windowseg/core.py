@@ -44,6 +44,7 @@ class Decision(IntEnum):
 
 SPLIT = Decision.SPLIT
 CONTINUE = Decision.CONTINUE
+_DECISION_TYPES = {Decision}
 
 
 def _check_token(token: str) -> None:
@@ -110,9 +111,14 @@ class SegmentationLabels:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "decisions", tuple(self.decisions))
-        for d in self.decisions:
-            if not isinstance(d, Decision):
-                raise TypeError(f"not a Decision: {d!r}")
+        # An enum with members cannot be subclassed, so checking the types
+        # in one C-level pass is the ``isinstance`` check; the loop only
+        # finds the first offender to name.  Comparing values would let
+        # ints through (1 == SPLIT).
+        if not set(map(type, self.decisions)) <= _DECISION_TYPES:
+            for d in self.decisions:
+                if not isinstance(d, Decision):
+                    raise TypeError(f"not a Decision: {d!r}")
 
     def __len__(self) -> int:
         return len(self.decisions)

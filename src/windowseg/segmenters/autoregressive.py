@@ -11,9 +11,10 @@ segmenter the decoder, the n-best generator and ``rerank``'s scorer.
 
 The model scores decisions, not symbols, so every labeling it can pick is
 well-formed.  Greedy decoding therefore skips the acceptor: it reads one
-conditional per position and takes SPLIT where it beats CONTINUE, the
-labeling greedy search through the acceptor returns (``greedy_labels``).
-Beam and exact search, n-best lists and rescoring keep the acceptor.
+logit per position and takes SPLIT where log p(SPLIT) would beat
+log p(CONTINUE), the labeling greedy search through the acceptor returns
+(``greedy_labels``).  Beam and exact search, n-best lists and rescoring
+keep the acceptor.
 
 The static part of each conditional is linear in hashed n-gram features,
 so a token table caches it per (token, context offset), one row of a
@@ -22,11 +23,12 @@ growing matrix per token type: a segmenter hashes each distinct token once
 one dict probe per token and one row gather instead of re-hashing the
 n-grams of every position.  Rows are filled under a lock and read without
 one.  The history part is one weight per pattern of recent decisions,
-cached in the same table and shared by every window, so each conditional
-costs one dict probe, one ``exp`` and one ``log1p``.  Under beam search a
-window's scorer also remembers its conditionals by position and packed
-last decisions (``Hypothesis.word``), so hypotheses that share them
-compute them once.
+cached in the same table under the decisions packed into an int and shared
+by every window, so a conditional costs one dict probe, one ``exp`` and
+one ``log1p``, and a greedy decision one dict probe and one comparison of
+the logit.  Under beam search a window's scorer also remembers its
+conditionals by position and packed last decisions (``Hypothesis.word``),
+so hypotheses that share them compute them once.
 """
 
 from __future__ import annotations
@@ -66,6 +68,12 @@ from .features import (
 # Rows a new token table has room for; the matrix doubles when full.
 _FIRST_ROWS = 64
 
+# A logit at least this large always decodes to SPLIT: for z > 0,
+# e = log1p(exp(-z)) lies in [0, log 2], where one ulp is at most 2**-53,
+# so fl(z + e) > e and log p(SPLIT) = -e beats log p(CONTINUE) = -(z + e).
+# Below it, z + e may round to e, a tie that continues.
+_SURE_SPLIT = 2.0 ** -52
+
 
 class TokenTable:
     """Partial static logits of one model, cached per token type.
@@ -85,9 +93,12 @@ class TokenTable:
     on its ``2 * context_radius + 1`` context tokens alone, not on which rows
     were filled before or by whom.
 
-    The weight of each history feature is cached in ``history_weights``,
-    keyed by the tuple of the decisions it encodes (see
-    ``CachedConditionals.logprobs``) and shared by every window.
+    The weight of each history feature is cached in ``history_weights``
+    and shared by every window.  Its key packs the decisions the feature
+    encodes into an int, the last in the lowest bit, under a sentinel bit
+    that gives their number: ``1 << h | word & (2**h - 1)`` from position
+    ``h = history`` on, and ``1 << t | word`` at a position ``t`` before
+    it, where fewer decisions precede (the pads).
 
     Rows and history weights are filled on first use and never change or
     get evicted: 180-230 bytes per token type at the default radius
@@ -104,7 +115,7 @@ class TokenTable:
 
     def __init__(self, model: FeatureModel):
         self.model = model
-        self.history_weights: dict[tuple, float] = {}
+        self.history_weights: dict[int, float] = {}
         self._bias = float(model.weights[bias_feature(model.config)])
         self._matrix = np.empty((_FIRST_ROWS, 2 * model.config.context_radius + 1))
         self._index: dict[str, int] = {}
@@ -146,18 +157,16 @@ class TokenTable:
                 total += rows[j:j + n, j]
         return total.tolist()
 
-    def history_weight(self, recent: tuple) -> float:
-        """The weight of the history feature of the decisions ``recent``.
-
-        ``recent`` holds the last ``history`` decisions, or all of them at a
-        position with fewer before it.
-        """
-        got = self.history_weights.get(recent)
+    def history_weight(self, key: int) -> float:
+        """The weight of the history feature of the packed decisions ``key``."""
+        got = self.history_weights.get(key)
         if got is None:
             cfg = self.model.config
+            # Below the sentinel, the leading '1', the decisions oldest first.
+            recent = [int(c) for c in format(key, "b")[1:]]
             bits = history_bits(recent, len(recent), cfg.history)
             got = float(self.model.weights[history_feature(cfg, bits)])
-            self.history_weights[recent] = got
+            self.history_weights[key] = got
         return got
 
 
@@ -167,9 +176,9 @@ class CachedConditionals:
     Static logits come from the token table, one row gather for the tokens
     of the window and its pads; the decision history contributes one weight
     from the table's ``history_weights``, which every window shares.  A
-    conditional costs one slice, one dict probe, one ``exp`` and one
-    ``log1p``.  Without a ``table`` (which must belong to ``model``) the
-    window gets a fresh one of its own.
+    conditional costs packing the last decisions, one dict probe, one
+    ``exp`` and one ``log1p``.  Without a ``table`` (which must belong to
+    ``model``) the window gets a fresh one of its own.
 
     As a symbol scorer, delimiter arcs score log p(SPLIT) at the upcoming
     position; plain token arcs score log p(CONTINUE) unless they complete a
@@ -210,20 +219,21 @@ class CachedConditionals:
         """(log p(CONTINUE), log p(SPLIT)) at position ``t`` given ``prefix``.
 
         ``prefix`` must hold at least ``t`` decisions; only
-        ``prefix[t - history:t]`` is read.  Before position ``history`` the
-        key is shorter, and its length stands for the pads.  The values are
-        bit for bit ``(-_softplus(z), -_softplus(-z))``, sharing the one
-        ``exp`` and ``log1p`` the two calls would make.
+        ``prefix[t - history:t]`` is read, packed into the table's history
+        key.  The values are bit for bit ``(-_softplus(z), -_softplus(-z))``,
+        sharing the one ``exp`` and ``log1p`` the two calls would make.
 
         It takes the prefix, not a packed word: ``sequence_logprob`` passes
         a whole labeling, and bench/spans.py wraps this method by name and
         reads the prefix with ``history_bits``.
         """
         start = t - self.history
-        recent = tuple(prefix[start if start > 0 else 0:t])
-        w = self._weights.get(recent)
+        key = 1
+        for d in prefix[start if start > 0 else 0:t]:
+            key = key << 1 | d
+        w = self._weights.get(key)
         if w is None:
-            w = self._table.history_weight(recent)
+            w = self._table.history_weight(key)
         z = self._static[t] + w
         if z > 0:
             e = log1p(exp(-z))
@@ -232,26 +242,42 @@ class CachedConditionals:
         return (-e, -(-z + e))
 
     def greedy_labels(self) -> list[Decision]:
-        """The window's greedy labeling, one conditional per position.
+        """The window's greedy labeling, decided on each position's logit.
 
         Position 0 is SPLIT; each later position is SPLIT exactly when
-        log p(SPLIT) > log p(CONTINUE).  A tie, two ``-inf`` included, is
-        CONTINUE, as greedy search through the acceptor takes the token arc
-        first, and a NaN raises the error that search raises, so the two
-        return the same labeling.  The conditionals go through the method,
-        so a wrapper on the class sees each one.
+        ``logprobs`` would give log p(SPLIT) > log p(CONTINUE).  That needs
+        no ``exp`` or ``log1p`` outside the logits in (0, 2**-52), where
+        rounding can tie the two (``_SURE_SPLIT``): a logit of at least
+        2**-52 splits, and one of at most zero, ``-inf`` included,
+        continues.  A tie is CONTINUE, as greedy search through the acceptor
+        takes the token arc first, and a NaN raises the error that search
+        raises, so the two return the same labeling.  The history key is
+        kept packed, one shift per decision.
         """
         tokens = self.tokens
         if not tokens:
             return []
-        logprobs = self.logprobs
+        static = self._static
+        get = self._weights.get
+        history_weight = self._table.history_weight
+        mask = self._mask
+        top = mask + 1
+        wrap = top << 1
+        key = 0b11  # the sentinel, then position 0's SPLIT
         decisions = [SPLIT]
         for t in range(1, len(tokens)):
-            cont, split = logprobs(t, decisions)
-            if split > cont:
+            if key >= wrap:  # more than ``history`` decisions: keep the last
+                key = key & mask | top
+            w = get(key)
+            if w is None:
+                w = history_weight(key)
+            z = static[t] + w
+            if z >= _SURE_SPLIT or z > 0.0 and _split_beats_continue(z):
                 decisions.append(SPLIT)
-            elif cont == cont:  # both are NaN, or neither
+                key = key << 1 | 1
+            elif z == z:  # z <= 0, or a tie in the band; not NaN
                 decisions.append(CONTINUE)
+                key <<= 1
             else:
                 raise _nan_error(tokens[t], t)
         return decisions
@@ -287,6 +313,12 @@ class CachedConditionals:
         for t in range(1, len(decisions)):
             total += self.logprobs(t, decisions)[decisions[t]]
         return total
+
+
+def _split_beats_continue(z: float) -> bool:
+    """Whether ``logprobs`` gives log p(SPLIT) > log p(CONTINUE) at a logit ``z > 0``."""
+    e = log1p(exp(-z))
+    return -e > -(z + e)
 
 
 @dataclass(frozen=True)

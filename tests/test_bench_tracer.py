@@ -72,8 +72,8 @@ def test_instrument_finds_every_target_and_restore_undoes_it(spans):
 def test_decoding_a_window_counts_scorer_calls(spans):
     # The conditionals count only while the scorer calls its own
     # ``logprobs``, and the counter keys a weak dictionary on the scorer.
-    # Greedy decoding reads one conditional per position after the first
-    # and skips the acceptor, so the search's counter is read under beam.
+    # Greedy decoding decides on each position's logit without the
+    # acceptor, so it makes neither call; both counters are read under beam.
     from windowseg.automaton import beam
     from windowseg.segmenters import AutoregressiveSegmenter, FeatureConfig, FeatureModel
 
@@ -88,7 +88,7 @@ def test_decoding_a_window_counts_scorer_calls(spans):
         finally:
             restore()
         counts[segmenter.strategy.kind] = tracer.counts
-    assert counts["greedy"]["autoregressive.logprobs_calls"] == len(window) - 1
+    assert counts["greedy"]["autoregressive.logprobs_calls"] == 0
     assert counts["greedy"]["automaton.score_calls"] == 0
     assert counts["beam"]["autoregressive.logprobs_calls"] > 0
     assert counts["beam"]["automaton.score_calls"] > 0

@@ -98,6 +98,15 @@ class TestLabels:
         with pytest.raises(TypeError):
             SegmentationLabels((1, 0))
 
+    @pytest.mark.parametrize(
+        "decisions, bad",
+        [((SPLIT, 1), "1"), ((True,), "True"), ((None,), "None"), ((CONTINUE, SPLIT, 0.0), "0.0")],
+    )
+    def test_error_names_the_first_non_decision(self, decisions, bad):
+        # Equal values are not enough: 1 == SPLIT and True == SPLIT.
+        with pytest.raises(TypeError, match=f"^not a Decision: {bad}$"):
+            SegmentationLabels(decisions)
+
     def test_split_positions(self):
         lab = SegmentationLabels((SPLIT, CONTINUE, SPLIT))
         assert lab.split_positions() == (0, 2)

@@ -1,7 +1,9 @@
 """Document-level pipeline: windowing, threading, stitching, rendering."""
 
 import random
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,7 +17,15 @@ from windowseg.pipeline import (
     render_segments,
     segment_tokens,
 )
-from windowseg.segmenters import FixedLengthSegmenter, ReplaySegmenter, WindowInfo
+from windowseg.automaton import GREEDY, beam
+from windowseg.segmenters import (
+    AutoregressiveSegmenter,
+    FeatureConfig,
+    FeatureModel,
+    FixedLengthSegmenter,
+    ReplaySegmenter,
+    WindowInfo,
+)
 from windowseg.windowing import WindowConfig
 
 
@@ -38,6 +48,28 @@ class TestSegmentTokens:
         cfg = WindowConfig(40, 5, 5)
         outs = {segment_tokens(doc.tokens, seg, cfg, workers=w) for w in (1, 2, 4)}
         assert outs == {labels}
+
+    @pytest.mark.parametrize("strategy", [GREEDY, beam(4)], ids=["greedy", "beam4"])
+    def test_worker_count_keeps_local_decoding_bytes(self, strategy):
+        # Threads fill a fresh segmenter's shared token table and history
+        # weights from cold; a race shows only sometimes, so decode several
+        # times with a short switch interval.
+        rng = random.Random(2)
+        doc, _ = make_document(rng, "d", n_sentences=(30, 35))
+        cfg = FeatureConfig(hash_dims=2 ** 12, ngram_orders=(2, 3), context_radius=2)
+        model = FeatureModel(cfg, np.random.default_rng(3).normal(0, 0.4, cfg.hash_dims))
+        window = WindowConfig(24, 4, 4)
+        want = segment_tokens(doc.tokens, AutoregressiveSegmenter(model, strategy), window)
+        assert 1 < len(want.split_positions()) < len(doc) // 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                seg = AutoregressiveSegmenter(model, strategy)
+                assert segment_tokens(doc.tokens, seg, window, workers=4) == want
+                assert segment_tokens(doc.tokens, seg, window, workers=1) == want
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_worker_count_below_one_rejected(self, workers):

@@ -388,7 +388,7 @@ class TestCachedConditionals:
         # A static logit of -0.0 plus a history weight of z is z exactly,
         # signed zeros included.
         cc._static = [0.0, -0.0]
-        table.history_weights[(SPLIT,)] = z
+        table.history_weights[0b11] = z  # the sentinel, then SPLIT
         got = cc.logprobs(1, (SPLIT,))
         want = (-_softplus(z), -_softplus(-z))
         assert np.array(got).tobytes() == np.array(want).tobytes()
@@ -399,7 +399,8 @@ class TestCachedConditionals:
         b = CachedConditionals(model, ("dd", "ee"), table)
         a.logprobs(2, (SPLIT, CONTINUE))
         b.logprobs(1, (SPLIT,))
-        assert set(table.history_weights) == {(SPLIT, CONTINUE), (SPLIT,)}
+        # Packed under a sentinel bit, the last decision lowest.
+        assert set(table.history_weights) == {0b110, 0b11}
 
     def test_decode_then_score_keeps_one_key_per_history_pattern(self):
         # Search and sequence scoring read the same history weights, so a
@@ -417,9 +418,12 @@ class TestCachedConditionals:
         assert len(seg._table.history_weights) == len(patterns)
 
 
-# Weights whose sums reach +-inf (1e308 twice overflows) and NaN (inf - inf).
+# Weights whose sums reach +-inf (1e308 twice overflows) and NaN (inf - inf),
+# and positive ones whose sums fall in or next to (0, 2**-52), where
+# log p(SPLIT) and log p(CONTINUE) may round to a tie.
 EXTREME_WEIGHTS = st.sampled_from(
-    [0.0, -0.0, 0.3, -0.3, 2.0, -2.0, 1e308, -1e308, math.inf, -math.inf, math.nan]
+    [0.0, -0.0, 0.3, -0.3, 2.0, -2.0, 1e308, -1e308, math.inf, -math.inf, math.nan,
+     5e-324, 1e-17, 2.0 ** -53, 2.0 ** -52]
 )
 
 
@@ -460,6 +464,9 @@ class TestGreedyLabels:
     @example(FeatureModel(TINY, [1e308, -1e308, 1e308, -1e308]), ["<s>", "a", "</s>", "bb"])
     @example(FeatureModel.zeros(TINY), ["a", "bb", "a"])
     @example(FeatureModel.zeros(TINY), [])
+    # Positive logits that tie (about 7e-323) and that do not (about 1.3e-16).
+    @example(FeatureModel(TINY, [5e-324] * 4), ["a", "bb", "a"])
+    @example(FeatureModel(TINY, [1e-17] * 4), ["a", "bb", "a"])
     def test_segment_matches_greedy_search_through_the_acceptor(self, model, window):
         seg = AutoregressiveSegmenter(model)
 
@@ -469,6 +476,20 @@ class TestGreedyLabels:
             return SegmentationLabels(best.decisions)
 
         assert outcome(lambda: seg.segment(window)) == outcome(searched)
+
+    @pytest.mark.parametrize(
+        "z",
+        [5e-324, 1e-17, 2.0 ** -54, math.nextafter(2.0 ** -54, 1.0), 2.0 ** -53,
+         math.nextafter(2.0 ** -52, 0.0), 2.0 ** -52, 0.7, math.inf,
+         0.0, -0.0, -5e-324, -0.7, -math.inf],
+    )
+    def test_logit_decides_as_the_conditionals(self, model, z):
+        table = TokenTable(model)
+        cc = CachedConditionals(model, ("aa", "bb"), table)
+        cc._static = [0.0, -0.0]
+        table.history_weights[0b11] = z  # the sentinel, then SPLIT
+        cont, split = cc.logprobs(1, (SPLIT,))
+        assert cc.greedy_labels() == [SPLIT, SPLIT if split > cont else CONTINUE]
 
     def test_delimiter_token_raises_as_under_beam(self):
         model = random_model(5)
