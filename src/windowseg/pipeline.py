@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .automaton import parse_strategy
 from .config import PipelineConfig
-from .core import SPLIT, SegmentationLabels
+from .core import SPLIT, Decision, SegmentationLabels
 from .segmenters import (
     AutoregressiveSegmenter,
     EndpointConfig,
@@ -115,10 +115,12 @@ def segment_tokens(
 
 
 def render_segments(
-    tokens: Sequence[str], labels: Union[SegmentationLabels, Sequence[object]]
+    tokens: Sequence[str], labels: Union[SegmentationLabels, Sequence[Decision]]
 ) -> list[str]:
-    """One line of space-joined tokens per segment."""
-    decisions = list(labels)
+    """One line of space-joined tokens per segment; ints and bools raise ``TypeError``."""
+    if not isinstance(labels, SegmentationLabels):
+        labels = SegmentationLabels(labels)
+    decisions = labels.decisions
     if len(decisions) != len(tokens):
         raise ValueError(f"labels length {len(decisions)} != token count {len(tokens)}")
     starts = [i for i, d in enumerate(decisions) if d is SPLIT or not i]

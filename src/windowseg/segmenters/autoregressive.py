@@ -24,18 +24,18 @@ one dict probe per token and one row gather instead of re-hashing the
 n-grams of every position.  Rows are filled under a lock and read without
 one.  The history part is one weight per pattern of recent decisions,
 cached in the same table under the decisions packed into an int and shared
-by every window, so a conditional costs one dict probe, one ``exp`` and
-one ``log1p``, and a greedy decision one dict probe and one comparison of
-the logit.  Under beam search a window's scorer also remembers its
+by every window, so a conditional costs one dict probe and one call of
+``features.log_probs``, and a greedy decision one dict probe and one
+comparison of the logit.  A window's scorer also remembers its
 conditionals by position and packed last decisions (``Hypothesis.word``),
-so hypotheses that share them compute them once.
+so beam hypotheses that share them compute them once.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from math import exp, log1p
+from operator import lt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,6 +59,7 @@ from .features import (
     bias_feature,
     history_bits,
     history_feature,
+    log_probs,
     offset_ngram_id_matrix,
     # Not called here: TokenTable reproduces it.  bench/spans.py wraps
     # this module's binding.
@@ -69,9 +70,10 @@ from .features import (
 _FIRST_ROWS = 64
 
 # A logit at least this large always decodes to SPLIT: for z > 0,
-# e = log1p(exp(-z)) lies in [0, log 2], where one ulp is at most 2**-53,
-# so fl(z + e) > e and log p(SPLIT) = -e beats log p(CONTINUE) = -(z + e).
-# Below it, z + e may round to e, a tie that continues.
+# ``log_probs`` computes e = log1p(exp(-z)), which lies in [0, log 2], where
+# one ulp is at most 2**-53, so fl(z + e) > e and log p(SPLIT) = -e beats
+# log p(CONTINUE) = -(z + e).  Below it, z + e may round to e, a tie that
+# continues.
 _SURE_SPLIT = 2.0 ** -52
 
 
@@ -176,8 +178,8 @@ class CachedConditionals:
     Static logits come from the token table, one row gather for the tokens
     of the window and its pads; the decision history contributes one weight
     from the table's ``history_weights``, which every window shares.  A
-    conditional costs packing the last decisions, one dict probe, one
-    ``exp`` and one ``log1p``.  Without a ``table`` (which must belong to
+    conditional costs packing the last decisions, one dict probe and one
+    ``log_probs`` of the logit.  Without a ``table`` (which must belong to
     ``model``) the window gets a fresh one of its own.
 
     As a symbol scorer, delimiter arcs score log p(SPLIT) at the upcoming
@@ -187,14 +189,13 @@ class CachedConditionals:
     search merges hypotheses that share their last ``history`` decisions.
     Search scores a hypothesis's token arc and then its delimiter arc, so
     the scorer keeps the last hypothesis's conditionals and answers the
-    second arc without a lookup.  With ``memo`` it also keeps every
-    conditional of the window, keyed by the position and the hypothesis's
+    second arc without a lookup.  It also keeps every conditional of the
+    window, keyed by the position and the hypothesis's
     ``word & (2**history - 1)``: beam hypotheses at one position often
     share their last ``history`` decisions, and their conditional is then
-    computed once.  Greedy decoding (``greedy_labels``) and exact search
-    never ask for one twice, so ``AutoregressiveSegmenter.segment`` turns
-    the memo off for them.  The scorer is built per window and so never
-    shared between threads.
+    computed once.  Exact search never asks for one twice, and greedy
+    decoding (``greedy_labels``) does not score symbols.  The scorer is
+    built per window and so never shared between threads.
     """
 
     def __init__(
@@ -202,7 +203,6 @@ class CachedConditionals:
         model: FeatureModel,
         tokens: Sequence[str],
         table: Optional[TokenTable] = None,
-        memo: bool = True,
     ):
         self.model = model
         self.tokens = tuple(tokens)
@@ -211,7 +211,7 @@ class CachedConditionals:
         self._static = self._table.static_logits(self.tokens)
         self._weights = self._table.history_weights
         self._mask = (1 << self.history) - 1
-        self._memo: Optional[dict[int, tuple[float, float]]] = {} if memo else None
+        self._memo: dict[int, tuple[float, float]] = {}
         self._last: Optional[Hypothesis] = None
         self._last_probs = (0.0, 0.0)
 
@@ -220,8 +220,7 @@ class CachedConditionals:
 
         ``prefix`` must hold at least ``t`` decisions; only
         ``prefix[t - history:t]`` is read, packed into the table's history
-        key.  The values are bit for bit ``(-_softplus(z), -_softplus(-z))``,
-        sharing the one ``exp`` and ``log1p`` the two calls would make.
+        key.  The values are ``features.log_probs`` of the logit.
 
         It takes the prefix, not a packed word: ``sequence_logprob`` passes
         a whole labeling, and bench/spans.py wraps this method by name and
@@ -234,25 +233,20 @@ class CachedConditionals:
         w = self._weights.get(key)
         if w is None:
             w = self._table.history_weight(key)
-        z = self._static[t] + w
-        if z > 0:
-            e = log1p(exp(-z))
-            return (-(z + e), -e)
-        e = log1p(exp(z))
-        return (-e, -(-z + e))
+        return log_probs(self._static[t] + w)
 
     def greedy_labels(self) -> list[Decision]:
         """The window's greedy labeling, decided on each position's logit.
 
         Position 0 is SPLIT; each later position is SPLIT exactly when
-        ``logprobs`` would give log p(SPLIT) > log p(CONTINUE).  That needs
-        no ``exp`` or ``log1p`` outside the logits in (0, 2**-52), where
-        rounding can tie the two (``_SURE_SPLIT``): a logit of at least
-        2**-52 splits, and one of at most zero, ``-inf`` included,
-        continues.  A tie is CONTINUE, as greedy search through the acceptor
-        takes the token arc first, and a NaN raises the error that search
-        raises, so the two return the same labeling.  The history key is
-        kept packed, one shift per decision.
+        ``logprobs`` would give log p(SPLIT) > log p(CONTINUE).  A logit of
+        at least 2**-52 splits, and one of at most zero, ``-inf`` included,
+        continues; only a logit in (0, 2**-52), where rounding can tie the
+        two (``_SURE_SPLIT``), compares the two values of ``log_probs``.  A
+        tie is CONTINUE, as greedy search through the acceptor takes the
+        token arc first, and a NaN raises the error that search raises, so
+        the two return the same labeling.  The history key is kept packed,
+        one shift per decision.
         """
         tokens = self.tokens
         if not tokens:
@@ -272,7 +266,8 @@ class CachedConditionals:
             if w is None:
                 w = history_weight(key)
             z = static[t] + w
-            if z >= _SURE_SPLIT or z > 0.0 and _split_beats_continue(z):
+            # In the band, SPLIT where log p(CONTINUE) < log p(SPLIT).
+            if z >= _SURE_SPLIT or z > 0.0 and lt(*log_probs(z)):
                 decisions.append(SPLIT)
                 key = key << 1 | 1
             elif z == z:  # z <= 0, or a tie in the band; not NaN
@@ -292,15 +287,11 @@ class CachedConditionals:
             self._last = hypothesis
             decisions = hypothesis.decisions
             t = len(decisions)
-            memo = self._memo
-            if memo is None:
-                self._last_probs = self.logprobs(t, decisions)
-            else:
-                key = t << self.history | hypothesis.word & self._mask
-                probs = memo.get(key)
-                if probs is None:
-                    probs = memo[key] = self.logprobs(t, decisions)
-                self._last_probs = probs
+            key = t << self.history | hypothesis.word & self._mask
+            probs = self._memo.get(key)
+            if probs is None:
+                probs = self._memo[key] = self.logprobs(t, decisions)
+            self._last_probs = probs
         return self._last_probs[split]
 
     def sequence_logprob(self, labels: Sequence[Decision]) -> float:
@@ -313,12 +304,6 @@ class CachedConditionals:
         for t in range(1, len(decisions)):
             total += self.logprobs(t, decisions)[decisions[t]]
         return total
-
-
-def _split_beats_continue(z: float) -> bool:
-    """Whether ``logprobs`` gives log p(SPLIT) > log p(CONTINUE) at a logit ``z > 0``."""
-    e = log1p(exp(-z))
-    return -e > -(z + e)
 
 
 @dataclass(frozen=True)
@@ -340,18 +325,17 @@ class AutoregressiveSegmenter:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_table", TokenTable(self.model))
 
-    def scorer(self, window: Sequence[str], memo: bool = True) -> CachedConditionals:
-        return CachedConditionals(self.model, window, self._table, memo)
+    def scorer(self, window: Sequence[str]) -> CachedConditionals:
+        return CachedConditionals(self.model, window, self._table)
 
     def segment(
         self, window: Sequence[str], info: WindowInfo = WindowInfo()
     ) -> SegmentationLabels:
-        kind = self.strategy.kind
-        if kind == "greedy":
+        if self.strategy.kind == "greedy":
             reject_delimiter(window)
-            return SegmentationLabels(self.scorer(window, memo=False).greedy_labels())
+            return SegmentationLabels(self.scorer(window).greedy_labels())
         a = build_automaton(window)
-        best = constrained_search(a, self.scorer(window, memo=kind == "beam"), self.strategy)[0]
+        best = constrained_search(a, self.scorer(window), self.strategy)[0]
         return SegmentationLabels(best.decisions)
 
     def nbest(self, window: Sequence[str], k: int) -> NBestList:

@@ -199,10 +199,19 @@ def history_feature(cfg: FeatureConfig, bits: str) -> int:
     return _hash(cfg, "H" + bits)
 
 
-def _softplus(x: float) -> float:
-    if x > 0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
+def log_probs(z: float) -> tuple[float, float]:
+    """(log p(CONTINUE), log p(SPLIT)) of a decision whose SPLIT logit is ``z``.
+
+    The two values are -softplus(z) and -softplus(-z), computed from one
+    ``exp`` and one ``log1p`` of -|z|, so neither overflows.  Training's
+    loss, the window scorer and greedy decoding's tie band all read them
+    here, so they agree bit for bit.
+    """
+    if z > 0:
+        e = math.log1p(math.exp(-z))
+        return (-(z + e), -e)
+    e = math.log1p(math.exp(z))
+    return (-e, -(-z + e))
 
 
 def _sigmoid(x: float) -> float:
@@ -323,7 +332,8 @@ def _mean_loss(
         doc_loss = 0.0
         for ids, counts, y in steps:
             z = float(weights[ids] @ counts)
-            doc_loss += _softplus(-z) if y else _softplus(z)
+            cont, split = log_probs(z)
+            doc_loss -= split if y else cont
             if grad is not None:
                 np.add.at(grad, ids, (_sigmoid(z) - y) * counts)
         total += doc_loss

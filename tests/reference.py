@@ -37,11 +37,17 @@ from windowseg.core import CONTINUE, DEFAULT_DELIMITER, SPLIT, Decision, Segment
 from windowseg.segmenters.features import (
     FeatureConfig,
     FeatureModel,
-    _softplus,
     history_bits,
     history_feature,
     static_features,
 )
+
+
+def _softplus(x: float) -> float:
+    """log(1 + exp(x)), written apart from ``features.log_probs`` that it checks."""
+    if x > 0:
+        return x + math.log1p(math.exp(-x))
+    return math.log1p(math.exp(x))
 
 
 def step_features(

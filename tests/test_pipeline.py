@@ -194,6 +194,12 @@ class TestRenderSegments:
         with pytest.raises(ValueError):
             render_segments(["a"], SegmentationLabels(()))
 
+    def test_decisions_render_and_ints_raise(self):
+        assert render_segments(["a", "b", "c"], [SPLIT, CONTINUE, SPLIT]) == ["a b", "c"]
+        for bare in ([1, 0, 1], [True, False, True]):
+            with pytest.raises(TypeError, match="not a Decision"):
+                render_segments(["a", "b", "c"], bare)
+
     def test_round_trip_with_rule_corpus(self):
         rng = random.Random(3)
         doc, labels = make_document(rng, "d", n_sentences=(4, 6))

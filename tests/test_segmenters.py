@@ -11,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import logit, ranked, score_step, sequence_logprob
+from reference import _softplus, logit, ranked, reference_beam, score_step, sequence_logprob
 from synth import make_document
 from windowseg.automaton import EXACT, GREEDY, beam, build_automaton, constrained_search
-from windowseg.core import CONTINUE, SPLIT, SegmentationLabels
+from windowseg.core import CONTINUE, DEFAULT_DELIMITER, SPLIT, SegmentationLabels
 from windowseg.pipeline import segment_tokens
 from windowseg.segmenters import (
     AutoregressiveSegmenter,
@@ -32,7 +32,6 @@ from windowseg.segmenters import autoregressive
 from windowseg.segmenters.autoregressive import TokenTable
 from windowseg.segmenters.features import (
     TrainConfig,
-    _softplus,
     history_bits,
     offset_ngram_id_matrix,
     offset_ngram_ids,
@@ -183,27 +182,48 @@ class TestAutoregressive:
         constrained_search(build_automaton(tokens), CachedConditionals(model, tokens), GREEDY)
         assert calls == list(range(1, 30))
 
-    def test_beam_computes_each_conditional_once(self, model, monkeypatch):
-        # Beam hypotheses at one position often share their last
-        # ``history`` decisions, and with them one conditional: it is
-        # computed once.  Without the memo the n-best list is the same.
+    @staticmethod
+    def count_conditionals(model, monkeypatch):
+        """Record each ``logprobs`` key, and each hypothesis scored on a delimiter arc.
+
+        Every such hypothesis needs one conditional, so without a memo
+        there would be one ``logprobs`` call per hypothesis recorded.
+        """
         h = model.config.history
-        calls = []
-        original = CachedConditionals.logprobs
+        calls, asked = [], []
+        logprobs, score_symbol = CachedConditionals.logprobs, CachedConditionals.score_symbol
 
         def counting(self, t, prefix):
             calls.append((t, tuple(prefix[max(0, t - h):t])))
-            return original(self, t, prefix)
+            return logprobs(self, t, prefix)
+
+        def asking(self, hypothesis, symbol):
+            if symbol == DEFAULT_DELIMITER:
+                asked.append(hypothesis)
+            return score_symbol(self, hypothesis, symbol)
 
         monkeypatch.setattr(CachedConditionals, "logprobs", counting)
+        monkeypatch.setattr(CachedConditionals, "score_symbol", asking)
+        return calls, asked
+
+    @pytest.mark.parametrize("strategy", [beam(16), EXACT], ids=["beam16", "exact"])
+    def test_search_computes_each_conditional_once(self, model, monkeypatch, strategy):
+        calls, _ = self.count_conditionals(model, monkeypatch)
+        tokens = make_document(random.Random(4), "x", n_sentences=(3, 4))[0].tokens
+        constrained_search(build_automaton(tokens), CachedConditionals(model, tokens), strategy)
+        assert calls
+        assert len(calls) == len(set(calls))
+
+    def test_beam_shares_conditionals_and_keeps_its_nbest_list(self, model, monkeypatch):
+        # Beam hypotheses at one position often share their last
+        # ``history`` decisions, and with them one conditional, computed
+        # once.  The n-best list is the one ranking every candidate gives.
+        calls, asked = self.count_conditionals(model, monkeypatch)
         tokens = make_document(random.Random(4), "x", n_sentences=(3, 4))[0].tokens
         a = build_automaton(tokens)
         got = ranked(constrained_search(a, CachedConditionals(model, tokens), beam(16)))
-        assert len(calls) == len(set(calls))
-        calls.clear()
-        plain = ranked(constrained_search(a, CachedConditionals(model, tokens, memo=False), beam(16)))
-        assert len(calls) > 2 * len(set(calls))
-        assert got == plain
+        assert len(asked) > 2 * len(calls)
+        assert got == ranked(reference_beam(a, CachedConditionals(model, tokens), 16))
 
     def test_exact_beats_greedy(self, model):
         rng = random.Random(3)
@@ -425,10 +445,13 @@ EXTREME_WEIGHTS = st.sampled_from(
     [0.0, -0.0, 0.3, -0.3, 2.0, -2.0, 1e308, -1e308, math.inf, -math.inf, math.nan,
      5e-324, 1e-17, 2.0 ** -53, 2.0 ** -52]
 )
+# Weights that keep every logit near or in (0, 2**-52), where a weight
+# drawn now and then from EXTREME_WEIGHTS seldom leaves a sum.
+BAND_WEIGHTS = st.sampled_from([0.0, -0.0, 5e-324, 1e-17, 2.0 ** -53, 2.0 ** -52, -5e-324])
 
 
 @st.composite
-def small_models(draw):
+def small_models(draw, weight=EXTREME_WEIGHTS):
     cfg = FeatureConfig(
         hash_dims=draw(st.integers(1, 12)),
         ngram_orders=draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True)),
@@ -436,7 +459,7 @@ def small_models(draw):
         history=draw(st.integers(0, 3)),
         salt=draw(st.integers(0, 2 ** 32 - 1)),
     )
-    weights = draw(st.lists(EXTREME_WEIGHTS, min_size=cfg.hash_dims, max_size=cfg.hash_dims))
+    weights = draw(st.lists(weight, min_size=cfg.hash_dims, max_size=cfg.hash_dims))
     return FeatureModel(cfg, weights)
 
 
@@ -455,7 +478,7 @@ class TestGreedyLabels:
     # Most drawn windows are short; more examples reach mixed labelings.
     @settings(max_examples=200)
     @given(
-        small_models(),
+        st.one_of(small_models(), small_models(BAND_WEIGHTS)),
         st.lists(st.sampled_from(("a", "bb", "", "<s>", "</s>", "x<s>")), max_size=12),
     )
     @example(FeatureModel(TINY, [math.nan] * 4), ["a", "bb", "a"])
@@ -471,8 +494,7 @@ class TestGreedyLabels:
         seg = AutoregressiveSegmenter(model)
 
         def searched():
-            scorer = seg.scorer(window, memo=False)
-            best = constrained_search(build_automaton(window), scorer, GREEDY)[0]
+            best = constrained_search(build_automaton(window), seg.scorer(window), GREEDY)[0]
             return SegmentationLabels(best.decisions)
 
         assert outcome(lambda: seg.segment(window)) == outcome(searched)
