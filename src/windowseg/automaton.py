@@ -19,6 +19,12 @@ its state and last ``h`` decisions, so exact search merges hypotheses
 sharing both, in O(w * 2^h) score calls.  A scorer without ``history``
 may read the full prefix and is enumerated.
 
+The feature model scores decisions, so ``AutoregressiveSegmenter``
+searches here only for exact decoding.  Its greedy and beam decoding walk
+the decisions and return what greedy and beam search here return for its
+scorer; on a NaN conditional its beam hands the window to the beam search
+here, so the restart and the error below stay this module's.
+
 A hypothesis carries its decisions (its labeling's ``Decision`` values)
 and pending flag, which determine the symbols it emitted, and ``word``,
 the decisions packed into an int with the last in the lowest bit.  A

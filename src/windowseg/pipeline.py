@@ -27,20 +27,21 @@ from .segmenters import (
 )
 from .windowing import WindowConfig, plan_windows, stitch
 
-# Most score calls a search may make per window.  For a w-token window,
-# exact search with a model of history h makes about w * 2^min(h, w - 1)
-# and beam:K about 2 * w * min(K, 2^(w - 1)).  2^16 allows h <= 10 or
-# K <= 819 at the default w = 40, a few tenths of a second per window;
-# h = 20 or K = 32768 would take a minute or more.
+# Most steps a search may take per window.  For a w-token window, exact
+# search with a model of history h makes about w * 2^min(h, w - 1) score
+# calls through the acceptor, and beam:K ranks about 2 * w * min(K,
+# 2^(w - 1)) candidates, one per arc the acceptor's beam would score.
+# 2^16 allows h <= 10 or K <= 819 at the default w = 40, a few tenths of
+# a second per window; h = 20 or K = 32768 would take a minute or more.
 SEARCH_SCORE_CALLS_LIMIT = 2**16
 
 
 def build_segmenter(cfg: PipelineConfig) -> WindowSegmenter:
     """Construct the configured window segmenter; validate() the config first.
 
-    Refuses (ValueError) exact search with a model whose history, or a
-    beam whose width, makes it cost more than ``SEARCH_SCORE_CALLS_LIMIT``
-    score calls per window.
+    Refuses (ValueError) exact search with a model whose history makes it
+    cost more than ``SEARCH_SCORE_CALLS_LIMIT`` score calls per window, and
+    a beam whose width makes it rank more candidates than that.
     """
     if cfg.segmenter == "fixed":
         return FixedLengthSegmenter(cfg.segment_len)
@@ -58,7 +59,7 @@ def build_segmenter(cfg: PipelineConfig) -> WindowSegmenter:
         paths = min(k, 2 ** min(w - 1, k.bit_length()))
         if strategy.kind == "beam" and 2 * w * paths > SEARCH_SCORE_CALLS_LIMIT:
             raise ValueError(
-                f"beam:{k} makes about 2*{w}*{paths} score calls per {w}-token window, "
+                f"beam:{k} makes about 2*{w}*{paths} candidates per {w}-token window, "
                 f"over the limit of {SEARCH_SCORE_CALLS_LIMIT}; use a narrower beam"
             )
         return AutoregressiveSegmenter(model, strategy)

@@ -10,11 +10,13 @@ complete labeling with the score its search path would get.  That makes one
 segmenter the decoder, the n-best generator and ``rerank``'s scorer.
 
 The model scores decisions, not symbols, so every labeling it can pick is
-well-formed.  Greedy decoding therefore skips the acceptor: it reads one
-logit per position and takes SPLIT where log p(SPLIT) would beat
-log p(CONTINUE), the labeling greedy search through the acceptor returns
-(``greedy_labels``).  Beam and exact search, n-best lists and rescoring
-keep the acceptor.
+well-formed.  Greedy and beam decoding and n-best lists therefore skip the
+acceptor.  Greedy decoding reads one logit per position and takes SPLIT
+where log p(SPLIT) would beat log p(CONTINUE), the labeling greedy search
+through the acceptor returns (``greedy_labels``).  Beam decoding and
+``nbest`` rank tuples of packed decisions, step for step as the acceptor's
+beam ranks its hypotheses, and return its n-best lists
+(``beam_ranked``).  Exact search and rescoring keep the acceptor.
 
 The static part of each conditional is linear in hashed n-gram features,
 so a token table caches it per (token, context offset), one row of a
@@ -26,9 +28,9 @@ one.  The history part is one weight per pattern of recent decisions,
 cached in the same table under the decisions packed into an int and shared
 by every window, so a conditional costs one dict probe and one call of
 ``features.log_probs``, and a greedy decision one dict probe and one
-comparison of the logit.  A window's scorer also remembers its
-conditionals by position and packed last decisions (``Hypothesis.word``),
-so beam hypotheses that share them compute them once.
+comparison of the logit.  A window's beam keys its conditionals by
+position and packed last decisions, so hypotheses that share them compute
+them once.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..automaton import (
+    _TOTAL,
     GREEDY,
     Hypothesis,
     SearchStrategy,
@@ -68,6 +71,21 @@ from .features import (
 
 # Rows a new token table has room for; the matrix doubles when full.
 _FIRST_ROWS = 64
+
+
+def _tie_key(candidate: tuple[float, int, int, bool]) -> tuple[float, str]:
+    """A beam candidate's ``(-score, decisions)``, the decisions spelled in
+    binary: '0' < '1' as CONTINUE < SPLIT, and a prefix first, as in a tuple."""
+    return candidate[0], format(candidate[1], "b")
+
+
+_DECISION = {"0": CONTINUE, "1": SPLIT}
+
+
+def _decisions(word: int) -> tuple[Decision, ...]:
+    """The decisions packed in ``word``; the first, position 0's, is SPLIT."""
+    return tuple(map(_DECISION.__getitem__, format(word, "b")))
+
 
 # A logit at least this large always decodes to SPLIT: for z > 0,
 # ``log_probs`` computes e = log1p(exp(-z)), which lies in [0, log 2], where
@@ -189,13 +207,10 @@ class CachedConditionals:
     search merges hypotheses that share their last ``history`` decisions.
     Search scores a hypothesis's token arc and then its delimiter arc, so
     the scorer keeps the last hypothesis's conditionals and answers the
-    second arc without a lookup.  It also keeps every conditional of the
-    window, keyed by the position and the hypothesis's
-    ``word & (2**history - 1)``: beam hypotheses at one position often
-    share their last ``history`` decisions, and their conditional is then
-    computed once.  Exact search never asks for one twice, and greedy
-    decoding (``greedy_labels``) does not score symbols.  The scorer is
-    built per window and so never shared between threads.
+    second arc without a lookup.  Exact search never asks for one
+    conditional twice, and greedy and beam decoding (``greedy_labels``,
+    ``beam_ranked``) do not score symbols.  The scorer is built per window
+    and so never shared between threads.
     """
 
     def __init__(
@@ -211,7 +226,6 @@ class CachedConditionals:
         self._static = self._table.static_logits(self.tokens)
         self._weights = self._table.history_weights
         self._mask = (1 << self.history) - 1
-        self._memo: dict[int, tuple[float, float]] = {}
         self._last: Optional[Hypothesis] = None
         self._last_probs = (0.0, 0.0)
 
@@ -277,6 +291,121 @@ class CachedConditionals:
                 raise _nan_error(tokens[t], t)
         return decisions
 
+    def beam_ranked(self, width: int) -> list[tuple[tuple[Decision, ...], float]]:
+        """The n-best list of a beam of ``width``: (decisions, score), best first.
+
+        It is ``constrained_search(build_automaton(tokens), self,
+        beam(width))``'s, bit for bit, searched step for step over the
+        model's decisions instead of the acceptor's symbols.  A hypothesis
+        is ``(-score, word, length, pending)``: ``word`` packs ``length``
+        decisions as ``Hypothesis.word`` does, plus the SPLIT a pending
+        delimiter opens, so the tie key ``(-score, decisions)`` is
+        ``-score`` and the word in binary.  One at position t >= 1 yields a
+        CONTINUE child and a pending SPLIT child, scored log p(CONTINUE) and
+        log p(SPLIT); a pending one, and position 0, completes at no cost
+        (the acceptor adds 0.0, which changes no score: a sum from 0.0 is
+        never -0.0).  Each step keeps the ``width`` best candidates, ranked
+        by the tie key only for a tie at the cut; children at the window's
+        end are finished.  The greedy path rides in the beam, is walked on
+        from where it drops out and is pooled, as in the acceptor's beam.
+
+        Each conditional is computed once, keyed by position and the last
+        ``history`` decisions.  Its values lie in [-inf, 0], so a total is
+        NaN exactly when a logit is; at the first NaN logit the acceptor's
+        beam takes over, with its ordered restart and its error.
+        """
+        tokens = self.tokens
+        n = len(tokens)
+        if n < 2:
+            return [((SPLIT,) * n, 0.0)]
+        static = self._static
+        get = self._weights.get
+        history_weight = self._table.history_weight
+        h = self.history
+        mask = self._mask
+        top = mask + 1
+        memo: dict[int, tuple[float, float]] = {}
+
+        def conditional(t: int, word: int) -> Optional[tuple[float, float]]:
+            """(log p(CONTINUE), log p(SPLIT)) at ``t``, or None for a NaN logit."""
+            key = t << h | word & mask
+            probs = memo.get(key)
+            if probs is None:
+                wkey = word & mask | top if t >= h else 1 << t | word
+                w = get(wkey)
+                if w is None:
+                    w = history_weight(wkey)
+                z = static[t] + w
+                if z != z:
+                    return None
+                probs = memo[key] = log_probs(z)
+            return probs
+
+        # Position 0 opens a segment at no cost.
+        greedy = (-0.0, 1, 1, False)
+        active = [greedy]
+        resume = greedy
+        finished: list[tuple[float, int, int, bool]] = []
+        while active:
+            candidates = []
+            pick = None
+            for hyp in active:
+                neg, word, length, pending = hyp
+                if pending:
+                    child = (neg, word, length, False)
+                    (finished if length == n else candidates).append(child)
+                    if hyp is greedy:
+                        pick = child
+                    continue
+                probs = memo.get(length << h | word & mask) or conditional(length, word)
+                if probs is None:
+                    return self._acceptor_beam(width)
+                score = -neg
+                cont = (-(score + probs[0]), word << 1, length + 1, False)
+                split = (-(score + probs[1]), word << 1 | 1, length + 1, True)
+                (finished if length + 1 == n else candidates).append(cont)
+                candidates.append(split)
+                if hyp is greedy:
+                    # The token arc is scored first and wins ties.
+                    pick = split if probs[1] > probs[0] else cont
+            if len(candidates) > width:
+                candidates.sort(key=_TOTAL)
+                if candidates[width - 1][0] == candidates[width][0]:
+                    candidates.sort(key=_tie_key)
+                del candidates[width:]
+            if greedy is not None:
+                if pick in candidates:
+                    greedy = pick
+                else:
+                    resume, greedy = pick, None
+            active = candidates
+        # The greedy walk, from where the greedy path left the beam.
+        neg, word, length, _ = resume
+        score = -neg
+        while length < n:
+            probs = conditional(length, word)
+            if probs is None:
+                return self._acceptor_beam(width)
+            if probs[1] > probs[0]:
+                score += probs[1]
+                word = word << 1 | 1
+            else:
+                score += probs[0]
+                word <<= 1
+            length += 1
+        # Finished words are distinct; the greedy path may repeat one of them
+        # with the same score.  Every finished word has n decisions, so the
+        # tuple order is the tie key's.
+        if all(f[1] != word for f in finished):
+            finished.append((-score, word, n, False))
+        finished.sort()
+        return [(_decisions(f[1]), -f[0]) for f in finished[:width]]
+
+    def _acceptor_beam(self, width: int) -> list[tuple[tuple[Decision, ...], float]]:
+        """``beam_ranked``'s list from the acceptor's beam search."""
+        ranked = constrained_search(build_automaton(self.tokens), self, beam(width))
+        return [(hyp.decisions, hyp.score) for hyp in ranked]
+
     def score_symbol(self, hypothesis: Hypothesis, symbol: str) -> float:
         split = symbol == DEFAULT_DELIMITER
         if not split and (hypothesis.pending or not hypothesis.decisions):
@@ -285,13 +414,7 @@ class CachedConditionals:
         # goes through the method, so a wrapper on the class sees each one.
         if hypothesis is not self._last:
             self._last = hypothesis
-            decisions = hypothesis.decisions
-            t = len(decisions)
-            key = t << self.history | hypothesis.word & self._mask
-            probs = self._memo.get(key)
-            if probs is None:
-                probs = self._memo[key] = self.logprobs(t, decisions)
-            self._last_probs = probs
+            self._last_probs = self.logprobs(len(hypothesis.decisions), hypothesis.decisions)
         return self._last_probs[split]
 
     def sequence_logprob(self, labels: Sequence[Decision]) -> float:
@@ -313,9 +436,9 @@ class AutoregressiveSegmenter:
     Decodes a window (``segment``), lists its n-best labelings (``nbest``)
     and scores a complete labeling (``score_sequence``, a
     ``SequenceScorer`` for ``rerank``).  Greedy decoding reads one
-    conditional per position; beam and exact decoding and ``nbest`` search
-    the acceptor.  Keeps one token table for its model, shared by every
-    window and worker thread.
+    conditional per position, beam decoding and ``nbest`` rank packed
+    decisions, and exact decoding searches the acceptor.  Keeps one token
+    table for its model, shared by every window and worker thread.
     """
 
     model: FeatureModel
@@ -331,20 +454,23 @@ class AutoregressiveSegmenter:
     def segment(
         self, window: Sequence[str], info: WindowInfo = WindowInfo()
     ) -> SegmentationLabels:
-        if self.strategy.kind == "greedy":
-            reject_delimiter(window)
-            return SegmentationLabels(self.scorer(window).greedy_labels())
-        a = build_automaton(window)
-        best = constrained_search(a, self.scorer(window), self.strategy)[0]
-        return SegmentationLabels(best.decisions)
+        kind = self.strategy.kind
+        if kind == "exact":
+            best = constrained_search(build_automaton(window), self.scorer(window), self.strategy)
+            return SegmentationLabels(best[0].decisions)
+        reject_delimiter(window)
+        scorer = self.scorer(window)
+        if kind == "greedy":
+            return SegmentationLabels(scorer.greedy_labels())
+        return SegmentationLabels(scorer.beam_ranked(self.strategy.beam_width)[0][0])
 
     def nbest(self, window: Sequence[str], k: int) -> NBestList:
         """Top-k labelings from a beam of width k, best first."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        a = build_automaton(window)
-        ranked = constrained_search(a, self.scorer(window), beam(k))
-        return NBestList(tuple((SegmentationLabels(h.decisions), h.score) for h in ranked))
+        reject_delimiter(window)
+        ranked = self.scorer(window).beam_ranked(k)
+        return NBestList(tuple((SegmentationLabels(d), score) for d, score in ranked))
 
     def score_sequence(self, window: Sequence[str], labels: SegmentationLabels) -> float:
         """The model's log-likelihood of ``labels`` on ``window``.

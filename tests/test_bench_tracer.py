@@ -72,15 +72,17 @@ def test_instrument_finds_every_target_and_restore_undoes_it(spans):
 def test_decoding_a_window_counts_scorer_calls(spans):
     # The conditionals count only while the scorer calls its own
     # ``logprobs``, and the counter keys a weak dictionary on the scorer.
-    # Greedy decoding decides on each position's logit without the
-    # acceptor, so it makes neither call; both counters are read under beam.
-    from windowseg.automaton import beam
+    # Greedy and beam decoding walk the model's decisions without the
+    # acceptor, so they make neither call; both counters are read under
+    # exact search.
+    from windowseg.automaton import EXACT, GREEDY, beam
     from windowseg.segmenters import AutoregressiveSegmenter, FeatureConfig, FeatureModel
 
     model = FeatureModel.zeros(FeatureConfig(hash_dims=64))
     window = [f"t{i}" for i in range(8)]
     counts = {}
-    for segmenter in (AutoregressiveSegmenter(model), AutoregressiveSegmenter(model, beam(2))):
+    for strategy in (GREEDY, beam(2), EXACT):
+        segmenter = AutoregressiveSegmenter(model, strategy)
         tracer = spans.Tracer()
         restore = spans.instrument(tracer)
         try:
@@ -88,10 +90,11 @@ def test_decoding_a_window_counts_scorer_calls(spans):
         finally:
             restore()
         counts[segmenter.strategy.kind] = tracer.counts
-    assert counts["greedy"]["autoregressive.logprobs_calls"] == 0
-    assert counts["greedy"]["automaton.score_calls"] == 0
-    assert counts["beam"]["autoregressive.logprobs_calls"] > 0
-    assert counts["beam"]["automaton.score_calls"] > 0
+    for kind in ("greedy", "beam"):
+        assert counts[kind]["autoregressive.logprobs_calls"] == 0
+        assert counts[kind]["automaton.score_calls"] == 0
+    assert counts["exact"]["autoregressive.logprobs_calls"] > 0
+    assert counts["exact"]["automaton.score_calls"] > 0
 
 
 def test_oracle_projection_records_the_alignment(spans):

@@ -634,7 +634,7 @@ class TestSegment:
         assert len(per_window) > 1 and per_window == [1] * len(per_window)
 
     def test_beam_over_the_search_budget_exit_3(self, project, tmp_path, capsys):
-        # beam:100000 would make about 2 * 40 * 100000 score calls per window.
+        # beam:100000 would rank about 2 * 40 * 100000 candidates per window.
         t0 = time.perf_counter()
         rc = main(
             [

@@ -60,9 +60,10 @@ def _prefix_scorer(tokens, seed: int) -> FunctionScorer:
 
 
 def _encode(results) -> list[str]:
+    """``(decisions, score)`` pairs as the golden file spells them."""
     return [
-        "".join("1" if d is SPLIT else "0" for d in h.decisions) + " " + float.hex(h.score)
-        for h in results
+        "".join("1" if d is SPLIT else "0" for d in decisions) + " " + float.hex(score)
+        for decisions, score in results
     ]
 
 
@@ -70,17 +71,18 @@ def _run(case, tokens, make_scorer) -> dict[str, list[str]]:
     out = {}
     for name, strategy in STRATEGIES.items():
         a = build_automaton(tokens)
-        out[f"{case}/{name}"] = _encode(constrained_search(a, make_scorer(tokens), strategy))
+        ranked = constrained_search(a, make_scorer(tokens), strategy)
+        out[f"{case}/{name}"] = _encode((h.decisions, h.score) for h in ranked)
     return out
 
 
-def compute_cases() -> dict[str, list[str]]:
-    cases: dict[str, list[str]] = {}
+def scored_windows():
+    """Each case's name, window, scorer factory and feature model (None for others)."""
     zeros = FeatureModel.zeros(CFG)
     for w in range(1, 12):
         tokens = [f"t{i}" for i in range(w)]
-        cases.update(_run(f"zeros/w{w}", tokens, lambda t: CachedConditionals(zeros, t)))
-        cases.update(_run(f"const/w{w}", tokens, lambda t: ConstantScorer()))
+        yield f"zeros/w{w}", tokens, lambda t: CachedConditionals(zeros, t), zeros
+        yield f"const/w{w}", tokens, lambda t: ConstantScorer(), None
 
     rng = random.Random(7)
     trained = train_feature_model(
@@ -93,9 +95,14 @@ def compute_cases() -> dict[str, list[str]]:
         start = rng.randrange(len(doc) - w)
         tokens = doc[start:start + w]
         for tag, model in (("trained", trained), ("noisy", noisy)):
-            seg = AutoregressiveSegmenter(model)
-            cases.update(_run(f"{tag}/{i}", tokens, seg.scorer))
-        cases.update(_run(f"prefix/{i}", tokens, lambda t, i=i: _prefix_scorer(t, i)))
+            yield f"{tag}/{i}", tokens, AutoregressiveSegmenter(model).scorer, model
+        yield f"prefix/{i}", tokens, lambda t, i=i: _prefix_scorer(t, i), None
+
+
+def compute_cases() -> dict[str, list[str]]:
+    cases: dict[str, list[str]] = {}
+    for case, tokens, make_scorer, _ in scored_windows():
+        cases.update(_run(case, tokens, make_scorer))
     return cases
 
 
@@ -112,6 +119,23 @@ def test_case_set_matches_golden(computed):
 def test_nbest_lists_match_golden_bit_for_bit(computed):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     mismatched = [case for case in golden if computed.get(case) != golden[case]]
+    assert not mismatched, f"{len(mismatched)} cases differ, first: {mismatched[0]}"
+
+
+def test_segmenter_nbest_lists_match_golden_beams():
+    # The segmenter's beam walks the model's decisions, not the acceptor's
+    # symbols; its n-best lists are the acceptor's beam lists bit for bit.
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    mismatched = []
+    for case, tokens, _, model in scored_windows():
+        if model is None:
+            continue
+        seg = AutoregressiveSegmenter(model)
+        for name, strategy in STRATEGIES.items():
+            if strategy.kind == "beam":
+                k = strategy.beam_width
+                if _encode(seg.nbest(tokens, k)) != golden[f"{case}/{name}"]:
+                    mismatched.append(f"{case}/{name}")
     assert not mismatched, f"{len(mismatched)} cases differ, first: {mismatched[0]}"
 
 

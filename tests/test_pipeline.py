@@ -162,7 +162,7 @@ class TestBuildSegmenter:
          (100000, 14, True), (16, 2048, False), (16, 2049, True), (1, 10**12, True)],
     )
     def test_beam_search_cost_guard(self, tmp_path, width, size, refused):
-        # 2 * w * min(K, 2^(w - 1)) score calls against a limit of 2^16.
+        # 2 * w * min(K, 2^(w - 1)) candidates against a limit of 2^16.
         from windowseg.segmenters import FeatureConfig, FeatureModel, save_model
 
         path = tmp_path / "m.bin"

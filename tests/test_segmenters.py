@@ -183,47 +183,71 @@ class TestAutoregressive:
         assert calls == list(range(1, 30))
 
     @staticmethod
-    def count_conditionals(model, monkeypatch):
-        """Record each ``logprobs`` key, and each hypothesis scored on a delimiter arc.
+    def asked_conditionals(model, tokens, search):
+        """The conditional of each hypothesis the acceptor scores on a delimiter arc.
 
-        Every such hypothesis needs one conditional, so without a memo
-        there would be one ``logprobs`` call per hypothesis recorded.
+        ``search(automaton, scorer)`` searches the acceptor of ``tokens``;
+        a conditional is keyed by position and the last ``history``
+        decisions, and without a memo each key recorded costs one
+        ``log_probs`` call.
         """
-        h = model.config.history
-        calls, asked = [], []
-        logprobs, score_symbol = CachedConditionals.logprobs, CachedConditionals.score_symbol
+        inner = CachedConditionals(model, tokens)
+        asked = []
 
-        def counting(self, t, prefix):
-            calls.append((t, tuple(prefix[max(0, t - h):t])))
-            return logprobs(self, t, prefix)
+        class Asking:
+            history = inner.history
 
-        def asking(self, hypothesis, symbol):
-            if symbol == DEFAULT_DELIMITER:
-                asked.append(hypothesis)
-            return score_symbol(self, hypothesis, symbol)
+            def score_symbol(self, hypothesis, symbol):
+                if symbol == DEFAULT_DELIMITER:
+                    t = hypothesis.position
+                    asked.append((t, hypothesis.decisions[max(0, t - self.history):]))
+                return inner.score_symbol(hypothesis, symbol)
 
-        monkeypatch.setattr(CachedConditionals, "logprobs", counting)
-        monkeypatch.setattr(CachedConditionals, "score_symbol", asking)
-        return calls, asked
+        search(build_automaton(tokens), Asking())
+        return asked
+
+    @staticmethod
+    def count_log_probs(monkeypatch):
+        """Record every logit the segmenter module computes conditionals of."""
+        calls = []
+        log_probs = autoregressive.log_probs
+
+        def counting(z):
+            calls.append(z)
+            return log_probs(z)
+
+        monkeypatch.setattr(autoregressive, "log_probs", counting)
+        return calls
 
     @pytest.mark.parametrize("strategy", [beam(16), EXACT], ids=["beam16", "exact"])
     def test_search_computes_each_conditional_once(self, model, monkeypatch, strategy):
-        calls, _ = self.count_conditionals(model, monkeypatch)
+        # Beam decoding keys its conditionals; exact search, through the
+        # acceptor, never asks for one twice.
         tokens = make_document(random.Random(4), "x", n_sentences=(3, 4))[0].tokens
-        constrained_search(build_automaton(tokens), CachedConditionals(model, tokens), strategy)
+        if strategy.kind == "beam":
+            asked = self.asked_conditionals(model, tokens, lambda a, s: reference_beam(a, s, 16))
+        else:
+            asked = self.asked_conditionals(
+                model, tokens, lambda a, s: constrained_search(a, s, EXACT))
+            assert len(asked) == len(set(asked))
+        calls = self.count_log_probs(monkeypatch)
+        AutoregressiveSegmenter(model, strategy).segment(tokens)
         assert calls
-        assert len(calls) == len(set(calls))
+        assert len(calls) == len(set(asked))
 
     def test_beam_shares_conditionals_and_keeps_its_nbest_list(self, model, monkeypatch):
         # Beam hypotheses at one position often share their last
         # ``history`` decisions, and with them one conditional, computed
         # once.  The n-best list is the one ranking every candidate gives.
-        calls, asked = self.count_conditionals(model, monkeypatch)
         tokens = make_document(random.Random(4), "x", n_sentences=(3, 4))[0].tokens
         a = build_automaton(tokens)
-        got = ranked(constrained_search(a, CachedConditionals(model, tokens), beam(16)))
+        asked = self.asked_conditionals(model, tokens, lambda a, s: reference_beam(a, s, 16))
+        calls = self.count_log_probs(monkeypatch)
+        got = AutoregressiveSegmenter(model).nbest(tokens, 16)
+        assert len(calls) == len(set(asked))
         assert len(asked) > 2 * len(calls)
-        assert got == ranked(reference_beam(a, CachedConditionals(model, tokens), 16))
+        want = ranked(reference_beam(a, CachedConditionals(model, tokens), 16))
+        assert [(labels.decisions, score) for labels, score in got] == want
 
     def test_exact_beats_greedy(self, model):
         rng = random.Random(3)
@@ -519,6 +543,34 @@ class TestGreedyLabels:
         errors = {outcome(lambda: AutoregressiveSegmenter(model, s).segment(window))
                   for s in (GREEDY, beam(2))}
         assert errors == {("ValueError", "token collides with the delimiter: 'a■b'")}
+
+
+class TestBeamRanked:
+    @settings(max_examples=200)
+    @given(
+        st.one_of(small_models(), small_models(BAND_WEIGHTS)),
+        st.lists(st.sampled_from(("a", "bb", "", "<s>", "</s>", "x<s>")), max_size=12),
+        st.integers(1, 8),
+    )
+    @example(FeatureModel(TINY, [math.nan] * 4), ["a", "bb", "a"], 2)
+    @example(FeatureModel(TINY, [math.nan, 0.0, 0.3, -2.0]), ["a", "bb", "a", "<s>", "x<s>"], 3)
+    @example(FeatureModel(TINY, [math.inf, -math.inf, 0.0, 1e308]), ["a", "bb", "a", "</s>"], 4)
+    @example(FeatureModel.zeros(TINY), [f"t{i}" for i in range(40)], 16)  # every cut ties
+    @example(FeatureModel.zeros(TINY), ["a", "x■", "b"], 2)
+    @example(FeatureModel.zeros(TINY), [], 1)
+    def test_matches_beam_search_through_the_acceptor(self, model, window, k):
+        seg = AutoregressiveSegmenter(model, beam(k))
+
+        def searched():
+            return constrained_search(
+                build_automaton(window), CachedConditionals(model, window), beam(k))
+
+        # repr tells -0.0 from 0.0 and matches NaN.
+        want = outcome(lambda: [(h.decisions, repr(h.score)) for h in searched()])
+        got = outcome(lambda: [(l.decisions, repr(s)) for l, s in seg.nbest(window, k)])
+        assert got == want
+        best = outcome(lambda: SegmentationLabels(searched()[0].decisions))
+        assert outcome(lambda: seg.segment(window)) == best
 
 
 # Tokens that exercise the pads' spelling, non-ASCII text, the empty
