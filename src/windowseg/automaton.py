@@ -22,8 +22,7 @@ may read the full prefix and is enumerated.
 The feature model scores decisions, so ``AutoregressiveSegmenter``
 searches here only for exact decoding.  Its greedy and beam decoding walk
 the decisions and return what greedy and beam search here return for its
-scorer; on a NaN conditional its beam hands the window to the beam search
-here, so the restart and the error below stay this module's.
+scorer, errors included.
 
 A hypothesis carries its decisions (its labeling's ``Decision`` values)
 and pending flag, which determine the symbols it emitted, and ``word``,
@@ -31,21 +30,15 @@ the decisions packed into an int with the last in the lowest bit.  A
 scorer reads its last ``h`` decisions as ``word & (2**h - 1)``, and exact
 search merges on that.  Beam search ranks hypotheses by ``(-score,
 decisions + (SPLIT,) if pending else decisions)``: higher score first,
-ties toward fewer and later delimiters.  Each step it scores every arc,
-ranks the candidates by score and builds keys only for a tie at the cut,
-then builds a hypothesis only for the ``width`` survivors.  Unless a
-total is NaN, the result depends only on which candidates survive, so the
-n-best lists are those of ranking every candidate by key; a search that
-meets a NaN total starts again, ranking every step by key.  Beam pools
-the greedy path, which rides in the beam: while its hypothesis survives,
-the beam's own scores pick its next arc, and a greedy walk starts only
-where it drops out.
+ties toward fewer and later delimiters.  Each step it extends every
+hypothesis along every arc and keeps the ``width`` best children; at the
+end it pools the greedy path, so a beam is never worse than greedy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Optional, Protocol, Sequence
 
 from .core import CONTINUE, DEFAULT_DELIMITER, SPLIT, Decision
@@ -152,10 +145,8 @@ class Hypothesis:
     ``key`` is the beam ranking:
     ``(-score, decisions + (SPLIT,) if pending else decisions)``.  Higher
     score comes first; ties prefer fewer/later delimiters (lex order with
-    CONTINUE < SPLIT), which favors longer segments.  It is built on each
-    read, so search reads it only to break ties and to rank finished
-    paths.  Hypotheses are treated as immutable: searches and scorers
-    never assign to them.
+    CONTINUE < SPLIT), which favors longer segments.  Hypotheses are
+    treated as immutable: searches and scorers never assign to them.
     """
 
     __slots__ = ("state", "score", "decisions", "pending", "word")
@@ -226,36 +217,16 @@ def _nan_error(symbol: str, state: int) -> ValueError:
 
 
 _KEY = attrgetter("key")
-_TOTAL = itemgetter(0)
-
-# A beam candidate, (-total, parent, arc), until it survives.
-_Candidate = tuple[float, Hypothesis, Arc]
 
 
-def _candidate_key(candidate: _Candidate) -> tuple:
-    """The ``key`` of the child a beam candidate builds.
-
-    Every child's key decisions are its parent's plus one: SPLIT after a
-    delimiter (pending or completed) and at position 0, else CONTINUE.
-    """
-    neg, hyp, arc = candidate
-    d = hyp.decisions
-    return (neg, d + (SPLIT,) if arc[2] or hyp.pending or not d else d + (CONTINUE,))
-
-
-def _greedy_hypothesis(
-    a: SegAutomaton, scorer: SymbolScorer, hyp: Optional[Hypothesis] = None
-) -> Hypothesis:
-    """The greedy path through ``a``, from ``hyp`` (the start by default)."""
+def _greedy_hypothesis(a: SegAutomaton, scorer: SymbolScorer) -> Hypothesis:
+    """The greedy path through ``a``."""
     score_symbol = scorer.score_symbol
-    rows = a.rows
-    final = a.final
-    if hyp is None:
-        hyp = Hypothesis(a.start, 0.0, (), False, 0)
-    while hyp.state != final:
+    hyp = Hypothesis(a.start, 0.0, (), False, 0)
+    while hyp.state != a.final:
         best_arc = None
         best_score = 0.0  # read only once an arc is taken
-        for arc in rows[hyp.state]:
+        for arc in a.rows[hyp.state]:
             s = score_symbol(hyp, arc[0])
             if s != s:
                 raise _nan_error(arc[0], hyp.state)
@@ -264,109 +235,33 @@ def _greedy_hypothesis(
                 best_arc, best_score = arc, s
         if best_arc is None:
             raise ValueError(f"state {hyp.state} has no arcs and is not final")
-        # Built here, as _extend would, to spare a call per step.
-        _, nxt, is_delimiter = best_arc
-        score = hyp.score + best_score
-        if is_delimiter:
-            hyp = Hypothesis(nxt, score, hyp.decisions, True, hyp.word)
-        elif hyp.pending:
-            hyp = Hypothesis(nxt, score, hyp.decisions + (SPLIT,), False, hyp.word << 1 | 1)
-        elif hyp.decisions:
-            hyp = Hypothesis(nxt, score, hyp.decisions + (CONTINUE,), False, hyp.word << 1)
-        else:
-            hyp = Hypothesis(nxt, score, (SPLIT,), False, 1)
+        hyp = _extend(hyp, best_arc, best_score)
     return hyp
 
 
-def _search_beam(
-    a: SegAutomaton, scorer: SymbolScorer, width: int, ordered: bool = False
-) -> list[Hypothesis]:
-    """Beam search; ``ordered`` ranks every step by key, and a search
-    without it restarts with it on meeting a NaN total."""
-    start = Hypothesis(a.start, 0.0, (), False, 0)
-    active = [start]
-    finished: list[Hypothesis] = []
+def _search_beam(a: SegAutomaton, scorer: SymbolScorer, width: int) -> list[Hypothesis]:
+    """Beam search of ``width``: up to ``width`` distinct labelings, best first."""
     score_symbol = scorer.score_symbol
-    rows = a.rows
-    final = a.final
-    # The greedy path is pooled at the end.  While it is in the beam,
-    # ``greedy`` is its hypothesis there and the beam's own scores pick its
-    # next arc; once it leaves, ``resume`` is where a greedy walk goes on
-    # after the beam is done, or the finished greedy path.
-    greedy: Optional[Hypothesis] = start
-    resume = start
+    active = [Hypothesis(a.start, 0.0, (), False, 0)]
+    finished: list[Hypothesis] = []
     while active:
-        candidates: list[_Candidate] = []
-        pick = None
-        pick_score = 0.0
+        candidates: list[Hypothesis] = []
         for hyp in active:
-            base = hyp.score
-            on_greedy = hyp is greedy
-            for arc in rows[hyp.state]:
+            for arc in a.rows[hyp.state]:
                 s = score_symbol(hyp, arc[0])
-                total = base + s
-                if total != total:
-                    if not ordered:
-                        return _search_beam(a, scorer, width, True)
-                    if s != s:
-                        raise _nan_error(arc[0], hyp.state)
-                if arc[1] == final:
-                    cand = _extend(hyp, arc, s)
-                    finished.append(cand)
-                else:
-                    cand = (-total, hyp, arc)
-                    candidates.append(cand)
-                # As in _greedy_hypothesis, the first arc wins ties.
-                if on_greedy and (pick is None or s > pick_score):
-                    pick, pick_score = cand, s
-        if greedy is not None and not isinstance(pick, tuple):
-            # The greedy path finished, or met a dead end for the walk to report.
-            resume = greedy if pick is None else pick
-            greedy = None
-        # The survivors are the best ``width`` candidates by their children's
-        # keys, which lead with -total.  Unless a total is NaN, the result
-        # depends only on which candidates survive, so ranking by total is
-        # enough and keys are built only for a tie at the cut.  A NaN total
-        # (an infinity met its opposite) ranks against nothing, so the order
-        # of the beam and of ``finished`` then matters: the search starts
-        # again ``ordered``, ranking every step by key as if every candidate
-        # were built.
-        if ordered:
-            candidates.sort(key=_candidate_key)
-        else:
-            candidates.sort(key=_TOTAL)
-            if len(candidates) > width and candidates[width - 1][0] == candidates[width][0]:
-                candidates.sort(key=_candidate_key)
+                if s != s:
+                    raise _nan_error(arc[0], hyp.state)
+                child = _extend(hyp, arc, s)
+                (finished if arc[1] == a.final else candidates).append(child)
+        candidates.sort(key=_KEY)
         del candidates[width:]
-        # Children are built here, for survivors only, as _extend would.
-        active = []
-        on_beam = None
-        for cand in candidates:
-            neg, hyp, (_, nxt, is_delimiter) = cand
-            if is_delimiter:
-                child = Hypothesis(nxt, -neg, hyp.decisions, True, hyp.word)
-            elif hyp.pending:
-                child = Hypothesis(nxt, -neg, hyp.decisions + (SPLIT,), False, hyp.word << 1 | 1)
-            elif hyp.decisions:
-                child = Hypothesis(nxt, -neg, hyp.decisions + (CONTINUE,), False, hyp.word << 1)
-            else:
-                child = Hypothesis(nxt, -neg, (SPLIT,), False, 1)
-            active.append(child)
-            if cand is pick:
-                on_beam = child
-        if greedy is not None:
-            if on_beam is None:
-                resume = _extend(pick[1], pick[2], pick_score)
-            greedy = on_beam
-    greedy_path = _greedy_hypothesis(a, scorer, resume)
-    if greedy_path.score != greedy_path.score and not ordered:
-        return _search_beam(a, scorer, width, True)
+        active = candidates
     # Finished hypotheses (at most ``width`` a step) leave no pool, so one
     # ranking here keeps the top ``width`` that trimming at every step
     # would.  Pool the greedy path so a wider beam is never worse than
     # greedy even under adversarial scorers, then keep the best path of
     # each labeling: equal decisions are equal labels.
-    pooled = sorted(finished + [greedy_path], key=_KEY)
+    pooled = sorted(finished + [_greedy_hypothesis(a, scorer)], key=_KEY)
     best: dict[tuple[Decision, ...], Hypothesis] = {}
     for h in pooled:
         best.setdefault(h.decisions, h)

@@ -72,7 +72,7 @@ def _check_tokens(tokens: Sequence[str]) -> None:
 
 @dataclass(frozen=True)
 class Transcript:
-    """An ordered sequence of word tokens with an opaque source identifier."""
+    """A sequence of word tokens, in reading order, with an opaque source identifier."""
 
     tokens: tuple[str, ...]
     source_id: str = ""

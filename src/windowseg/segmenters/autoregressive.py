@@ -15,8 +15,9 @@ acceptor.  Greedy decoding reads one logit per position and takes SPLIT
 where log p(SPLIT) would beat log p(CONTINUE), the labeling greedy search
 through the acceptor returns (``greedy_labels``).  Beam decoding and
 ``nbest`` rank tuples of packed decisions, step for step as the acceptor's
-beam ranks its hypotheses, and return its n-best lists
-(``beam_ranked``).  Exact search and rescoring keep the acceptor.
+beam ranks its hypotheses, and return its n-best lists and its errors
+(``beam_ranked``).  Only exact decoding searches the acceptor; rescoring
+(``score_sequence``) sums a labeling's conditionals.
 
 The static part of each conditional is linear in hashed n-gram features,
 so a token table caches it per (token, context offset), one row of a
@@ -37,18 +38,16 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from operator import lt
+from operator import itemgetter, lt
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..automaton import (
-    _TOTAL,
     GREEDY,
     Hypothesis,
     SearchStrategy,
     _nan_error,
-    beam,
     build_automaton,
     constrained_search,
     reject_delimiter,
@@ -71,6 +70,9 @@ from .features import (
 
 # Rows a new token table has room for; the matrix doubles when full.
 _FIRST_ROWS = 64
+
+# A beam candidate's -score, its rank before ties.
+_TOTAL = itemgetter(0)
 
 
 def _tie_key(candidate: tuple[float, int, int, bool]) -> tuple[float, str]:
@@ -306,13 +308,14 @@ class CachedConditionals:
         (the acceptor adds 0.0, which changes no score: a sum from 0.0 is
         never -0.0).  Each step keeps the ``width`` best candidates, ranked
         by the tie key only for a tie at the cut; children at the window's
-        end are finished.  The greedy path rides in the beam, is walked on
-        from where it drops out and is pooled, as in the acceptor's beam.
+        end are finished.  The greedy path rides in the beam and is walked
+        on from where it drops out; it is pooled as in the acceptor's beam.
 
         Each conditional is computed once, keyed by position and the last
-        ``history`` decisions.  Its values lie in [-inf, 0], so a total is
-        NaN exactly when a logit is; at the first NaN logit the acceptor's
-        beam takes over, with its ordered restart and its error.
+        ``history`` decisions.  A NaN logit raises the acceptor's error for
+        the hypothesis whose conditional the acceptor's beam scores first:
+        of a step's hypotheses, the first by tie key, and on the greedy walk
+        its position.
         """
         tokens = self.tokens
         n = len(tokens)
@@ -359,7 +362,12 @@ class CachedConditionals:
                     continue
                 probs = memo.get(length << h | word & mask) or conditional(length, word)
                 if probs is None:
-                    return self._acceptor_beam(width)
+                    # The acceptor's beam scores its hypotheses in key order.
+                    first = min(
+                        (o for o in active if not o[3] and conditional(o[2], o[1]) is None),
+                        key=_tie_key,
+                    )
+                    raise _nan_error(tokens[first[2]], first[2])
                 score = -neg
                 cont = (-(score + probs[0]), word << 1, length + 1, False)
                 split = (-(score + probs[1]), word << 1 | 1, length + 1, True)
@@ -385,7 +393,7 @@ class CachedConditionals:
         while length < n:
             probs = conditional(length, word)
             if probs is None:
-                return self._acceptor_beam(width)
+                raise _nan_error(tokens[length], length)
             if probs[1] > probs[0]:
                 score += probs[1]
                 word = word << 1 | 1
@@ -400,11 +408,6 @@ class CachedConditionals:
             finished.append((-score, word, n, False))
         finished.sort()
         return [(_decisions(f[1]), -f[0]) for f in finished[:width]]
-
-    def _acceptor_beam(self, width: int) -> list[tuple[tuple[Decision, ...], float]]:
-        """``beam_ranked``'s list from the acceptor's beam search."""
-        ranked = constrained_search(build_automaton(self.tokens), self, beam(width))
-        return [(hyp.decisions, hyp.score) for hyp in ranked]
 
     def score_symbol(self, hypothesis: Hypothesis, symbol: str) -> float:
         split = symbol == DEFAULT_DELIMITER

@@ -6,10 +6,10 @@ features of a position as a dict (``step_features``), their logit as one
 dot product with the weights, and the log-probabilities as two softplus
 calls.  Tests compare the two paths.
 
-``reference_beam`` is beam search as it was first written: each step
-builds a hypothesis for every candidate and sorts them all by key.  The
-library's beam builds only the candidates that can survive; tests compare
-the two.  Hypotheses compare by identity, so tests compare search results
+``reference_beam`` is beam search written apart from the library's: each
+step builds a hypothesis for every candidate and sorts them all by key.
+Tests hold the acceptor's beam and the feature model's decision beam to
+it.  Hypotheses compare by identity, so tests compare search results
 through ``ranked``.
 
 ``FunctionScorer`` and ``ConstantScorer`` are symbol scorers for search

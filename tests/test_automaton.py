@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fstref
-from reference import ConstantScorer, FunctionScorer, emitted, ranked, reference_beam
+from reference import ConstantScorer, FunctionScorer, ranked, reference_beam
 from synth import TableScorer, all_labelings, brute_force_best
 from windowseg import automaton
 from windowseg.automaton import (
@@ -344,34 +344,6 @@ class TestBeamSelection:
         got = ranked(constrained_search(a, scorer, beam(width)))
         # repr, so that -0.0 differs from 0.0 and a NaN score equals itself.
         assert repr(got) == repr(ranked(reference_beam(a, scorer, width)))
-
-    @pytest.mark.parametrize("width", [1, 2, 4, 16])
-    def test_builds_only_survivors(self, monkeypatch, width):
-        # Per step (symbols emitted) the beam builds at most ``width``
-        # non-final hypotheses, and the pooled greedy path one more once it
-        # has left the beam.
-        w = 24
-        a = build_automaton(toks(w))
-        scorer = PickScorer([-i / 997 for i in range(997)], width)
-        want = ranked(reference_beam(a, scorer, width))
-        built = []
-
-        class Counting(Hypothesis):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                super().__init__(*args)
-                built.append(self)
-
-        monkeypatch.setattr(automaton, "Hypothesis", Counting)
-        assert repr(ranked(constrained_search(a, scorer, beam(width)))) == repr(want)
-        per_step: dict[int, int] = {}
-        for h in built:
-            if h.state != a.final:
-                step = len(emitted(a.tokens, h))
-                per_step[step] = per_step.get(step, 0) + 1
-        assert per_step.pop(0) == 1  # the greedy path starts in the beam
-        assert max(per_step.values()) <= width + 1
 
 
 class TestHypothesisWord:

@@ -558,6 +558,16 @@ class TestBeamRanked:
     @example(FeatureModel.zeros(TINY), [f"t{i}" for i in range(40)], 16)  # every cut ties
     @example(FeatureModel.zeros(TINY), ["a", "x■", "b"], 2)
     @example(FeatureModel.zeros(TINY), [], 1)
+    # Two hypotheses of one step meet a NaN logit; the acceptor's beam,
+    # walking its hypotheses in key order, meets the one at state 2 first.
+    @example(
+        FeatureModel(
+            FeatureConfig(hash_dims=4, ngram_orders=(1,), context_radius=0, history=3),
+            [1.0, -1.2866647860778686, 1.7183448475231187, math.nan],
+        ),
+        ["a", "<s>", "c", "</s>", "dd", "a", "</s>"],
+        5,
+    )
     def test_matches_beam_search_through_the_acceptor(self, model, window, k):
         seg = AutoregressiveSegmenter(model, beam(k))
 
@@ -571,6 +581,27 @@ class TestBeamRanked:
         assert got == want
         best = outcome(lambda: SegmentationLabels(searched()[0].decisions))
         assert outcome(lambda: seg.segment(window)) == best
+
+    def test_never_searches_the_acceptor(self, monkeypatch):
+        finite = random_model(3)
+        nan = FeatureModel(TINY, [math.nan] * 4)
+        window = ["a", "bb", "a", "</s>", "c"]
+        # Searched through the acceptor before it is patched away.
+        want_error = outcome(lambda: constrained_search(
+            build_automaton(window), CachedConditionals(nan, window), beam(3)))
+        assert want_error[0] == "ValueError"
+
+        def unreachable(*args):
+            raise AssertionError("beam decoding reached the acceptor")
+
+        monkeypatch.setattr(autoregressive, "constrained_search", unreachable)
+        monkeypatch.setattr(autoregressive, "build_automaton", unreachable)
+        seg = AutoregressiveSegmenter(finite, beam(3))
+        assert len(seg.segment(window).decisions) == len(window)
+        assert len(seg.nbest(window, 3)) == 3
+        seg = AutoregressiveSegmenter(nan, beam(3))
+        assert outcome(lambda: seg.segment(window)) == want_error
+        assert outcome(lambda: seg.nbest(window, 3)) == want_error
 
 
 # Tokens that exercise the pads' spelling, non-ASCII text, the empty
